@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import warnings
@@ -18,7 +19,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .graphs import WeightedGraph, mwsf, to_dot
+from .graphs import WeightedForest, WeightedGraph, fold_paths, mwsf
 from .matcore import SymMatrix, to_correlation
 from .oracle import active_set_oracle
 from .solver import (
@@ -31,7 +32,7 @@ from .solver import (
 )
 from .signed import apply_signs, fit_signed
 from .structure import NotApplicable, block_closed_form, grw_graph, is_block_graph, tiered_dot
-from .ultra import ec_graph, is_ultrametric, single_linkage, w_matrix
+from .ultra import ec_graph, is_ultrametric, w_matrix
 
 MWSF_TIE_BREAK = "weight descending, pair ascending"
 
@@ -112,6 +113,10 @@ def parse_matrix_text(text: str, header_row: bool | None = None) -> SymMatrix:
                 raise MatrixParseError(
                     f"invalid number {cell!r}", line=lineno, column=j + 1
                 ) from None
+            if not math.isfinite(data[i, j]):
+                raise MatrixParseError(
+                    f"non-finite entry {cell!r}", line=lineno, column=j + 1
+                )
     scale = max(1.0, float(np.abs(data).max()))
     asym = float(np.abs(data - data.T).max())
     if asym > 1e-9 * scale:
@@ -168,11 +173,28 @@ def _input_block(mf: MatrixFile, s: SymMatrix) -> dict:
     }
 
 
-def _graphs_block(r: SymMatrix, grw_tol: float) -> dict:
+@dataclass(frozen=True)
+class _Closures:
+    """Spanning forest and path closures of one correlation matrix."""
+
+    r: SymMatrix
+    forest: WeightedForest
+    envelope: WeightedGraph  # excess-correlation graph
+    w: SymMatrix
+    equality: WeightedGraph  # entries equal to their best path product
+
+
+def _closures(r: SymMatrix, grw_tol: float) -> _Closures:
+    forest = mwsf(r)
+    w = w_matrix(r)
+    return _Closures(r, forest, ec_graph(r, forest), w, grw_graph(r, w, grw_tol))
+
+
+def _graphs_block(c: _Closures) -> dict:
     return {
-        "mwsf": _edge_list(mwsf(r)),
-        "ec": _edge_list(ec_graph(r)),
-        "grw": _edge_list(grw_graph(r, w_matrix(r), grw_tol)),
+        "mwsf": _edge_list(c.forest),
+        "ec": _edge_list(c.envelope),
+        "grw": _edge_list(c.equality),
     }
 
 
@@ -198,7 +220,7 @@ def _config_block(cfg: FitConfig) -> dict:
     }
 
 
-def _fit_doc(mf, s, graph_matrix, result: FitResult, cfg, mode, converged, grw_tol) -> dict:
+def _fit_doc(mf, s, closures, result: FitResult, cfg, mode, converged) -> dict:
     return {
         "mode": mode,
         "generated_at": datetime.now(timezone.utc).isoformat(),
@@ -212,7 +234,7 @@ def _fit_doc(mf, s, graph_matrix, result: FitResult, cfg, mode, converged, grw_t
         "sigma_hat": result.sigma_hat.values.tolist(),
         "k_hat": result.k_hat.values.tolist(),
         "ml_graph": _edge_list(result.ml_graph),
-        "graphs": _graphs_block(graph_matrix, grw_tol),
+        "graphs": _graphs_block(closures),
     }
 
 
@@ -226,7 +248,8 @@ def cmd_fit(mf: MatrixFile, cfg: FitConfig, grw_tol: float = 1e-9):
         result = exc.result
         converged = False
     r, _ = to_correlation(s)
-    doc = _fit_doc(mf, s, r, result, cfg, "mtp2", converged, grw_tol)
+    closures = _closures(r, grw_tol)
+    doc = _fit_doc(mf, s, closures, result, cfg, "mtp2", converged)
     # the path-product equality graph generically coincides with the fitted
     # graph when the closed form applies, but only generically; surface any
     # disagreement instead of assuming it away
@@ -234,7 +257,7 @@ def cmd_fit(mf: MatrixFile, cfg: FitConfig, grw_tol: float = 1e-9):
         (i, j) for i, j, _ in doc["graphs"]["grw"]
     ) == sorted(result.ml_graph.edge_pairs())
     code = 0 if (converged and result.certificate.passed) else 3
-    return doc, code, (r, result.ml_graph)
+    return doc, code, (closures, result.ml_graph)
 
 
 def cmd_analyze(mf: MatrixFile, grw_tol: float = 1e-9):
@@ -247,19 +270,18 @@ def cmd_analyze(mf: MatrixFile, grw_tol: float = 1e-9):
             "no maximum likelihood estimate: some normalized entry reaches one"
         )
     r, scale = to_correlation(s)
-    z = single_linkage(r)
-    w = w_matrix(r)
+    closures = _closures(r, grw_tol)
+    z = fold_paths(r, closures.forest, min, np.inf)  # single_linkage on the shared forest
     report = is_ultrametric(z)
-    equality_graph = grw_graph(r, w, grw_tol)
-    block = is_block_graph(equality_graph)
-    closed = block_closed_form(r)
+    block = is_block_graph(closures.equality)
+    closed = block_closed_form(closures.w, block)
     doc = {
         "mode": "analyze",
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "input": _input_block(mf, s),
         "scale": scale.tolist(),
         "z_matrix": z.values.tolist(),
-        "w_matrix": w.values.tolist(),
+        "w_matrix": closures.w.values.tolist(),
         "z_ultrametric": {
             "is_ultrametric": report.is_ultrametric,
             "worst_violation": list(report.worst_violation)
@@ -278,10 +300,10 @@ def cmd_analyze(mf: MatrixFile, grw_tol: float = 1e-9):
             "sigma": closed.values.tolist() if not isinstance(closed, NotApplicable) else None,
             "reason": closed.reason if isinstance(closed, NotApplicable) else None,
         },
-        "graphs": _graphs_block(r, grw_tol),
+        "graphs": _graphs_block(closures),
         "mwsf_tie_break": MWSF_TIE_BREAK,
     }
-    return doc, 0, (r, equality_graph)
+    return doc, 0, (closures, closures.equality)
 
 
 def cmd_signed(mf: MatrixFile, cfg: FitConfig, exhaustive_limit: int = 12, grw_tol: float = 1e-9):
@@ -289,8 +311,10 @@ def cmd_signed(mf: MatrixFile, cfg: FitConfig, exhaustive_limit: int = 12, grw_t
     s = read_matrix_csv(mf)
     r, scale = to_correlation(s)
     signed_result = fit_signed(r, cfg, exhaustive_limit=exhaustive_limit)
-    switched = apply_signs(r, signed_result.signs)
-    doc = _fit_doc(mf, s, switched, signed_result.fit, cfg, "signed", True, grw_tol)
+    # the graphs describe the switched matrix, whose spanning forest can
+    # differ from the forest of |R| that chose the signs
+    closures = _closures(apply_signs(r, signed_result.signs), grw_tol)
+    doc = _fit_doc(mf, s, closures, signed_result.fit, cfg, "signed", True)
     doc["scale"] = scale.tolist()
     doc["signs"] = list(signed_result.signs.signs)
     doc["method"] = signed_result.method
@@ -300,7 +324,7 @@ def cmd_signed(mf: MatrixFile, cfg: FitConfig, exhaustive_limit: int = 12, grw_t
             for signs, ll in sorted(signed_result.switched_likelihoods.items())
         }
     code = 0 if signed_result.fit.certificate.passed else 3
-    return doc, code, (switched, signed_result.fit.ml_graph)
+    return doc, code, (closures, signed_result.fit.ml_graph)
 
 
 def _random_correlation(rng, p: int) -> SymMatrix:
@@ -346,13 +370,8 @@ def _emit(doc: dict, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _write_dot(path: str, r: SymMatrix, middle: WeightedGraph) -> None:
-    forest = mwsf(r)
-    envelope = ec_graph(r)
-    try:
-        text = tiered_dot(forest, middle, envelope, labels=r.labels)
-    except ValueError:
-        text = to_dot(envelope, labels=r.labels)
+def _write_dot(path: str, c: _Closures, middle: WeightedGraph) -> None:
+    text = tiered_dot(c.forest, middle, c.envelope, labels=c.r.labels)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 

@@ -2,13 +2,17 @@
 
 Holds the positive-correlation graph, maximum weight spanning forests with
 deterministic tie-breaking (Kruskal, weight descending then pair ascending),
-forest path queries, the tree-structured closed-form estimate, and exact
-maximum cliques at desk scale.  DOT export is shared with the CLI.
+one forest walk with the path queries and path folds built on it (the
+tree-structured closed-form estimate is the product fold), and exact maximum
+cliques at desk scale.  One DOT writer serves plain and tiered export.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,47 +75,71 @@ class WeightedGraph:
 
 
 @dataclass(frozen=True)
-class WeightedForest:
+class WeightedForest(WeightedGraph):
     """Acyclic edge set with per-vertex component labels.
 
     Components are numbered by their smallest vertex, in ascending order, so
     construction is deterministic.
     """
 
-    dim: int
-    edges: tuple[Edge, ...]
     component_label: tuple[int, ...]
 
     def __post_init__(self):
-        edges = _check_edges(self.dim, self.edges)
-        object.__setattr__(self, "edges", edges)
-        if len(self.component_label) != self.dim:
+        super().__post_init__()
+        labels = tuple(self.component_label)
+        if len(labels) != self.dim:
             raise ValueError("component_label length must equal dim")
         ds = _DisjointSet(self.dim)
-        for i, j, _ in edges:
+        for i, j, _ in self.edges:
             if not ds.union(i, j):
                 raise ValueError(f"edge ({i}, {j}) closes a cycle")
-        labels = list(self.component_label)
-        for u in range(self.dim):
-            for v in range(u + 1, self.dim):
-                if (ds.find(u) == ds.find(v)) != (labels[u] == labels[v]):
-                    raise ValueError("component labels inconsistent with edges")
         n_comp = len(set(labels))
-        if len(edges) != self.dim - n_comp:
+        if len(self.edges) != self.dim - n_comp:
             raise ValueError("edge count must be dim - number of components")
-
-    def edge_pairs(self) -> frozenset[tuple[int, int]]:
-        return frozenset((i, j) for i, j, _ in self.edges)
-
-    def adjacency(self) -> list[list[tuple[int, float]]]:
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(self.dim)]
-        for i, j, w in self.edges:
-            adj[i].append((j, w))
-            adj[j].append((i, w))
-        return adj
+        # with as many labels as edge components, they agree iff each
+        # component carries a single label
+        roots = [ds.find(v) for v in range(self.dim)]
+        if len(set(zip(roots, labels))) != n_comp:
+            raise ValueError("component labels inconsistent with edges")
 
     def n_components(self) -> int:
         return len(set(self.component_label))
+
+    @cached_property
+    def _neighbors(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(v for v, _ in nbrs) for nbrs in self.adjacency())
+
+    def walk(self, root: int) -> Iterator[tuple[int, int]]:
+        """Depth-first walk of the tree holding ``root``.
+
+        Yields (parent, child) once per edge of that tree, each child after
+        its parent.
+        """
+        nbrs = self._neighbors
+        stack = [(root, -1)]
+        while stack:
+            u, up = stack.pop()
+            for v in nbrs[u]:
+                if v != up:
+                    yield u, v
+                    stack.append((v, u))
+
+    def path(self, i: int, j: int) -> list[int] | None:
+        """Vertices of the unique path from i to j, or None across components."""
+        if not (0 <= i < self.dim and 0 <= j < self.dim):
+            raise ValueError("vertex out of range")
+        if self.component_label[i] != self.component_label[j]:
+            return None
+        parent = {i: i}
+        steps = self.walk(i)
+        while j not in parent:
+            u, v = next(steps)
+            parent[v] = u
+        out = [j]
+        while out[-1] != i:
+            out.append(parent[out[-1]])
+        out.reverse()
+        return out
 
 
 def _component_labels(dim: int, edges) -> tuple[int, ...]:
@@ -160,31 +188,33 @@ def forest_path(forest: WeightedForest, i: int, j: int) -> list[tuple[int, int]]
 
     Edges come back as (min, max) pairs in traversal order from i to j.
     """
-    if not (0 <= i < forest.dim and 0 <= j < forest.dim):
-        raise ValueError("vertex out of range")
-    if forest.component_label[i] != forest.component_label[j]:
+    vertices = forest.path(i, j)
+    if vertices is None:
         return None
-    if i == j:
-        return []
-    adj = forest.adjacency()
-    parent = {i: None}
-    stack = [i]
-    while stack:
-        u = stack.pop()
-        if u == j:
-            break
-        for v, _ in adj[u]:
-            if v not in parent:
-                parent[v] = u
-                stack.append(v)
-    path = []
-    v = j
-    while parent[v] is not None:
-        u = parent[v]
-        path.append((min(u, v), max(u, v)))
-        v = u
-    path.reverse()
-    return path
+    return [(min(u, v), max(u, v)) for u, v in zip(vertices, vertices[1:])]
+
+
+def fold_paths(r: SymMatrix, forest: WeightedForest, combine, start: float) -> SymMatrix:
+    """Fold ``combine`` over the entries of R along every forest path.
+
+    Entry (i, j), i < j, folds the entries along the forest path from i
+    out to j, beginning from ``start``; zero across components, one on the
+    diagonal.
+    """
+    require_unit_diagonal(r)
+    if forest.dim != r.dim:
+        raise ValueError("dimension mismatch")
+    p = r.dim
+    vals = r.values
+    out = np.zeros((p, p))
+    np.fill_diagonal(out, 1.0)
+    for root in range(p):
+        acc = {root: start}
+        for u, v in forest.walk(root):
+            acc[v] = combine(acc[u], vals[u, v])
+            if v > root:
+                out[root, v] = out[v, root] = acc[v]
+    return SymMatrix(out, labels=r.labels)
 
 
 def tree_mle(r: SymMatrix, forest: WeightedForest) -> SymMatrix:
@@ -193,28 +223,7 @@ def tree_mle(r: SymMatrix, forest: WeightedForest) -> SymMatrix:
     Entry (i, j) is the product of R along the forest path from i to j, zero
     across components, one on the diagonal.
     """
-    require_unit_diagonal(r)
-    if forest.dim != r.dim:
-        raise ValueError("dimension mismatch")
-    p = r.dim
-    vals = r.values
-    adj = forest.adjacency()
-    out = np.zeros((p, p))
-    np.fill_diagonal(out, 1.0)
-    for root in range(p):
-        stack = [(root, 1.0)]
-        seen = {root}
-        while stack:
-            u, prod = stack.pop()
-            for v, _ in adj[u]:
-                if v in seen:
-                    continue
-                seen.add(v)
-                pv = prod * vals[u, v]
-                if v > root:
-                    out[root, v] = out[v, root] = pv
-                stack.append((v, pv))
-    return SymMatrix(out, labels=r.labels)
+    return fold_paths(r, forest, operator.mul, 1.0)
 
 
 def max_clique(graph: WeightedGraph) -> frozenset[int]:
@@ -243,8 +252,12 @@ def max_clique(graph: WeightedGraph) -> frozenset[int]:
     return frozenset(best)
 
 
-def to_dot(graph: WeightedGraph | WeightedForest, labels=None) -> str:
-    """Serialize to Graphviz DOT with a weight attribute per edge."""
+def to_dot(graph: WeightedGraph, labels=None, style=None) -> str:
+    """Serialize to Graphviz DOT with a weight attribute per edge.
+
+    ``style``, when given, maps an edge (i, j) to extra attributes written
+    after the weight.
+    """
     if labels is not None and len(labels) != graph.dim:
         raise ValueError("label count does not match graph dimension")
     name = (lambda v: str(labels[v])) if labels is not None else str
@@ -252,6 +265,7 @@ def to_dot(graph: WeightedGraph | WeightedForest, labels=None) -> str:
     for v in range(graph.dim):
         lines.append(f'  "{name(v)}";')
     for i, j, w in graph.edges:
-        lines.append(f'  "{name(i)}" -- "{name(j)}" [weight="{w:.6f}"];')
+        extra = style(i, j) if style is not None else ""
+        lines.append(f'  "{name(i)}" -- "{name(j)}" [weight="{w:.6f}"{extra}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

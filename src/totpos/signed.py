@@ -75,26 +75,27 @@ def _abs_forest(r: SymMatrix) -> WeightedForest:
 
 def _propagate_signs(r: SymMatrix, forest: WeightedForest) -> SignVector:
     vals = r.values
-    adj = forest.adjacency()
     signs = [0] * r.dim
-    comp = forest.component_label
-    roots = {}
-    for v in range(r.dim):
-        roots.setdefault(comp[v], v)  # vertices ascend, so this is the component minimum
-    for root in roots.values():
-        signs[root] = 1
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v, _ in adj[u]:
-                if signs[v]:
-                    continue
-                w = vals[u, v]
-                if w == 0.0:
-                    raise ZeroWeightTreeEdge(f"forest edge ({u}, {v}) has zero weight")
-                signs[v] = signs[u] * (1 if w > 0 else -1)
-                stack.append(v)
+    for root in range(r.dim):
+        if signs[root]:
+            continue
+        signs[root] = 1  # vertices ascend, so this is the component minimum
+        for u, v in forest.walk(root):
+            w = vals[u, v]
+            if w == 0.0:
+                raise ZeroWeightTreeEdge(f"forest edge ({u}, {v}) has zero weight")
+            signs[v] = signs[u] * (1 if w > 0 else -1)
     return SignVector(tuple(signs))
+
+
+def _witness_cycle(r: SymMatrix, forest: WeightedForest, signs: SignVector) -> list[int] | None:
+    """Forest path closing the first pair the switch leaves negative, if any."""
+    s = np.array(signs.signs, dtype=float)
+    bad = np.argwhere(np.triu(np.outer(s, s) * r.values < 0.0, 1))
+    if not len(bad):
+        return None
+    i, j = bad[0]
+    return forest.path(int(i), int(j))
 
 
 def d_star(r: SymMatrix) -> SignVector:
@@ -118,36 +119,8 @@ def is_balanced(r: SymMatrix) -> tuple[bool, list[int] | None]:
     """
     require_unit_diagonal(r)
     forest = _abs_forest(r)
-    signs = _propagate_signs(r, forest)
-    vals = r.values
-    for i in range(r.dim):
-        for j in range(i + 1, r.dim):
-            if vals[i, j] == 0.0:
-                continue
-            if signs.signs[i] * signs.signs[j] * vals[i, j] < 0.0:
-                return False, _tree_path_vertices(forest, i, j)
-    return True, None
-
-
-def _tree_path_vertices(forest: WeightedForest, i: int, j: int) -> list[int]:
-    adj = forest.adjacency()
-    parent = {i: None}
-    stack = [i]
-    while stack:
-        u = stack.pop()
-        if u == j:
-            break
-        for v, _ in adj[u]:
-            if v not in parent:
-                parent[v] = u
-                stack.append(v)
-    path = []
-    v = j
-    while v is not None:
-        path.append(v)
-        v = parent[v]
-    path.reverse()
-    return path
+    witness = _witness_cycle(r, forest, _propagate_signs(r, forest))
+    return witness is None, witness
 
 
 def exhaustive_sign_search(
@@ -188,9 +161,10 @@ def fit_signed(
     is used as a heuristic and a warning is emitted.
     """
     cfg = cfg or FitConfig()
-    balanced, _ = is_balanced(r)
-    star = d_star(r)
-    if balanced:
+    require_unit_diagonal(r)
+    forest = _abs_forest(r)
+    star = _propagate_signs(r, forest)
+    if _witness_cycle(r, forest, star) is None:
         return SignedFitResult(star, fit(apply_signs(r, star), cfg), "balanced_exact")
     if r.dim <= exhaustive_limit:
         return exhaustive_sign_search(r, cfg, prefer=star)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import WeightedForest, WeightedGraph, mwsf
+from .graphs import WeightedForest, WeightedGraph, mwsf, to_dot
 from .matcore import (
     SymMatrix,
     NotPositiveDefinite,
@@ -64,7 +64,7 @@ def ml_graph_upper_bound(r: SymMatrix) -> WeightedGraph:
     require_unit_diagonal(r)
     w = w_matrix(r).values
     vals = r.values
-    allowed = ec_graph(r).edge_pairs()
+    allowed = ec_graph(r, mwsf(r)).edge_pairs()
     edges = [
         (i, j, float(vals[i, j]))
         for i, j in sorted(allowed)
@@ -165,21 +165,19 @@ def is_block_graph(graph: WeightedGraph) -> BlockReport:
     return BlockReport(offending is None, tuple(blocks), offending)
 
 
-def block_closed_form(r: SymMatrix) -> SymMatrix | NotApplicable:
+def block_closed_form(w: SymMatrix, blocks: BlockReport) -> SymMatrix | NotApplicable:
     """Exact MLE via the path-product matrix when the equality graph allows it.
 
-    Requires the graph of entries matching their best path product to be a
-    block graph whose clique blocks, read off the path-product matrix, are
-    all inverse M-matrices; the path-product matrix is then the exact
-    estimate.  Returns NotApplicable naming the failed condition otherwise.
+    ``w`` is the path-product matrix of R and ``blocks`` the block report of
+    its equality graph (``is_block_graph(grw_graph(r, w, tol))``).  That
+    graph must be a block graph whose clique blocks, read off ``w``, are all
+    inverse M-matrices; ``w`` is then the exact estimate.  Returns
+    NotApplicable naming the failed condition otherwise.
     """
-    require_unit_diagonal(r)
-    w = w_matrix(r)
-    report = is_block_graph(grw_graph(r, w))
-    if not report.is_block_graph:
-        bad = sorted(report.offending_component)
+    if not blocks.is_block_graph:
+        bad = sorted(blocks.offending_component)
         return NotApplicable(f"equality graph is not a block graph (component {bad})")
-    for block in report.blocks:
+    for block in blocks.blocks:
         if len(block) < 2:
             continue
         members = sorted(block)
@@ -235,26 +233,19 @@ def tiered_dot(
     dim = forest.dim
     if middle.dim != dim or envelope.dim != dim:
         raise ValueError("dimension mismatch")
-    if labels is not None and len(labels) != dim:
-        raise ValueError("label count does not match graph dimension")
-    name = (lambda v: str(labels[v])) if labels is not None else str
     forest_pairs = forest.edge_pairs()
     middle_pairs = middle.edge_pairs()
     # prefer envelope/forest weights (input scale) over middle ones
     weight = {(i, j): w for i, j, w in middle.edges}
     weight.update({(i, j): w for i, j, w in envelope.edges})
     weight.update({(i, j): w for i, j, w in forest.edges})
-    lines = ["graph G {"]
-    for v in range(dim):
-        lines.append(f'  "{name(v)}";')
-    for i, j in sorted(forest_pairs | middle_pairs | envelope.edge_pairs()):
-        attrs = f'weight="{weight[(i, j)]:.6f}"'
+
+    def tier(i: int, j: int) -> str:
         if (i, j) in forest_pairs:
-            attrs += ', color=red, penwidth=2.5'
-        elif (i, j) in middle_pairs:
-            attrs += ', color=blue'
-        else:
-            attrs += ', color=gray, penwidth=0.5'
-        lines.append(f'  "{name(i)}" -- "{name(j)}" [{attrs}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            return ", color=red, penwidth=2.5"
+        if (i, j) in middle_pairs:
+            return ", color=blue"
+        return ", color=gray, penwidth=0.5"
+
+    union = WeightedGraph(dim, tuple((i, j, w) for (i, j), w in weight.items()))
+    return to_dot(union, labels=labels, style=tier)

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .graphs import WeightedGraph, mwsf, tree_mle
+from .graphs import WeightedForest, WeightedGraph, fold_paths, mwsf, tree_mle
 from .matcore import SymMatrix, require_unit_diagonal
 
 # Slack used when comparing a correlation against a path product, so exact
@@ -54,27 +54,7 @@ def single_linkage(r: SymMatrix) -> SymMatrix:
     maximum weight spanning forest (the two coincide).  Zero across
     components, one on the diagonal.
     """
-    require_unit_diagonal(r)
-    p = r.dim
-    vals = r.values
-    forest = mwsf(r)
-    adj = forest.adjacency()
-    out = np.zeros((p, p))
-    np.fill_diagonal(out, 1.0)
-    for root in range(p):
-        stack = [(root, np.inf)]
-        seen = {root}
-        while stack:
-            u, low = stack.pop()
-            for v, _ in adj[u]:
-                if v in seen:
-                    continue
-                seen.add(v)
-                lv = min(low, vals[u, v])
-                if v > root:
-                    out[root, v] = out[v, root] = lv
-                stack.append((v, lv))
-    return SymMatrix(out, labels=r.labels)
+    return fold_paths(r, mwsf(r), min, np.inf)
 
 
 def is_ultrametric(u: SymMatrix, tol: float = 1e-12) -> UltrametricReport:
@@ -129,14 +109,13 @@ def w_matrix(r: SymMatrix) -> SymMatrix:
     return SymMatrix(out, labels=r.labels)
 
 
-def ec_graph(r: SymMatrix) -> WeightedGraph:
+def ec_graph(r: SymMatrix, forest: WeightedForest) -> WeightedGraph:
     """Pairs whose correlation meets or exceeds their forest path product.
 
-    Restricted to pairs in the same spanning-forest component; forest edges
-    are always included (their path product is the entry itself).
+    ``forest`` is the maximum weight spanning forest of R.  Restricted to
+    pairs in the same component; forest edges are always included (their
+    path product is the entry itself).
     """
-    require_unit_diagonal(r)
-    forest = mwsf(r)
     tree_fit = tree_mle(r, forest).values
     vals = r.values
     comp = forest.component_label

@@ -26,8 +26,10 @@ from totpos import (
     exhaustive_sign_search,
     exists_mle,
     fit,
+    grw_graph,
     inverse_pd,
     is_balanced,
+    is_block_graph,
     is_m_matrix,
     log_likelihood,
     max_clique,
@@ -115,7 +117,8 @@ def test_criterion_1_carcass_reproduction():
 def test_criterion_2_carcass_closed_form():
     s = SymMatrix(CARCASS_R, labels=CARCASS_LABELS)
     res = fit(s)
-    closed = block_closed_form(s)
+    w = w_matrix(s)
+    closed = block_closed_form(w, is_block_graph(grw_graph(s, w)))
     applicable = not isinstance(closed, NotApplicable)
     gap = np.abs(closed.values - res.sigma_hat.values).max() if applicable else np.inf
     checks = [
@@ -331,7 +334,7 @@ def test_criterion_8_invariant_suite():
     for _ in range(10):
         r = random_correlation(rng, 5)
         ml = fit(r).ml_graph.edge_pairs()
-        contained = contained and ml <= ec_graph(r).edge_pairs()
+        contained = contained and ml <= ec_graph(r, mwsf(r)).edge_pairs()
         contained = contained and ml <= ml_graph_upper_bound(r).edge_pairs()
     checks.append(("fitted graph inside both envelope graphs", contained))
 

@@ -67,6 +67,17 @@ class TestParsing:
             m = parse_matrix_text("1,0.5\n0.3,1\n")
         assert m.values[0, 1] == pytest.approx(0.4)
 
+    @pytest.mark.parametrize("text, line, column", [
+        ("1,nan\nnan,1\n", 1, 2),
+        ("nan,0.5\n0.5,1\n", 1, 1),
+        ("1,0.5\n0.5,inf\n", 2, 2),
+        ("1,-inf\n0.5,1\n", 1, 2),
+    ], ids=["nan", "nan-diagonal", "inf-diagonal", "minus-inf"])
+    def test_non_finite_entry_reports_position(self, text, line, column):
+        with pytest.raises(MatrixParseError, match="non-finite") as err:
+            parse_matrix_text(text)
+        assert (err.value.line, err.value.column) == (line, column)
+
     def test_tiny_asymmetry_silently_averaged(self):
         m = parse_matrix_text("1,0.5\n0.5000000000001,1\n")
         assert m.values[0, 1] == pytest.approx(0.5, abs=1e-12)
@@ -117,6 +128,15 @@ class TestFitCommand:
         path.write_text("1,x\nx,1\n")
         assert main(["fit", str(path)]) == 1
         assert "parse error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["1,nan\nnan,1\n", "inf,0.5\n0.5,1\n"],
+                             ids=["nan", "inf-diagonal"])
+    @pytest.mark.parametrize("command", ["fit", "analyze", "signed"])
+    def test_non_finite_entry_exits_one(self, tmp_path, capsys, command, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        assert main([command, str(path)]) == 1
+        assert "non-finite" in capsys.readouterr().err
 
     def test_missing_file_exits_one(self, capsys):
         assert main(["fit", "/nonexistent/file.csv"]) == 1
@@ -197,6 +217,19 @@ class TestAnalyzeCommand:
         assert doc["closed_form"]["applicable"] is True
         assert doc["block_report"]["is_block_graph"] is True
 
+    def test_grw_tol_reaches_closed_form(self, tmp_path, capsys):
+        # a 4-cycle of 0.5 whose chords sit 1e-7 below their path product
+        # 0.25: at --grw-tol 1e-6 the equality graph is complete
+        c = 0.2499999
+        path = tmp_path / "r.csv"
+        path.write_text(f"1,0.5,{c},0.5\n0.5,1,0.5,{c}\n{c},0.5,1,0.5\n0.5,{c},0.5,1\n")
+        assert main(["analyze", str(path), "--grw-tol", "1e-6"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["block_report"]["is_block_graph"] is True
+        assert doc["block_report"]["blocks"] == [[0, 1, 2, 3]]
+        assert doc["closed_form"]["applicable"] is False
+        assert doc["closed_form"]["reason"] == "block [0, 1, 2, 3] is not an inverse M-matrix"
+
 
 class TestSignedCommand:
     def test_unbalanced_example(self, tmp_path, capsys):
@@ -208,6 +241,23 @@ class TestSignedCommand:
         assert doc["signs"] == [1, 1, -1, 1]
         assert doc["method"] == "exhaustive_exact"
         assert doc["switched_likelihoods"]["++-+"] > doc["switched_likelihoods"]["++++"]
+
+    def test_graphs_describe_switched_matrix(self, tmp_path, capsys):
+        path = tmp_path / "r.csv"
+        lines = [",".join(repr(float(x)) for x in row) for row in UNBALANCED_R]
+        path.write_text("\n".join(lines) + "\n")
+        dot = tmp_path / "g.dot"
+        assert main(["signed", str(path), "--dot", str(dot)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["signs"] == [1, 1, -1, 1]
+        # the forest of |R| holds (0, 2) instead of (1, 2)
+        assert doc["graphs"]["mwsf"] == [[0, 1, 0.3], [0, 3, 0.3], [1, 2, 0.1]]
+        red = {
+            line.split("[")[0].strip()
+            for line in dot.read_text().splitlines()
+            if "color=red" in line
+        }
+        assert red == {'"0" -- "1"', '"0" -- "3"', '"1" -- "2"'}
 
     def test_all_positive_is_balanced(self, tmp_path, capsys):
         path = tmp_path / "r.csv"

@@ -40,6 +40,21 @@ class TestGraphTypes:
         with pytest.raises(ValueError):
             WeightedForest(3, ((0, 1, 1.0),), (0, 0, 0))
 
+    def test_labels_merging_two_components(self):
+        # the edges make {0, 1}, {2, 3} and {4}; the labels put 2 with {0, 1}
+        with pytest.raises(ValueError, match="inconsistent"):
+            WeightedForest(5, ((0, 1, 0.5), (2, 3, 0.5)), (0, 0, 0, 1, 2))
+
+    def test_labels_splitting_one_component(self):
+        # the edges make {0, 1, 2} and {3}; the labels cut 2 away from 0 and 1
+        with pytest.raises(ValueError, match="inconsistent"):
+            WeightedForest(4, ((0, 1, 0.5), (1, 2, 0.5)), (0, 0, 1, 1))
+
+    def test_wrong_edge_count(self):
+        # three labelled components on four vertices leave room for one edge
+        with pytest.raises(ValueError, match="edge count"):
+            WeightedForest(4, ((0, 1, 0.5), (2, 3, 0.5)), (0, 0, 1, 2))
+
     def test_edges_sorted(self):
         g = WeightedGraph(3, ((1, 2, 0.5), (0, 1, 0.7)))
         assert g.edges == ((0, 1, 0.7), (1, 2, 0.5))
@@ -120,6 +135,16 @@ class TestForestPath:
     def test_carcass_end_to_end(self, carcass):
         path = forest_path(mwsf(carcass), 0, 5)
         assert path == [(0, 2), (2, 4), (1, 4), (1, 3), (3, 5)]
+
+    def test_walk_is_parent_first(self):
+        f = WeightedForest(5, ((0, 1, 0.5), (1, 2, 0.4), (1, 3, 0.3)), (0, 0, 0, 0, 1))
+        assert isinstance(f, WeightedGraph)
+        seen = {2}
+        for u, v in f.walk(2):
+            assert u in seen and v not in seen
+            seen.add(v)
+        assert seen == {0, 1, 2, 3}
+        assert list(f.walk(4)) == []
 
 
 class TestTreeMle:

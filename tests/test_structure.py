@@ -52,7 +52,7 @@ class TestUpperBound:
             r = random_correlation(rng, 5)
             res = fit(r)
             ml = res.ml_graph.edge_pairs()
-            assert ml <= ec_graph(r).edge_pairs()
+            assert ml <= ec_graph(r, mwsf(r)).edge_pairs()
             assert ml <= ml_graph_upper_bound(r).edge_pairs()
 
 
@@ -126,16 +126,20 @@ class TestBlockGraph:
 class TestBlockClosedForm:
     def test_carcass_matches_solver(self, carcass):
         res = fit(carcass)
-        closed = block_closed_form(carcass)
+        w = w_matrix(carcass)
+        closed = block_closed_form(w, is_block_graph(grw_graph(carcass, w)))
         assert not isinstance(closed, NotApplicable)
         assert np.abs(closed.values - res.sigma_hat.values).max() <= 1e-7
 
     def test_identity(self):
-        closed = block_closed_form(SymMatrix(np.eye(4)))
+        w = w_matrix(SymMatrix(np.eye(4)))
+        closed = block_closed_form(w, is_block_graph(grw_graph(SymMatrix(np.eye(4)), w)))
         assert np.array_equal(closed.values, np.eye(4))
 
     def test_path_product_without_m_inverse_is_refused(self):
-        closed = block_closed_form(SymMatrix(PATH_PRODUCT_NOT_INV_M))
+        r = SymMatrix(PATH_PRODUCT_NOT_INV_M)
+        w = w_matrix(r)
+        closed = block_closed_form(w, is_block_graph(grw_graph(r, w)))
         assert isinstance(closed, NotApplicable)
         assert "inverse M-matrix" in closed.reason
         # and indeed the fit differs from the path-product closure here
@@ -147,7 +151,8 @@ class TestBlockClosedForm:
         r = np.eye(4)
         for i, j, v in ((0, 1, 0.6), (1, 2, 0.5), (2, 3, 0.6), (0, 3, 0.5)):
             r[i, j] = r[j, i] = v
-        closed = block_closed_form(SymMatrix(r))
+        w = w_matrix(SymMatrix(r))
+        closed = block_closed_form(w, is_block_graph(grw_graph(SymMatrix(r), w)))
         assert isinstance(closed, NotApplicable)
         assert "block graph" in closed.reason
 
@@ -158,7 +163,8 @@ class TestBlockClosedForm:
         checked = 0
         for _ in range(30):
             r = random_correlation(rng, 4)
-            closed = block_closed_form(r)
+            w = w_matrix(r)
+            closed = block_closed_form(w, is_block_graph(grw_graph(r, w)))
             if isinstance(closed, NotApplicable):
                 continue
             checked += 1
@@ -222,7 +228,7 @@ class TestThresholdK:
 class TestTieredDot:
     def test_three_tiers_present(self, carcass):
         res = fit(carcass)
-        text = tiered_dot(mwsf(carcass), res.ml_graph, ec_graph(carcass),
+        text = tiered_dot(mwsf(carcass), res.ml_graph, ec_graph(carcass, mwsf(carcass)),
                           labels=carcass.labels)
         assert "color=red, penwidth=2.5" in text
         assert "color=blue" in text

@@ -114,13 +114,13 @@ class TestWMatrix:
 
 class TestEcGraph:
     def test_linkage_is_tree_only(self, linkage4):
-        assert ec_graph(linkage4).edge_pairs() == {(0, 3), (0, 2), (1, 2)}
+        assert ec_graph(linkage4, mwsf(linkage4)).edge_pairs() == {(0, 3), (0, 2), (1, 2)}
 
     def test_tree_structured_input_is_component_complete(self):
         rng = np.random.default_rng(23)
         base = random_correlation(rng, 6)
         r = tree_mle(base, mwsf(base))
-        graph = ec_graph(r)
+        graph = ec_graph(r, mwsf(r))
         labels = mwsf(r).component_label
         expected = {
             (i, j)
@@ -131,7 +131,7 @@ class TestEcGraph:
         assert graph.edge_pairs() == expected
 
     def test_carcass_contains_fitted_graph(self, carcass):
-        assert CARCASS_ML_EDGES <= ec_graph(carcass).edge_pairs()
+        assert CARCASS_ML_EDGES <= ec_graph(carcass, mwsf(carcass)).edge_pairs()
 
 
 class TestIsPathProduct:
