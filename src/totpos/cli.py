@@ -1,8 +1,9 @@
 """Command line interface: matrix ingestion, fitting, analysis, export.
 
 Exit codes: 0 on success with a passing certificate, 1 on input parse
-errors, 2 when no maximum likelihood estimate exists, 3 when the sweep
-budget runs out (or the certificate fails after convergence).
+errors, 2 when no maximum likelihood estimate exists or on a usage error
+(argparse), 3 when the sweep budget runs out (or the certificate fails
+after convergence); fit and signed still write their document then.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .graphs import WeightedForest, WeightedGraph, fold_paths, mwsf
 from .matcore import SymMatrix, to_correlation
-from .oracle import active_set_oracle
+from .oracle import MAX_ORACLE_DIM, active_set_oracle
 from .solver import (
     FitConfig,
     FitResult,
@@ -48,15 +49,6 @@ class MatrixParseError(ValueError):
                 where += f", column {column}"
             where += ": "
         super().__init__(where + message)
-
-
-@dataclass(frozen=True)
-class MatrixFile:
-    """A dense CSV matrix source; header row autodetected when unset."""
-
-    path: str
-    format: str = "csv_dense"
-    header_row: bool | None = None
 
 
 def _split_cells(line: str) -> list[str]:
@@ -89,6 +81,8 @@ def parse_matrix_text(text: str, header_row: bool | None = None) -> SymMatrix:
     labels = None
     if header_row is True or (header_row is None and not all_numeric(rows[0][1])):
         labels = tuple(rows[0][1])
+        if len(set(labels)) != len(labels):
+            raise MatrixParseError("header labels must be unique", line=rows[0][0])
         rows = rows[1:]
         if not rows:
             raise MatrixParseError("no data rows after header")
@@ -134,13 +128,14 @@ def parse_matrix_text(text: str, header_row: bool | None = None) -> SymMatrix:
     return SymMatrix(data, labels=labels)
 
 
-def read_matrix_csv(mf: MatrixFile) -> SymMatrix:
+def read_matrix_csv(path: str, header_row: bool | None = None) -> SymMatrix:
+    """Read a dense CSV matrix; the header row is autodetected when unset."""
     try:
-        with open(mf.path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise MatrixParseError(str(exc)) from exc
-    return parse_matrix_text(text, header_row=mf.header_row)
+    return parse_matrix_text(text, header_row=header_row)
 
 
 def write_matrix_csv(m: SymMatrix, path: str) -> None:
@@ -164,12 +159,12 @@ def _edge_list(graph) -> list[list]:
     return [[i, j, w] for i, j, w in graph.edges]
 
 
-def _input_block(mf: MatrixFile, s: SymMatrix) -> dict:
+def _input_block(path: str, s: SymMatrix) -> dict:
     return {
-        "path": mf.path,
+        "path": path,
         "dim": s.dim,
         "labels": list(s.labels) if s.labels is not None else None,
-        "sha256": _sha256_file(mf.path),
+        "sha256": _sha256_file(path),
     }
 
 
@@ -214,17 +209,16 @@ def _config_block(cfg: FitConfig) -> dict:
         "algorithm": cfg.algorithm,
         "tolerance": cfg.tolerance,
         "max_sweeps": cfg.max_sweeps,
-        "start": cfg.start,
         "edge_threshold": cfg.edge_threshold,
         "mwsf_tie_break": MWSF_TIE_BREAK,
     }
 
 
-def _fit_doc(mf, s, closures, result: FitResult, cfg, mode, converged) -> dict:
+def _fit_doc(path, s, closures, result: FitResult, cfg, mode, converged) -> dict:
     return {
         "mode": mode,
         "generated_at": datetime.now(timezone.utc).isoformat(),
-        "input": _input_block(mf, s),
+        "input": _input_block(path, s),
         "config": _config_block(cfg),
         "converged": converged,
         "sweeps": result.sweeps,
@@ -238,9 +232,9 @@ def _fit_doc(mf, s, closures, result: FitResult, cfg, mode, converged) -> dict:
     }
 
 
-def cmd_fit(mf: MatrixFile, cfg: FitConfig, grw_tol: float = 1e-9):
+def cmd_fit(path: str, cfg: FitConfig, grw_tol: float = 1e-9):
     """Fit the input covariance; returns (document, exit code, DOT payload)."""
-    s = read_matrix_csv(mf)
+    s = read_matrix_csv(path)
     try:
         result = fit(s, cfg)
         converged = True
@@ -249,7 +243,7 @@ def cmd_fit(mf: MatrixFile, cfg: FitConfig, grw_tol: float = 1e-9):
         converged = False
     r, _ = to_correlation(s)
     closures = _closures(r, grw_tol)
-    doc = _fit_doc(mf, s, closures, result, cfg, "mtp2", converged)
+    doc = _fit_doc(path, s, closures, result, cfg, "mtp2", converged)
     # the path-product equality graph generically coincides with the fitted
     # graph when the closed form applies, but only generically; surface any
     # disagreement instead of assuming it away
@@ -260,9 +254,9 @@ def cmd_fit(mf: MatrixFile, cfg: FitConfig, grw_tol: float = 1e-9):
     return doc, code, (closures, result.ml_graph)
 
 
-def cmd_analyze(mf: MatrixFile, grw_tol: float = 1e-9):
+def cmd_analyze(path: str, grw_tol: float = 1e-9):
     """Graph and closed-form analysis of the input, no solver run."""
-    s = read_matrix_csv(mf)
+    s = read_matrix_csv(path)
     if not exists_mle(s):
         # the closures characterize the estimate; without existence (some
         # normalized entry at one) the path products are ill-defined too
@@ -278,7 +272,7 @@ def cmd_analyze(mf: MatrixFile, grw_tol: float = 1e-9):
     doc = {
         "mode": "analyze",
         "generated_at": datetime.now(timezone.utc).isoformat(),
-        "input": _input_block(mf, s),
+        "input": _input_block(path, s),
         "scale": scale.tolist(),
         "z_matrix": z.values.tolist(),
         "w_matrix": closures.w.values.tolist(),
@@ -306,15 +300,15 @@ def cmd_analyze(mf: MatrixFile, grw_tol: float = 1e-9):
     return doc, 0, (closures, closures.equality)
 
 
-def cmd_signed(mf: MatrixFile, cfg: FitConfig, exhaustive_limit: int = 12, grw_tol: float = 1e-9):
+def cmd_signed(path: str, cfg: FitConfig, exhaustive_limit: int = 12, grw_tol: float = 1e-9):
     """Best sign-switched fit; the document reports on correlation scale."""
-    s = read_matrix_csv(mf)
+    s = read_matrix_csv(path)
     r, scale = to_correlation(s)
     signed_result = fit_signed(r, cfg, exhaustive_limit=exhaustive_limit)
     # the graphs describe the switched matrix, whose spanning forest can
     # differ from the forest of |R| that chose the signs
     closures = _closures(apply_signs(r, signed_result.signs), grw_tol)
-    doc = _fit_doc(mf, s, closures, signed_result.fit, cfg, "signed", True)
+    doc = _fit_doc(path, s, closures, signed_result.fit, cfg, "signed", signed_result.converged)
     doc["scale"] = scale.tolist()
     doc["signs"] = list(signed_result.signs.signs)
     doc["method"] = signed_result.method
@@ -323,7 +317,7 @@ def cmd_signed(mf: MatrixFile, cfg: FitConfig, exhaustive_limit: int = 12, grw_t
             "".join("+" if x > 0 else "-" for x in signs): ll
             for signs, ll in sorted(signed_result.switched_likelihoods.items())
         }
-    code = 0 if signed_result.fit.certificate.passed else 3
+    code = 0 if (signed_result.converged and signed_result.fit.certificate.passed) else 3
     return doc, code, (closures, signed_result.fit.ml_graph)
 
 
@@ -351,8 +345,8 @@ def cmd_selftest(trials: int, dims: list[int], seed: int, out=print) -> int:
             err <= 1e-6
             and res_sigma.certificate.passed
             and res_k.certificate.passed
-            and res_sigma.duality_gap <= 1e-8
-            and res_k.duality_gap <= 1e-8
+            and abs(res_sigma.duality_gap) <= 1e-8
+            and abs(res_k.duality_gap) <= 1e-8
         )
         if not ok:
             failures += 1
@@ -376,20 +370,41 @@ def _write_dot(path: str, c: _Closures, middle: WeightedGraph) -> None:
         fh.write(text)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:  # false for nan too
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
+    return value
+
+
+def _dims(text: str) -> list[int]:
+    dims = [int(d) for d in text.split(",") if d]
+    if not dims or not all(1 <= d <= MAX_ORACLE_DIM for d in dims):
+        raise argparse.ArgumentTypeError(
+            f"expected dimensions between 1 and {MAX_ORACLE_DIM}, got {text}"
+        )
+    return dims
+
+
 def _add_fit_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--algorithm", choices=("sigma", "k"), default="sigma",
                         help="coordinate sweep: on the covariance or on the precision")
-    parser.add_argument("--tol", type=float, default=1e-10,
+    parser.add_argument("--tol", type=_positive_float, default=1e-10,
                         help="per-sweep L1 convergence tolerance (correlation scale)")
-    parser.add_argument("--max-sweeps", type=int, default=10_000)
-    parser.add_argument("--edge-threshold", type=float, default=1e-6,
+    parser.add_argument("--max-sweeps", type=_positive_int, default=10_000)
+    parser.add_argument("--edge-threshold", type=_positive_float, default=1e-6,
                         help="relative precision cutoff defining graph edges")
-    parser.add_argument("--start", choices=("default", "single-linkage"), default="default",
-                        help="initial iterate selection")
     parser.add_argument("--output", help="write the result document here instead of stdout")
     parser.add_argument("--dot", help="write a tiered DOT rendering of the graphs here")
     parser.add_argument("--sigma-csv", help="write the fitted covariance as CSV here")
-    parser.add_argument("--grw-tol", type=float, default=1e-9,
+    parser.add_argument("--grw-tol", type=_positive_float, default=1e-9,
                         help="equality tolerance for the path-product graph")
 
 
@@ -398,7 +413,6 @@ def _config_from_args(args) -> FitConfig:
         tolerance=args.tol,
         max_sweeps=args.max_sweeps,
         algorithm=args.algorithm,
-        start=args.start.replace("-", "_"),
         edge_threshold=args.edge_threshold,
     )
 
@@ -412,26 +426,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit the constrained MLE for a covariance CSV")
     p_fit.add_argument("input")
-    p_fit.add_argument("--mode", choices=("mtp2", "signed", "analyze"), default="mtp2",
-                       help="pipeline selection; signed/analyze delegate to those commands")
     _add_fit_options(p_fit)
-    p_fit.add_argument("--exhaustive-limit", type=int, default=12,
-                       help="largest dimension for the exhaustive sign search")
 
     p_an = sub.add_parser("analyze", help="graph and closed-form analysis without fitting")
     p_an.add_argument("input")
     p_an.add_argument("--output")
     p_an.add_argument("--dot")
-    p_an.add_argument("--grw-tol", type=float, default=1e-9)
+    p_an.add_argument("--grw-tol", type=_positive_float, default=1e-9)
 
     p_sg = sub.add_parser("signed", help="fit the best sign-switched model")
     p_sg.add_argument("input")
     _add_fit_options(p_sg)
-    p_sg.add_argument("--exhaustive-limit", type=int, default=12)
+    p_sg.add_argument("--exhaustive-limit", type=int, default=12,
+                      help="largest dimension for the exhaustive sign search")
 
     p_st = sub.add_parser("selftest", help="randomized solver-vs-oracle diagnostics")
-    p_st.add_argument("--trials", type=int, default=15)
-    p_st.add_argument("--dims", default="2,3,4",
+    p_st.add_argument("--trials", type=_positive_int, default=15)
+    p_st.add_argument("--dims", type=_dims, default="2,3,4",
                       help="comma separated dimensions to cycle through")
     return parser
 
@@ -441,23 +452,23 @@ def main(argv=None) -> int:
     try:
         if args.command == "selftest":
             seed = int(os.environ.get("TOTPOS_SEED", "0"))
-            dims = [int(d) for d in args.dims.split(",") if d]
-            return cmd_selftest(args.trials, dims, seed)
-        mf = MatrixFile(args.input)
-        analyze = args.command == "analyze" or (args.command == "fit" and args.mode == "analyze")
-        if analyze:
-            doc, code, dot_payload = cmd_analyze(mf, grw_tol=args.grw_tol)
-        elif args.command == "signed" or (args.command == "fit" and args.mode == "signed"):
+            return cmd_selftest(args.trials, args.dims, seed)
+        if args.command == "analyze":
+            doc, code, dot_payload = cmd_analyze(args.input, grw_tol=args.grw_tol)
+        elif args.command == "signed":
             doc, code, dot_payload = cmd_signed(
-                mf, _config_from_args(args),
+                args.input, _config_from_args(args),
                 exhaustive_limit=args.exhaustive_limit, grw_tol=args.grw_tol,
             )
         else:
-            doc, code, dot_payload = cmd_fit(mf, _config_from_args(args), grw_tol=args.grw_tol)
-        _emit(doc, getattr(args, "output", None))
-        if getattr(args, "dot", None):
+            doc, code, dot_payload = cmd_fit(args.input, _config_from_args(args), grw_tol=args.grw_tol)
+        _emit(doc, args.output)
+        if doc.get("converged") is False:
+            print(f"error: no convergence within {args.max_sweeps} sweeps; "
+                  "the document holds the best iterate", file=sys.stderr)
+        if args.dot:
             _write_dot(args.dot, *dot_payload)
-        if getattr(args, "sigma_csv", None) and "sigma_hat" in doc:
+        if getattr(args, "sigma_csv", None):
             labels = doc["input"]["labels"]
             m = SymMatrix(np.array(doc["sigma_hat"]),
                           labels=tuple(labels) if labels else None)
@@ -469,11 +480,6 @@ def main(argv=None) -> int:
     except MleDoesNotExist as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MaxSweepsExceeded as exc:
-        # reached only from the signed pipeline; the plain fit reports its
-        # best iterate in the document instead
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -102,9 +102,6 @@ class WeightedForest(WeightedGraph):
         if len(set(zip(roots, labels))) != n_comp:
             raise ValueError("component labels inconsistent with edges")
 
-    def n_components(self) -> int:
-        return len(set(self.component_label))
-
     @cached_property
     def _neighbors(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(v for v, _ in nbrs) for nbrs in self.adjacency())
@@ -156,7 +153,7 @@ def _component_labels(dim: int, edges) -> tuple[int, ...]:
     return tuple(rank[rep_to_min[ds.find(v)]] for v in range(dim))
 
 
-def positive_part_graph(r: SymMatrix) -> WeightedGraph:
+def _positive_part_graph(r: SymMatrix) -> WeightedGraph:
     """Graph with an edge (i, j, R_ij) for every strictly positive entry."""
     vals = r.values
     edges = [
@@ -176,22 +173,11 @@ def mwsf(r: SymMatrix) -> WeightedForest:
     is minimal among maximum weight forests.  For weight-distinct inputs
     the result is the unique MWSF.
     """
-    graph = positive_part_graph(r)
+    graph = _positive_part_graph(r)
     ranked = sorted(graph.edges, key=lambda e: (-e[2], e[0], e[1]))
     ds = _DisjointSet(r.dim)
     kept = [e for e in ranked if ds.union(e[0], e[1])]
     return WeightedForest(r.dim, tuple(kept), _component_labels(r.dim, kept))
-
-
-def forest_path(forest: WeightedForest, i: int, j: int) -> list[tuple[int, int]] | None:
-    """Edges of the unique path from i to j, or None across components.
-
-    Edges come back as (min, max) pairs in traversal order from i to j.
-    """
-    vertices = forest.path(i, j)
-    if vertices is None:
-        return None
-    return [(min(u, v), max(u, v)) for u, v in zip(vertices, vertices[1:])]
 
 
 def fold_paths(r: SymMatrix, forest: WeightedForest, combine, start: float) -> SymMatrix:

@@ -2,8 +2,8 @@
 
 Everything downstream (solvers, graph constructions, certificates) works on
 small dense symmetric matrices, so this module provides the shared value type
-plus factorization, inversion, Schur complements, correlation normalization,
-and the M-matrix predicate.  All tolerances are relative to the diagonal
+plus factorization, inversion, correlation normalization, and the M-matrix
+predicate.  All tolerances are relative to the diagonal
 scale of the input so that results are invariant under rescaling of the
 variables.
 """
@@ -74,11 +74,6 @@ class SymMatrix:
     def dim(self) -> int:
         return self.values.shape[0]
 
-    def sublabels(self, indices) -> tuple[str, ...] | None:
-        if self.labels is None:
-            return None
-        return tuple(self.labels[i] for i in indices)
-
 
 @dataclass(frozen=True, eq=False)
 class PdFactor:
@@ -88,7 +83,6 @@ class PdFactor:
     ``2 * sum(log(diag(factor)))``.
     """
 
-    matrix: SymMatrix
     factor: np.ndarray
     log_det: float
 
@@ -122,7 +116,7 @@ def pd_factorize(m: SymMatrix) -> PdFactor:
         if j + 1 < p:
             lower[j + 1 :, j] = (a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / lower[j, j]
     log_det = 2.0 * float(np.log(lower.diagonal()).sum())
-    return PdFactor(m, lower, log_det)
+    return PdFactor(lower, log_det)
 
 
 def inverse_pd(m: SymMatrix) -> SymMatrix:
@@ -131,28 +125,6 @@ def inverse_pd(m: SymMatrix) -> SymMatrix:
     linv = solve_triangular(fac.factor, np.eye(m.dim), lower=True)
     inv = linv.T @ linv
     return SymMatrix((inv + inv.T) / 2.0, labels=m.labels)
-
-
-def schur_complement(m: SymMatrix, keep) -> SymMatrix:
-    """Schur complement M_AA - M_AB M_BB^{-1} M_BA onto the index set ``keep``.
-
-    ``keep`` lists the retained indices A; the complement B must index a
-    positive definite block.
-    """
-    a_idx = list(keep)
-    if len(set(a_idx)) != len(a_idx):
-        raise ValueError("index set contains duplicates")
-    if any(i < 0 or i >= m.dim for i in a_idx):
-        raise ValueError("index out of range")
-    b_idx = [k for k in range(m.dim) if k not in set(a_idx)]
-    vals = m.values
-    m_aa = vals[np.ix_(a_idx, a_idx)]
-    if not b_idx:
-        return SymMatrix(m_aa, labels=m.sublabels(a_idx))
-    fac = pd_factorize(SymMatrix(vals[np.ix_(b_idx, b_idx)]))
-    half = solve_triangular(fac.factor, vals[np.ix_(b_idx, a_idx)], lower=True)
-    comp = m_aa - half.T @ half
-    return SymMatrix((comp + comp.T) / 2.0, labels=m.sublabels(a_idx))
 
 
 def to_correlation(s: SymMatrix) -> tuple[SymMatrix, np.ndarray]:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .graphs import WeightedForest, mwsf
 from .matcore import SymMatrix, require_unit_diagonal
-from .solver import FitConfig, FitResult, fit
+from .solver import FitConfig, FitResult, MaxSweepsExceeded, fit
 
 
 class ZeroWeightTreeEdge(RuntimeError):
@@ -49,13 +49,15 @@ class SignedFitResult:
     method is "balanced_exact" (flip determined by the spanning forest,
     provably optimal), "exhaustive_exact" (search over all anchored sign
     vectors), or "heuristic" (forest flip without optimality guarantee).
-    switched_likelihoods maps each candidate sign tuple to its fitted
-    log-likelihood in exhaustive mode.
+    converged is False when any fit of the search ran out of sweeps; such a
+    fit contributes its best iterate.  switched_likelihoods maps each
+    candidate sign tuple to its fitted log-likelihood in exhaustive mode.
     """
 
     signs: SignVector
     fit: FitResult
     method: str
+    converged: bool
     switched_likelihoods: dict[tuple[int, ...], float] | None = None
 
 
@@ -65,6 +67,14 @@ def apply_signs(r: SymMatrix, d: SignVector) -> SymMatrix:
         raise ValueError("sign vector length does not match matrix dimension")
     s = np.array(d.signs, dtype=float)
     return SymMatrix(r.values * np.outer(s, s), labels=r.labels)
+
+
+def _fit_best(r: SymMatrix, cfg: FitConfig) -> tuple[FitResult, bool]:
+    """The fit and whether it converged; on a spent budget, the best iterate."""
+    try:
+        return fit(r, cfg), True
+    except MaxSweepsExceeded as exc:
+        return exc.result, False
 
 
 def _abs_forest(r: SymMatrix) -> WeightedForest:
@@ -130,13 +140,16 @@ def exhaustive_sign_search(
 
     Exact ties (identical switched matrices occur across disconnected
     components) resolve toward ``prefer`` when given, then toward the
-    vector with the fewest leading flips.
+    vector with the fewest leading flips.  A fit that runs out of sweeps
+    competes with its best iterate and marks the result unconverged.
     """
     cfg = cfg or FitConfig()
     fits: dict[tuple[int, ...], FitResult] = {}
+    converged = True
     for rest in product((1, -1), repeat=r.dim - 1):
         signs = (1, *rest)
-        fits[signs] = fit(apply_signs(r, SignVector(signs)), cfg)
+        fits[signs], done = _fit_best(apply_signs(r, SignVector(signs)), cfg)
+        converged = converged and done
     best_ll = max(f.log_likelihood for f in fits.values())
     candidates = sorted(
         (s for s, f in fits.items() if f.log_likelihood == best_ll),
@@ -147,7 +160,7 @@ def exhaustive_sign_search(
     else:
         winner = candidates[0]
     table = {s: f.log_likelihood for s, f in fits.items()}
-    return SignedFitResult(SignVector(winner), fits[winner], "exhaustive_exact", table)
+    return SignedFitResult(SignVector(winner), fits[winner], "exhaustive_exact", converged, table)
 
 
 def fit_signed(
@@ -158,20 +171,24 @@ def fit_signed(
     Balanced inputs use the forest assignment, which is exact.  Otherwise an
     exhaustive search over the 2^(p-1) anchored sign vectors runs when the
     dimension allows it; beyond ``exhaustive_limit`` the forest assignment
-    is used as a heuristic and a warning is emitted.
+    is used as a heuristic and a warning is emitted.  A spent sweep budget
+    is reported through ``converged`` instead of raising.
     """
     cfg = cfg or FitConfig()
     require_unit_diagonal(r)
     forest = _abs_forest(r)
     star = _propagate_signs(r, forest)
     if _witness_cycle(r, forest, star) is None:
-        return SignedFitResult(star, fit(apply_signs(r, star), cfg), "balanced_exact")
-    if r.dim <= exhaustive_limit:
+        method = "balanced_exact"
+    elif r.dim <= exhaustive_limit:
         return exhaustive_sign_search(r, cfg, prefer=star)
-    warnings.warn(
-        "unbalanced input beyond the exhaustive search limit; "
-        "reporting the spanning-forest heuristic, which may not be optimal",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    return SignedFitResult(star, fit(apply_signs(r, star), cfg), "heuristic")
+    else:
+        warnings.warn(
+            "unbalanced input beyond the exhaustive search limit; "
+            "reporting the spanning-forest heuristic, which may not be optimal",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        method = "heuristic"
+    result, converged = _fit_best(apply_signs(r, star), cfg)
+    return SignedFitResult(star, result, method, converged)

@@ -36,6 +36,7 @@ from .matcore import (
     inverse_pd,
     log_likelihood,
     pd_factorize,
+    rescale_solution,
     to_correlation,
 )
 from .ultra import single_linkage
@@ -69,18 +70,14 @@ class FitConfig:
     """Solver configuration.
 
     algorithm "sigma" runs coordinate descent on the covariance, "k" on the
-    precision matrix.  start "single_linkage" forces the single-linkage
-    matrix (resp. its inverse) as the initial iterate; "default" starts the
-    covariance sweep from S itself when positive definite and the precision
-    sweep from diag(S)^{-1}.  edge_threshold is the relative cutoff under
-    which fitted precision entries are treated as exact zeros when reading
-    off the graph.
+    precision matrix.  edge_threshold is the relative cutoff under which
+    fitted precision entries are treated as exact zeros when reading off the
+    graph.
     """
 
     tolerance: float = 1e-10
     max_sweeps: int = 10_000
     algorithm: str = "sigma"
-    start: str = "default"
     edge_threshold: float = 1e-6
 
     def __post_init__(self):
@@ -90,8 +87,6 @@ class FitConfig:
             raise ValueError("max_sweeps must be at least 1")
         if self.algorithm not in ("sigma", "k"):
             raise ValueError("algorithm must be 'sigma' or 'k'")
-        if self.start not in ("default", "single_linkage"):
-            raise ValueError("start must be 'default' or 'single_linkage'")
         if not self.edge_threshold > 0:
             raise ValueError("edge_threshold must be positive")
 
@@ -202,24 +197,23 @@ def _update_pair_k(k: np.ndarray, s: np.ndarray, u: int, v: int, rest: np.ndarra
 
 
 def _descend(r: SymMatrix, cfg: FitConfig) -> tuple[np.ndarray, int, bool]:
-    """Run the configured sweep on correlation scale; returns (iterate, sweeps, converged)."""
+    """Run the configured sweep on correlation scale; returns (iterate, sweeps, converged).
+
+    The covariance sweep starts from R itself when it is positive definite,
+    else from its single-linkage matrix; the precision sweep starts from the
+    identity.  The optimum is unique, so the start affects only the path.
+    """
     p = r.dim
     s = r.values
     if cfg.algorithm == "sigma":
-        if cfg.start == "single_linkage":
+        try:
+            pd_factorize(r)
+            cur = s.copy()
+        except NotPositiveDefinite:
             cur = single_linkage(r).values.copy()
-        else:
-            try:
-                pd_factorize(r)
-                cur = s.copy()
-            except NotPositiveDefinite:
-                cur = single_linkage(r).values.copy()
         step = _update_pair_sigma
     else:
-        if cfg.start == "single_linkage":
-            cur = inverse_pd(single_linkage(r)).values.copy()
-        else:
-            cur = np.eye(p)
+        cur = np.eye(p)
         step = _update_pair_k
     pairs = _pair_indices(p)
     for sweep in range(1, cfg.max_sweeps + 1):
@@ -271,7 +265,7 @@ def fit(s: SymMatrix, cfg: FitConfig | None = None) -> FitResult:
 
 
 def _build_result(s, scale, sigma_r, k_r, sweeps, cfg) -> FitResult:
-    sigma_vals = sigma_r.values * np.outer(scale, scale)
+    sigma_vals = rescale_solution(sigma_r, scale).values.copy()
     # the variances are equality constraints; pin them exactly
     np.fill_diagonal(sigma_vals, s.values.diagonal())
     sigma_hat = SymMatrix(sigma_vals, labels=s.labels)

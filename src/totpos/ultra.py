@@ -127,18 +127,3 @@ def ec_graph(r: SymMatrix, forest: WeightedForest) -> WeightedGraph:
     ]
     return WeightedGraph(r.dim, tuple(edges))
 
-
-def is_path_product(r: SymMatrix, tol: float = 1e-12) -> bool:
-    """True iff every entry dominates every product over connecting paths.
-
-    Equivalent to the max-product closure leaving the matrix unchanged.
-    Requires a nonnegative matrix with unit diagonal; negative off-diagonal
-    entries raise NegativeEntry.
-    """
-    require_unit_diagonal(r)
-    vals = r.values
-    if vals.min() < 0.0:
-        i, j = np.unravel_index(int(vals.argmin()), vals.shape)
-        raise NegativeEntry(int(i), int(j), float(vals[i, j]))
-    w = w_matrix(r)
-    return bool(np.abs(w.values - vals).max() <= tol)

@@ -1,11 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from totpos import SymMatrix
+from totpos import SymMatrix, cli
 from totpos.cli import (
-    MatrixFile,
     MatrixParseError,
     cmd_selftest,
     main,
@@ -90,7 +90,7 @@ class TestCsvRoundTrip:
         m = SymMatrix(m.values, labels=("a", "b", "c", "d", "e"))
         path = tmp_path / "m.csv"
         write_matrix_csv(m, str(path))
-        back = read_matrix_csv(MatrixFile(str(path)))
+        back = read_matrix_csv(str(path))
         assert np.array_equal(back.values, m.values)
         assert back.labels == m.labels
 
@@ -138,6 +138,12 @@ class TestFitCommand:
         assert main([command, str(path)]) == 1
         assert "non-finite" in capsys.readouterr().err
 
+    def test_duplicate_labels_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        path.write_text("a,a\n1,0.5\n0.5,1\n")
+        assert main(["fit", str(path)]) == 1
+        assert "parse error: line 1: header labels must be unique" in capsys.readouterr().err
+
     def test_missing_file_exits_one(self, capsys):
         assert main(["fit", "/nonexistent/file.csv"]) == 1
 
@@ -163,7 +169,7 @@ class TestFitCommand:
         sigma_csv = tmp_path / "sigma.csv"
         assert main(["fit", path, "--sigma-csv", str(sigma_csv)]) == 0
         doc = json.loads(capsys.readouterr().out)
-        back = read_matrix_csv(MatrixFile(str(sigma_csv)))
+        back = read_matrix_csv(str(sigma_csv))
         assert np.array_equal(back.values, np.array(doc["sigma_hat"]))
 
     def test_dot_output_tiers(self, tmp_path, capsys):
@@ -180,12 +186,6 @@ class TestFitCommand:
         assert main(["fit", path, "--algorithm", "k"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["config"]["algorithm"] == "k"
-
-    def test_mode_dispatch(self, tmp_path, capsys):
-        path = _write_carcass(tmp_path / "carcass.csv")
-        assert main(["fit", path, "--mode", "analyze"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["mode"] == "analyze"
 
 
 class TestAnalyzeCommand:
@@ -291,6 +291,17 @@ class TestSelftest:
         assert len(lines) == 5
         assert "4/4" in lines[-1]
 
+    def test_negative_gap_is_a_mismatch(self, monkeypatch):
+        real_fit = cli.fit
+
+        def fit_with_gap(s, cfg):
+            return dataclasses.replace(real_fit(s, cfg), duality_gap=-1e-4)
+
+        monkeypatch.setattr(cli, "fit", fit_with_gap)
+        lines = []
+        assert cmd_selftest(1, [2], seed=123, out=lines.append) == 1
+        assert "MISMATCH" in lines[0]
+
     def test_cli_entry(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("TOTPOS_SEED", "5")
         assert main(["selftest", "--trials", "3", "--dims", "2,3"]) == 0
@@ -312,29 +323,51 @@ class TestErrorPropagation:
         assert main(["signed", str(path), "--max-sweeps", "1"]) == 3
         assert "no convergence" in capsys.readouterr().err
 
+    def test_signed_sweep_budget_writes_document(self, tmp_path, capsys):
+        path = tmp_path / "r.csv"
+        lines = [",".join(repr(float(x)) for x in row) for row in UNBALANCED_R]
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o.json"
+        assert main(["signed", str(path), "--max-sweeps", "1", "--output", str(out)]) == 3
+        doc = json.loads(out.read_text())
+        assert doc["converged"] is False
+        assert doc["method"] == "exhaustive_exact"
+        table = doc["switched_likelihoods"]
+        assert len(table) == 8
+        assert doc["log_likelihood"] == max(table.values())
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "IN", "--max-sweeps", "0"],
+        ["fit", "IN", "--tol", "0"],
+        ["signed", "IN", "--edge-threshold", "-1"],
+        ["analyze", "IN", "--grw-tol", "-1"],
+        ["selftest", "--dims", "0"],
+        ["selftest", "--dims", "9"],
+        ["selftest", "--trials", "0"],
+    ], ids=["max-sweeps", "tol", "edge-threshold", "grw-tol", "dims-0", "dims-9", "trials"])
+    def test_bad_flag_value_is_a_usage_error(self, tmp_path, capsys, argv):
+        path = _write_carcass(tmp_path / "carcass.csv")
+        with pytest.raises(SystemExit) as exc:
+            main([path if a == "IN" else a for a in argv])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
 
 class TestMoreCliPaths:
     def test_explicit_header_flagging(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("a,b\n1,0.5\n0.5,1\n")
-        m = read_matrix_csv(MatrixFile(str(path), header_row=True))
+        m = read_matrix_csv(str(path), header_row=True)
         assert m.labels == ("a", "b")
         path2 = tmp_path / "m2.csv"
         path2.write_text("1,0.5\n0.5,1\n")
-        m2 = read_matrix_csv(MatrixFile(str(path2), header_row=False))
+        m2 = read_matrix_csv(str(path2), header_row=False)
         assert m2.labels is None
 
     def test_unlabeled_csv_roundtrip(self, tmp_path):
         m = SymMatrix(np.array([[1.0, 0.25], [0.25, 1.0]]))
         path = tmp_path / "m.csv"
         write_matrix_csv(m, str(path))
-        back = read_matrix_csv(MatrixFile(str(path)))
+        back = read_matrix_csv(str(path))
         assert back.labels is None
         assert np.array_equal(back.values, m.values)
-
-    def test_start_flag(self, tmp_path, capsys):
-        path = _write_carcass(tmp_path / "carcass.csv")
-        assert main(["fit", path, "--start", "single-linkage"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["config"]["start"] == "single_linkage"
-        assert doc["certificate"]["passed"] is True

@@ -5,14 +5,13 @@ from totpos import (
     SymMatrix,
     WeightedForest,
     WeightedGraph,
-    forest_path,
     max_clique,
     mwsf,
     pd_factorize,
-    positive_part_graph,
     to_dot,
     tree_mle,
 )
+from totpos.graphs import _positive_part_graph as positive_part_graph
 from conftest import (
     CARCASS_CHAIN_EDGES,
     CARCASS_LABELS,
@@ -83,7 +82,7 @@ class TestMwsf:
     def test_carcass_chain(self, carcass):
         forest = mwsf(carcass)
         assert forest.edge_pairs() == CARCASS_CHAIN_EDGES
-        assert forest.n_components() == 1
+        assert set(forest.component_label) == {0}
 
     def test_linkage_tree(self, linkage4):
         assert mwsf(linkage4).edge_pairs() == {(0, 3), (0, 2), (1, 2)}
@@ -124,17 +123,16 @@ class TestMwsf:
 class TestForestPath:
     def test_chain(self):
         f = WeightedForest(3, ((0, 1, 0.5), (1, 2, 0.4)), (0, 0, 0))
-        assert forest_path(f, 0, 2) == [(0, 1), (1, 2)]
-        assert forest_path(f, 2, 0) == [(1, 2), (0, 1)]
-        assert forest_path(f, 1, 1) == []
+        assert f.path(0, 2) == [0, 1, 2]
+        assert f.path(2, 0) == [2, 1, 0]
+        assert f.path(1, 1) == [1]
 
     def test_across_components(self):
         f = WeightedForest(4, ((0, 1, 0.5),), (0, 0, 1, 2))
-        assert forest_path(f, 0, 2) is None
+        assert f.path(0, 2) is None
 
     def test_carcass_end_to_end(self, carcass):
-        path = forest_path(mwsf(carcass), 0, 5)
-        assert path == [(0, 2), (2, 4), (1, 4), (1, 3), (3, 5)]
+        assert mwsf(carcass).path(0, 5) == [0, 2, 4, 1, 3, 5]
 
     def test_walk_is_parent_first(self):
         f = WeightedForest(5, ((0, 1, 0.5), (1, 2, 0.4), (1, 3, 0.3)), (0, 0, 0, 0, 1))
@@ -229,7 +227,7 @@ class TestGraphEdgeCases:
     def test_forest_path_validates_vertices(self):
         f = WeightedForest(2, ((0, 1, 0.5),), (0, 0))
         with pytest.raises(ValueError):
-            forest_path(f, 0, 5)
+            f.path(0, 5)
 
     def test_to_dot_label_count_checked(self):
         with pytest.raises(ValueError):

@@ -56,8 +56,6 @@ class TestConfig:
             FitConfig(max_sweeps=0)
         with pytest.raises(ValueError):
             FitConfig(algorithm="newton")
-        with pytest.raises(ValueError):
-            FitConfig(start="warm")
 
 
 class TestSmallCases:
@@ -151,8 +149,6 @@ class TestAlgorithmAgreement:
             results = [
                 fit(r, FitConfig(algorithm="sigma")),
                 fit(r, FitConfig(algorithm="k")),
-                fit(r, FitConfig(algorithm="sigma", start="single_linkage")),
-                fit(r, FitConfig(algorithm="k", start="single_linkage")),
             ]
             base = results[0].sigma_hat.values
             for res in results[1:]:
