@@ -14,7 +14,17 @@ lexicographic order with a closed-form exact maximization per pair:
   off-diagonal pinned at -L_12;
 * descent on Sigma sets Sigma_uv = max(S_uv, L_12) with
   L = Sigma_AB Sigma_BB^{-1} Sigma_BA, which zeroes K_uv unless the dual
-  bound binds.
+  bound binds.  The sweep keeps K = Sigma^{-1} beside Sigma, so that
+  Sigma_AA - L = (K_AA)^{-1} gives L_12 from 2x2 algebra, and each move of
+  Sigma_uv refreshes K by a rank-2 (Woodbury) update in O(p^2).  K is
+  re-inverted from Sigma once per sweep, so rounding does not pile up.
+
+The precision sweep keeps its (p-2)x(p-2) solve per pair.  The analogous
+shared state would take its L as K_AA - (Sigma_AA)^{-1}, which cancels
+badly when K is large: on a p = 6, n = 2 input with a correlation within
+1e-9 of one (K_ii near 5e8), such a sweep still moved K by 1e1 to 9e2 (L1)
+per sweep after 1000 sweeps, against a stopping threshold of 0.05, where
+the solve stops after 3 sweeps.
 
 Both iterations increase the likelihood at every step and converge to the
 unique optimum.  Everything runs on correlation scale internally (the
@@ -102,6 +112,9 @@ class KktCertificate:
         (should be >= -tol).
     slack_max: largest complementary-slackness product
         |(Sigma_ij - S_ij) K_ij|.
+
+    A fit whose Sigma_hat is not positive definite gets infinite residuals
+    and passed=False.
     """
 
     primal_max: float
@@ -143,34 +156,51 @@ def exists_mle(s: SymMatrix) -> bool:
     return bool(off.max() < 1.0 - EXIST_MARGIN)
 
 
-def _pair_indices(p: int) -> list[tuple[int, int, np.ndarray]]:
+def _pair_indices(p: int) -> list[tuple[int, int, tuple | None]]:
+    """The pairs in sweep order, each with the index blocks its ``k`` update reads."""
     pairs = []
     for u in range(p):
         for v in range(u + 1, p):
             rest = np.array([k for k in range(p) if k != u and k != v], dtype=int)
-            pairs.append((u, v, rest))
+            blocks = (
+                (np.ix_(rest, rest), np.ix_(rest, [u, v]), np.ix_([u, v], rest))
+                if rest.size
+                else None
+            )
+            pairs.append((u, v, blocks))
     return pairs
 
 
-def _update_pair_sigma(sig: np.ndarray, s: np.ndarray, u: int, v: int, rest: np.ndarray) -> float:
-    """Exact maximization over Sigma_uv; returns the absolute change."""
-    if rest.size:
-        bb = sig[np.ix_(rest, rest)]
-        x = np.linalg.solve(bb, sig[rest, v])
-        l12 = float(sig[u, rest] @ x)
-    else:
-        l12 = 0.0
+def _update_pair_sigma(sig: np.ndarray, k: np.ndarray, s: np.ndarray, u: int, v: int) -> float:
+    """Exact maximization over Sigma_uv with K = Sigma^{-1} kept alongside.
+
+    L_12 = Sigma_uv + K_uv / det K_AA, and a move of Sigma_uv by d updates K
+    by Woodbury, K -= K[:, A] M K[A, :] with M = C (I + K_AA C)^{-1} and
+    C = [[0, d], [d, 0]].  Returns the absolute change.
+    """
+    kuu, kvv, kuv = k[u, u], k[v, v], k[u, v]
+    l12 = sig[u, v] + kuv / (kuu * kvv - kuv * kuv)
     new = max(s[u, v], l12)
-    change = abs(new - sig[u, v])
+    d = new - sig[u, v]
+    if d == 0.0:
+        return 0.0
     sig[u, v] = sig[v, u] = new
-    return change
+    # M in closed form; its denominator is det(I + K_AA C) > 0 while the
+    # updated Sigma stays positive definite
+    e = 1.0 + kuv * d
+    f = d / (e * e - kuu * kvv * d * d)
+    m = np.array([[-kvv * d * f, e * f], [e * f, -kuu * d * f]])
+    rows = k.take((u, v), axis=0)
+    k -= rows.T @ (m @ rows)
+    return abs(d)
 
 
-def _update_pair_k(k: np.ndarray, s: np.ndarray, u: int, v: int, rest: np.ndarray) -> float:
+def _update_pair_k(k: np.ndarray, s: np.ndarray, u: int, v: int, blocks: tuple | None) -> float:
     """Exact maximization over the (u, v) block of K; returns the L1 change."""
-    if rest.size:
-        cols = np.linalg.solve(k[np.ix_(rest, rest)], k[np.ix_(rest, [u, v])])
-        l = k[np.ix_([u, v], rest)] @ cols
+    if blocks is not None:
+        bb, ba, ab = blocks
+        cols = np.linalg.solve(k[bb], k[ba])
+        l = k[ab] @ cols
         l12 = float(l[0, 1])
     else:
         l = np.zeros((2, 2))
@@ -211,18 +241,23 @@ def _descend(r: SymMatrix, cfg: FitConfig) -> tuple[np.ndarray, int, bool]:
             cur = s.copy()
         except NotPositiveDefinite:
             cur = single_linkage(r).values.copy()
-        step = _update_pair_sigma
+        pairs = [(u, v) for u in range(p) for v in range(u + 1, p)]
     else:
         cur = np.eye(p)
-        step = _update_pair_k
-    pairs = _pair_indices(p)
+        pairs = _pair_indices(p)
     for sweep in range(1, cfg.max_sweeps + 1):
         change = 0.0
-        for u, v, rest in pairs:
-            c = step(cur, s, u, v, rest)
-            if cfg.algorithm == "sigma":
-                c *= 2.0  # both triangles count toward the L1 metric
-            change += c
+        if cfg.algorithm == "sigma":
+            # re-inverted once per sweep so that the rank-2 updates do not
+            # accumulate rounding; inverse_pd's pivot threshold could refuse
+            # an ill-conditioned but positive definite iterate
+            k = np.linalg.inv(cur)
+            for u, v in pairs:
+                # both triangles count toward the L1 metric
+                change += 2.0 * _update_pair_sigma(cur, k, s, u, v)
+        else:
+            for u, v, blocks in pairs:
+                change += _update_pair_k(cur, s, u, v, blocks)
         # The L1 metric is scaled by the largest diagonal entry of the
         # iterate: a no-op on correlation-scale covariance sweeps, but
         # required for the precision sweep, whose entries grow like the
@@ -270,7 +305,15 @@ def _build_result(s, scale, sigma_r, k_r, sweeps, cfg) -> FitResult:
     np.fill_diagonal(sigma_vals, s.values.diagonal())
     sigma_hat = SymMatrix(sigma_vals, labels=s.labels)
     k_hat = SymMatrix(k_r.values / np.outer(scale, scale), labels=s.labels)
-    cert = kkt_certificate(s, sigma_hat, tol=CERT_TOL)
+    try:
+        cert = kkt_certificate(s, sigma_hat, tol=CERT_TOL)
+        gap = duality_gap(s, k_hat, sigma_hat)
+    except NotPositiveDefinite:
+        # Pinning the variances of an ill-conditioned fit can leave sigma_hat
+        # indefinite (seen with the precision sweep at n = 2); such a pair
+        # cannot be certified, so it is reported as failing, not raised.
+        cert = KktCertificate(math.inf, math.inf, -math.inf, math.inf, False)
+        gap = math.inf
     cutoff = cfg.edge_threshold * float(k_r.values.diagonal().max())
     edges = [
         (i, j, abs(float(k_r.values[i, j])))
@@ -280,7 +323,6 @@ def _build_result(s, scale, sigma_r, k_r, sweeps, cfg) -> FitResult:
     ]
     graph = WeightedGraph(s.dim, tuple(edges))
     ll = log_likelihood(k_hat, s)
-    gap = duality_gap(s, k_hat, sigma_hat)
     return FitResult(sigma_hat, k_hat, cert, sweeps, ll, gap, graph)
 
 

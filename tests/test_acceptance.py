@@ -263,9 +263,10 @@ def test_criterion_8_invariant_suite():
                     log_likelihood(SymMatrix(k), r) >= before - 1e-12)
         sig = single_linkage(r).values.copy()
         for _ in range(2):
-            for u, v, rest in _pair_indices(5):
+            k = np.linalg.inv(sig)
+            for u, v, _ in _pair_indices(5):
                 before = np.linalg.slogdet(sig)[1]
-                _update_pair_sigma(sig, r.values, u, v, rest)
+                _update_pair_sigma(sig, k, r.values, u, v)
                 monotone = monotone and (np.linalg.slogdet(sig)[1] >= before - 1e-12)
     checks.append(("pair updates are monotone in their objective", monotone))
 

@@ -117,6 +117,22 @@ class TestFitCommand:
         assert code == 0
         assert doc["sigma_hat"] == [[1.0, 0.0], [0.0, 1.0]]
 
+    def test_indefinite_pinned_sigma_exits_three(self, tmp_path, capsys):
+        # Two nearly collinear variables at n = 2: the precision sweep stops
+        # with variances off by about 1e-7, and pinning them leaves the fitted
+        # covariance indefinite, so there is no precision to certify.
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((2, 6))
+        x[:, 4] = x[:, 1] * (1 + 1e-4 * rng.standard_normal(2))
+        path = tmp_path / "collinear.csv"
+        np.savetxt(path, x.T @ x / 2, fmt="%.17g", delimiter=",")
+        assert main(["fit", str(path), "--algorithm", "k"]) == 3
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["converged"] is True
+        assert doc["certificate"]["passed"] is False
+        assert doc["certificate"]["primal_max"] == float("inf")
+        assert doc["duality_gap"] == float("inf")
+
     def test_rank_one_exits_two(self, tmp_path, capsys):
         path = tmp_path / "r1.csv"
         path.write_text("1,2\n2,4\n")
@@ -301,6 +317,19 @@ class TestSelftest:
         lines = []
         assert cmd_selftest(1, [2], seed=123, out=lines.append) == 1
         assert "MISMATCH" in lines[0]
+
+    def test_sweep_budget_is_a_mismatch(self, monkeypatch):
+        real_fit = cli.fit
+
+        def fit_one_sweep(s, cfg):
+            return real_fit(s, dataclasses.replace(cfg, max_sweeps=1))
+
+        monkeypatch.setattr(cli, "fit", fit_one_sweep)
+        lines = []
+        assert cmd_selftest(3, [4], seed=123, out=lines.append) == 1
+        assert len(lines) == 4
+        assert all("no convergence" in line and "MISMATCH" in line for line in lines[:3])
+        assert "0/3" in lines[-1]
 
     def test_cli_entry(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("TOTPOS_SEED", "5")

@@ -5,6 +5,7 @@ from totpos import (
     FitConfig,
     MaxSweepsExceeded,
     MleDoesNotExist,
+    NotPositiveDefinite,
     SymMatrix,
     duality_gap,
     exists_mle,
@@ -14,13 +15,14 @@ from totpos import (
     log_likelihood,
     max_clique,
     mwsf,
+    pd_factorize,
     rescale_solution,
     single_linkage,
     to_correlation,
     tree_mle,
     w_matrix,
 )
-from totpos.solver import _pair_indices, _update_pair_k, _update_pair_sigma
+from totpos.solver import _descend, _pair_indices, _update_pair_k, _update_pair_sigma
 from conftest import (
     CARCASS_CHAIN_EDGES,
     CARCASS_ML_EDGES,
@@ -168,9 +170,10 @@ class TestMonotonicity:
             cur = single_linkage(r).values.copy()
             pairs = _pair_indices(5)
             for _ in range(3):
-                for u, v, rest in pairs:
+                k = np.linalg.inv(cur)
+                for u, v, _ in pairs:
                     before = np.linalg.slogdet(cur)[1]
-                    _update_pair_sigma(cur, r.values, u, v, rest)
+                    _update_pair_sigma(cur, k, r.values, u, v)
                     after = np.linalg.slogdet(cur)[1]
                     assert after >= before - 1e-12
 
@@ -186,6 +189,73 @@ class TestMonotonicity:
                     _update_pair_k(cur, r.values, u, v, rest)
                     after = log_likelihood(SymMatrix(cur), r)
                     assert after >= before - 1e-12
+
+
+def _reference_sigma_descend(r: SymMatrix, cfg: FitConfig):
+    """The covariance sweep with one direct (p-2)x(p-2) solve per pair."""
+    s = r.values
+    p = r.dim
+    try:
+        pd_factorize(r)
+        cur = s.copy()
+    except NotPositiveDefinite:
+        cur = single_linkage(r).values.copy()
+    for sweep in range(1, cfg.max_sweeps + 1):
+        change = 0.0
+        for u in range(p):
+            for v in range(u + 1, p):
+                rest = [i for i in range(p) if i not in (u, v)]
+                x = np.linalg.solve(cur[np.ix_(rest, rest)], cur[rest, v])
+                new = max(s[u, v], float(cur[u, rest] @ x))
+                change += 2.0 * abs(new - cur[u, v])
+                cur[u, v] = cur[v, u] = new
+        if change < cfg.tolerance * max(1.0, float(cur.diagonal().max())):
+            return cur, sweep, True
+    return cur, cfg.max_sweeps, False
+
+
+class TestSharedState:
+    """The covariance sweep keeps K = Sigma^{-1} next to Sigma."""
+
+    def _inputs(self):
+        rng = np.random.default_rng(38)
+        blocks = TestBlockStructure()._two_block_correlation(rng)
+        return [random_correlation(rng, 6, n=2), random_correlation(rng, 20, n=40), blocks]
+
+    def test_matches_direct_solve_sweep(self):
+        cfg = FitConfig(algorithm="sigma", max_sweeps=1000)
+        for r in self._inputs():
+            sig, sweeps, converged = _descend(r, cfg)
+            ref, ref_sweeps, ref_converged = _reference_sigma_descend(r, cfg)
+            assert (sweeps, converged) == (ref_sweeps, ref_converged)
+            assert np.abs(sig - ref).max() <= 1e-12
+
+    def test_hooks_keep_k_the_inverse(self):
+        r = random_correlation(np.random.default_rng(39), 8, n=40)
+        sig = r.values.copy()
+        k = np.linalg.inv(sig)
+        change = sum(
+            _update_pair_sigma(sig, k, r.values, u, v) for u, v, _ in _pair_indices(8)
+        )
+        assert change > 0.01
+        assert np.linalg.norm(k @ sig - np.eye(8), np.inf) <= 1e-10
+
+    def test_one_inversion_per_sweep_and_no_solve(self, monkeypatch):
+        real_inv = np.linalg.inv
+        calls = []
+
+        def counting_inv(a):
+            calls.append(a)
+            return real_inv(a)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the covariance sweep called np.linalg.solve")
+
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        res = fit(random_correlation(np.random.default_rng(40), 10), FitConfig(algorithm="sigma"))
+        assert res.sweeps > 1
+        assert len(calls) == res.sweeps
 
 
 class TestEquivariance:
