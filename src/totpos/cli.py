@@ -382,6 +382,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if not value > 0:  # false for nan too
@@ -442,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sg = sub.add_parser("signed", help="fit the best sign-switched model")
     p_sg.add_argument("input")
     _add_fit_options(p_sg)
-    p_sg.add_argument("--exhaustive-limit", type=int, default=12,
+    p_sg.add_argument("--exhaustive-limit", type=_nonnegative_int, default=12,
                       help="largest dimension for the exhaustive sign search")
 
     p_st = sub.add_parser("selftest", help="randomized solver-vs-oracle diagnostics")

@@ -1,10 +1,11 @@
 """Structural analysis of the fitted precision graph.
 
-Bounds the graph of the fitted precision matrix from the outside (path
-product and excess-correlation envelopes), detects block graphs, evaluates
-the closed-form solution available on them, checks spanning-forest
-containment, and thresholds M-matrices onto a graph without losing positive
-definiteness.
+Reads off the pairs that attain their best path product, detects block
+graphs, evaluates the closed-form solution available on them, checks
+spanning-forest containment, and thresholds M-matrices onto a graph without
+losing positive definiteness.  The outer envelope of the fitted graph,
+``ml_graph_upper_bound``, lives in ``ultra`` beside the path products it
+reads, because the solver screens its precision sweep with it.
 """
 
 from __future__ import annotations
@@ -19,10 +20,8 @@ from .matcore import (
     NotPositiveDefinite,
     inverse_pd,
     is_m_matrix,
-    require_unit_diagonal,
 )
 from .solver import FitResult
-from .ultra import EC_SLACK, ec_graph, w_matrix
 
 # Default equality tolerance, on correlation scale, for deciding that an
 # entry is exactly explained by its best path product.
@@ -53,24 +52,6 @@ class NotApplicable:
     """Returned by block_closed_form when its preconditions fail."""
 
     reason: str
-
-
-def ml_graph_upper_bound(r: SymMatrix) -> WeightedGraph:
-    """Envelope graph that must contain the fitted precision graph.
-
-    Keeps a pair only when its correlation is positive, attains its best
-    path product, and meets the excess-correlation condition.
-    """
-    require_unit_diagonal(r)
-    w = w_matrix(r).values
-    vals = r.values
-    allowed = ec_graph(r, mwsf(r)).edge_pairs()
-    edges = [
-        (i, j, float(vals[i, j]))
-        for i, j in sorted(allowed)
-        if vals[i, j] > 0.0 and vals[i, j] >= w[i, j] - EC_SLACK
-    ]
-    return WeightedGraph(r.dim, tuple(edges))
 
 
 def grw_graph(r: SymMatrix, w: SymMatrix, tol: float = GRW_TOL) -> WeightedGraph:

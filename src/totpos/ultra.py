@@ -6,6 +6,8 @@ paths) and the max-product matrix (best product of edge weights).  The
 single-linkage matrix is ultrametric, dominates the input, and when all
 off-diagonal entries are below one it is invertible with an M-matrix
 inverse, which makes it a ready-made dual-feasible point for the solver.
+The pairs that attain their max-product entry bound the graph of the MLE
+from the outside; the solver's precision sweep visits only those pairs.
 """
 
 from __future__ import annotations
@@ -107,6 +109,23 @@ def w_matrix(r: SymMatrix) -> SymMatrix:
     out = np.where(np.isinf(dist), 0.0, np.exp(-dist))
     np.fill_diagonal(out, 1.0)
     return SymMatrix(out, labels=r.labels)
+
+
+def ml_graph_upper_bound(r: SymMatrix) -> WeightedGraph:
+    """Envelope graph G+ that must contain the graph of the MLE.
+
+    Keeps a pair when its correlation is positive and attains its best path
+    product W_ij (within EC_SLACK).  The paper proves that the ML graph lies
+    inside this set, so the fitted precision is exactly zero on every other
+    pair; the precision sweep visits only these pairs.  The
+    excess-correlation condition of ``ec_graph`` needs no separate test: the
+    forest path product is one of the products W_ij maximizes over, so
+    r_ij >= W_ij implies it.
+    """
+    vals = r.values
+    keep = np.triu((vals > 0.0) & (vals >= w_matrix(r).values - EC_SLACK), 1)
+    edges = [(int(i), int(j), float(vals[i, j])) for i, j in zip(*np.nonzero(keep))]
+    return WeightedGraph(r.dim, tuple(edges))
 
 
 def ec_graph(r: SymMatrix, forest: WeightedForest) -> WeightedGraph:

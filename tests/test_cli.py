@@ -203,6 +203,24 @@ class TestFitCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["config"]["algorithm"] == "k"
 
+    @pytest.mark.parametrize("rows, k_hat, edges", [
+        ([[1.0, -0.2, -0.3], [-0.2, 1.0, -0.1], [-0.3, -0.1, 1.0]], np.eye(3), []),
+        ([[4.0]], [[0.25]], []),
+        ([[1.0, -0.5], [-0.5, 1.0]], np.eye(2), []),
+        ([[1.0, 0.5], [0.5, 1.0]], np.linalg.inv([[1.0, 0.5], [0.5, 1.0]]), [[0, 1]]),
+    ], ids=["all-negative", "p1", "p2-negative", "p2-positive"])
+    def test_precision_sweep_edge_inputs(self, tmp_path, capsys, rows, k_hat, edges):
+        # all-negative and p = 2 negative inputs have an empty upper bound
+        # G+, so the precision sweep visits no pair and returns the identity
+        path = tmp_path / "in.csv"
+        np.savetxt(path, np.array(rows), fmt="%.17g", delimiter=",")
+        assert main(["fit", str(path), "--algorithm", "k"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["converged"] is True
+        assert doc["certificate"]["passed"] is True
+        assert np.abs(np.array(doc["k_hat"]) - k_hat).max() <= 1e-12
+        assert [e[:2] for e in doc["ml_graph"]] == edges
+
 
 class TestAnalyzeCommand:
     def test_linkage_golden_z(self, tmp_path, capsys):
@@ -369,17 +387,28 @@ class TestErrorPropagation:
         ["fit", "IN", "--max-sweeps", "0"],
         ["fit", "IN", "--tol", "0"],
         ["signed", "IN", "--edge-threshold", "-1"],
+        ["signed", "IN", "--exhaustive-limit", "-1"],
         ["analyze", "IN", "--grw-tol", "-1"],
         ["selftest", "--dims", "0"],
         ["selftest", "--dims", "9"],
         ["selftest", "--trials", "0"],
-    ], ids=["max-sweeps", "tol", "edge-threshold", "grw-tol", "dims-0", "dims-9", "trials"])
+    ], ids=["max-sweeps", "tol", "edge-threshold", "exhaustive-limit", "grw-tol", "dims-0",
+            "dims-9", "trials"])
     def test_bad_flag_value_is_a_usage_error(self, tmp_path, capsys, argv):
         path = _write_carcass(tmp_path / "carcass.csv")
         with pytest.raises(SystemExit) as exc:
             main([path if a == "IN" else a for a in argv])
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+    def test_zero_exhaustive_limit_is_valid(self, tmp_path, capsys):
+        # with no exhaustive search allowed, an unbalanced input gets the
+        # spanning-forest heuristic
+        path = tmp_path / "r.csv"
+        np.savetxt(path, UNBALANCED_R, fmt="%.17g", delimiter=",")
+        with pytest.warns(RuntimeWarning, match="exhaustive search limit"):
+            assert main(["signed", str(path), "--exhaustive-limit", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["method"] == "heuristic"
 
 
 class TestMoreCliPaths:

@@ -1,3 +1,7 @@
+import json
+import math
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -7,6 +11,7 @@ from totpos import (
     MleDoesNotExist,
     NotPositiveDefinite,
     SymMatrix,
+    WeightedGraph,
     duality_gap,
     exists_mle,
     fit,
@@ -14,6 +19,7 @@ from totpos import (
     kkt_certificate,
     log_likelihood,
     max_clique,
+    ml_graph_upper_bound,
     mwsf,
     pd_factorize,
     rescale_solution,
@@ -22,6 +28,8 @@ from totpos import (
     tree_mle,
     w_matrix,
 )
+from totpos import solver
+from totpos.cli import main
 from totpos.solver import _descend, _pair_indices, _update_pair_k, _update_pair_sigma
 from conftest import (
     CARCASS_CHAIN_EDGES,
@@ -168,7 +176,7 @@ class TestMonotonicity:
         for _ in range(5):
             r = random_correlation(rng, 5)
             cur = single_linkage(r).values.copy()
-            pairs = _pair_indices(5)
+            pairs = _pair_indices(5, combinations(range(5), 2))
             for _ in range(3):
                 k = np.linalg.inv(cur)
                 for u, v, _ in pairs:
@@ -182,7 +190,7 @@ class TestMonotonicity:
         for _ in range(5):
             r = random_correlation(rng, 5)
             cur = np.eye(5)
-            pairs = _pair_indices(5)
+            pairs = _pair_indices(5, combinations(range(5), 2))
             for _ in range(3):
                 for u, v, rest in pairs:
                     before = log_likelihood(SymMatrix(cur), r)
@@ -235,7 +243,8 @@ class TestSharedState:
         sig = r.values.copy()
         k = np.linalg.inv(sig)
         change = sum(
-            _update_pair_sigma(sig, k, r.values, u, v) for u, v, _ in _pair_indices(8)
+            _update_pair_sigma(sig, k, r.values, u, v)
+            for u, v, _ in _pair_indices(8, combinations(range(8), 2))
         )
         assert change > 0.01
         assert np.linalg.norm(k @ sig - np.eye(8), np.inf) <= 1e-10
@@ -256,6 +265,92 @@ class TestSharedState:
         res = fit(random_correlation(np.random.default_rng(40), 10), FitConfig(algorithm="sigma"))
         assert res.sweeps > 1
         assert len(calls) == res.sweeps
+
+
+def _reference_k_descend(r: SymMatrix, cfg: FitConfig):
+    """The precision sweep over every pair, each step written out with a
+    direct (p-2)x(p-2) solve."""
+    s = r.values
+    p = r.dim
+    cur = np.eye(p)
+    for sweep in range(1, cfg.max_sweeps + 1):
+        change = 0.0
+        for u, v in combinations(range(p), 2):
+            a = np.ix_([u, v], [u, v])
+            rest = [i for i in range(p) if i not in (u, v)]
+            l = np.zeros((2, 2))
+            if rest:
+                k_ar = cur[np.ix_([u, v], rest)]
+                l = k_ar @ np.linalg.solve(cur[np.ix_(rest, rest)], k_ar.T)
+            block = np.linalg.inv(s[a])
+            if block[0, 1] + l[0, 1] > 0.0:
+                # the sign constraint binds: K_uv = 0 and the diagonal adjusts
+                root = math.sqrt(1.0 + 4.0 * s[u, u] * s[v, v] * l[0, 1] ** 2)
+                block = np.array([
+                    [(1.0 + root) / (2.0 * s[u, u]), -l[0, 1]],
+                    [-l[0, 1], (1.0 + root) / (2.0 * s[v, v])],
+                ])
+            new = block + l
+            change += float(np.abs(new - cur[a]).sum())
+            cur[a] = new
+        if change < cfg.tolerance * max(1.0, float(cur.diagonal().max())):
+            return cur, sweep, True
+    return cur, cfg.max_sweeps, False
+
+
+class TestScreenedPrecisionSweep:
+    """The precision sweep visits only the pairs of the upper bound G+."""
+
+    def _inputs(self):
+        rng = np.random.default_rng(41)
+        blocks = TestBlockStructure()._two_block_correlation(rng)
+        return [random_correlation(rng, 6, n=2), random_correlation(rng, 20, n=40), blocks]
+
+    def test_matches_full_sweep(self):
+        cfg = FitConfig(algorithm="k")
+        for r in self._inputs():
+            k, _, converged = _descend(r, cfg)
+            ref, _, ref_converged = _reference_k_descend(r, cfg)
+            assert converged and ref_converged
+            assert np.abs(k - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_updates_only_bound_pairs(self, monkeypatch):
+        real_update = solver._update_pair_k
+        visited = []
+
+        def counting_update(k, s, u, v, blocks):
+            visited.append((u, v))
+            return real_update(k, s, u, v, blocks)
+
+        monkeypatch.setattr(solver, "_update_pair_k", counting_update)
+        for r in self._inputs():
+            visited.clear()
+            bound = ml_graph_upper_bound(r).edge_pairs()
+            assert 0 < len(bound) < r.dim * (r.dim - 1) // 2
+            res = fit(r, FitConfig(algorithm="k"))
+            assert set(visited) == bound
+            assert len(visited) == res.sweeps * len(bound)
+            k = res.k_hat.values
+            for i, j in combinations(range(r.dim), 2):
+                if (i, j) not in bound:
+                    assert k[i, j] == 0.0 and k[j, i] == 0.0
+
+    def test_dropping_an_ml_edge_is_not_certified(self, carcass, tmp_path, capsys, monkeypatch):
+        bound = ml_graph_upper_bound(carcass)
+        dropped = min(CARCASS_ML_EDGES)
+        assert dropped in bound.edge_pairs()
+        narrowed = WeightedGraph(
+            carcass.dim, tuple(e for e in bound.edges if (e[0], e[1]) != dropped)
+        )
+        monkeypatch.setattr(solver, "ml_graph_upper_bound", lambda r: narrowed)
+        res = fit(carcass, FitConfig(algorithm="k"))
+        assert not res.certificate.passed
+        path = tmp_path / "carcass.csv"
+        np.savetxt(path, carcass.values, fmt="%.17g", delimiter=",")
+        assert main(["fit", str(path), "--algorithm", "k"]) == 3
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["converged"] is True
+        assert doc["certificate"]["passed"] is False
 
 
 class TestEquivariance:

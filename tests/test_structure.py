@@ -23,10 +23,12 @@ from totpos import (
     w_matrix,
 )
 from totpos.structure import _biconnected_components
+from totpos.ultra import EC_SLACK
 from conftest import (
     CARCASS_ML_EDGES,
     LINKAGE_R,
     PATH_PRODUCT_NOT_INV_M,
+    UNBALANCED_R,
     brute_biconnected,
     random_correlation,
     random_m_matrix,
@@ -45,6 +47,40 @@ class TestUpperBound:
 
     def test_linkage_subset_of_tree(self, linkage4):
         assert ml_graph_upper_bound(linkage4).edge_pairs() <= {(0, 3), (0, 2), (1, 2)}
+
+    @staticmethod
+    def _ec_and_path_product_rule(r):
+        """G+ as first defined: the excess-correlation graph, cut down to the
+        positive pairs that attain their best path product."""
+        w = w_matrix(r).values
+        vals = r.values
+        allowed = ec_graph(r, mwsf(r)).edge_pairs()
+        return tuple(
+            (i, j, float(vals[i, j]))
+            for i, j in sorted(allowed)
+            if vals[i, j] > 0.0 and vals[i, j] >= w[i, j] - EC_SLACK
+        )
+
+    def test_matches_ec_and_path_product_rule(self, carcass, linkage4):
+        rng = np.random.default_rng(42)
+        inputs = [carcass, linkage4, SymMatrix(UNBALANCED_R)]
+        inputs += [random_correlation(rng, p, n=2) for p in (6, 12, 20)]
+        inputs += [random_correlation(rng, p, n=2 * p) for p in (6, 12, 20)]
+        # mixed signs: about half the entries of a random correlation are negative
+        inputs += [random_correlation(rng, 8, n=3) for _ in range(4)]
+        several = []
+        for _ in range(4):
+            a, b = random_correlation(rng, 4).values, random_correlation(rng, 3, n=2).values
+            m = np.eye(7)
+            m[:4, :4], m[4:, 4:] = a, b
+            m[:4, 4:] = -rng.uniform(0.0, 0.3, size=(4, 3))
+            m[4:, :4] = m[:4, 4:].T
+            several.append(SymMatrix(m))
+        several.append(SymMatrix(np.eye(5)))
+        for r in several:
+            assert len(set(mwsf(r).component_label)) > 1
+        for r in inputs + several:
+            assert ml_graph_upper_bound(r).edges == self._ec_and_path_product_rule(r)
 
     def test_containment_chain_on_random_fits(self):
         rng = np.random.default_rng(40)
