@@ -15,7 +15,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -24,6 +24,7 @@ from .graphs import WeightedForest, WeightedGraph, fold_paths, mwsf
 from .matcore import SymMatrix, to_correlation
 from .oracle import MAX_ORACLE_DIM, active_set_oracle
 from .solver import (
+    ALGORITHMS,
     FitConfig,
     FitResult,
     MaxSweepsExceeded,
@@ -31,9 +32,9 @@ from .solver import (
     exists_mle,
     fit,
 )
-from .signed import apply_signs, fit_signed
-from .structure import NotApplicable, block_closed_form, grw_graph, is_block_graph, tiered_dot
-from .ultra import ec_graph, is_ultrametric, w_matrix
+from .signed import EXHAUSTIVE_LIMIT, apply_signs, fit_signed
+from .structure import NotApplicable, block_closed_form, is_block_graph, tiered_dot
+from .ultra import GRW_TOL, ec_graph, grw_graph, is_ultrametric, w_matrix
 
 MWSF_TIE_BREAK = "weight descending, pair ascending"
 
@@ -193,38 +194,17 @@ def _graphs_block(c: _Closures) -> dict:
     }
 
 
-def _certificate_block(cert) -> dict:
-    return {
-        "primal_max": cert.primal_max,
-        "diag_max": cert.diag_max,
-        "dual_min": cert.dual_min,
-        "slack_max": cert.slack_max,
-        "tol": cert.tol,
-        "passed": cert.passed,
-    }
-
-
-def _config_block(cfg: FitConfig) -> dict:
-    return {
-        "algorithm": cfg.algorithm,
-        "tolerance": cfg.tolerance,
-        "max_sweeps": cfg.max_sweeps,
-        "edge_threshold": cfg.edge_threshold,
-        "mwsf_tie_break": MWSF_TIE_BREAK,
-    }
-
-
 def _fit_doc(path, s, closures, result: FitResult, cfg, mode, converged) -> dict:
     return {
         "mode": mode,
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "input": _input_block(path, s),
-        "config": _config_block(cfg),
+        "config": {**asdict(cfg), "mwsf_tie_break": MWSF_TIE_BREAK},
         "converged": converged,
         "sweeps": result.sweeps,
         "log_likelihood": result.log_likelihood,
         "duality_gap": result.duality_gap,
-        "certificate": _certificate_block(result.certificate),
+        "certificate": asdict(result.certificate),
         "sigma_hat": result.sigma_hat.values.tolist(),
         "k_hat": result.k_hat.values.tolist(),
         "ml_graph": _edge_list(result.ml_graph),
@@ -232,7 +212,7 @@ def _fit_doc(path, s, closures, result: FitResult, cfg, mode, converged) -> dict
     }
 
 
-def cmd_fit(path: str, cfg: FitConfig, grw_tol: float = 1e-9):
+def cmd_fit(path: str, cfg: FitConfig, grw_tol: float = GRW_TOL):
     """Fit the input covariance; returns (document, exit code, DOT payload)."""
     s = read_matrix_csv(path)
     try:
@@ -247,14 +227,12 @@ def cmd_fit(path: str, cfg: FitConfig, grw_tol: float = 1e-9):
     # the path-product equality graph generically coincides with the fitted
     # graph when the closed form applies, but only generically; surface any
     # disagreement instead of assuming it away
-    doc["grw_matches_ml_graph"] = sorted(
-        (i, j) for i, j, _ in doc["graphs"]["grw"]
-    ) == sorted(result.ml_graph.edge_pairs())
+    doc["grw_matches_ml_graph"] = closures.equality.edge_pairs() == result.ml_graph.edge_pairs()
     code = 0 if (converged and result.certificate.passed) else 3
     return doc, code, (closures, result.ml_graph)
 
 
-def cmd_analyze(path: str, grw_tol: float = 1e-9):
+def cmd_analyze(path: str, grw_tol: float = GRW_TOL):
     """Graph and closed-form analysis of the input, no solver run."""
     s = read_matrix_csv(path)
     if not exists_mle(s):
@@ -300,7 +278,9 @@ def cmd_analyze(path: str, grw_tol: float = 1e-9):
     return doc, 0, (closures, closures.equality)
 
 
-def cmd_signed(path: str, cfg: FitConfig, exhaustive_limit: int = 12, grw_tol: float = 1e-9):
+def cmd_signed(
+    path: str, cfg: FitConfig, exhaustive_limit: int = EXHAUSTIVE_LIMIT, grw_tol: float = GRW_TOL
+):
     """Best sign-switched fit; the document reports on correlation scale."""
     s = read_matrix_csv(path)
     r, scale = to_correlation(s)
@@ -406,17 +386,18 @@ def _dims(text: str) -> list[int]:
 
 
 def _add_fit_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--algorithm", choices=("sigma", "k"), default="sigma",
+    default = FitConfig()
+    parser.add_argument("--algorithm", choices=ALGORITHMS, default=default.algorithm,
                         help="coordinate sweep: on the covariance or on the precision")
-    parser.add_argument("--tol", type=_positive_float, default=1e-10,
+    parser.add_argument("--tol", type=_positive_float, default=default.tolerance,
                         help="per-sweep L1 convergence tolerance (correlation scale)")
-    parser.add_argument("--max-sweeps", type=_positive_int, default=10_000)
-    parser.add_argument("--edge-threshold", type=_positive_float, default=1e-6,
+    parser.add_argument("--max-sweeps", type=_positive_int, default=default.max_sweeps)
+    parser.add_argument("--edge-threshold", type=_positive_float, default=default.edge_threshold,
                         help="relative precision cutoff defining graph edges")
     parser.add_argument("--output", help="write the result document here instead of stdout")
     parser.add_argument("--dot", help="write a tiered DOT rendering of the graphs here")
     parser.add_argument("--sigma-csv", help="write the fitted covariance as CSV here")
-    parser.add_argument("--grw-tol", type=_positive_float, default=1e-9,
+    parser.add_argument("--grw-tol", type=_positive_float, default=GRW_TOL,
                         help="equality tolerance for the path-product graph")
 
 
@@ -444,12 +425,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("input")
     p_an.add_argument("--output")
     p_an.add_argument("--dot")
-    p_an.add_argument("--grw-tol", type=_positive_float, default=1e-9)
+    p_an.add_argument("--grw-tol", type=_positive_float, default=GRW_TOL)
 
     p_sg = sub.add_parser("signed", help="fit the best sign-switched model")
     p_sg.add_argument("input")
     _add_fit_options(p_sg)
-    p_sg.add_argument("--exhaustive-limit", type=_nonnegative_int, default=12,
+    p_sg.add_argument("--exhaustive-limit", type=_nonnegative_int, default=EXHAUSTIVE_LIMIT,
                       help="largest dimension for the exhaustive sign search")
 
     p_st = sub.add_parser("selftest", help="randomized solver-vs-oracle diagnostics")

@@ -1,6 +1,9 @@
 """Weighted undirected graphs on variable indices.
 
-Holds the positive-correlation graph, maximum weight spanning forests with
+The graphs read off a matrix (positive part, excess correlation,
+path-product equality, fitted precision) all come from one constructor,
+``WeightedGraph.from_mask``: a boolean pair mask and a weight matrix.  Holds
+maximum weight spanning forests of the positive-part graph with
 deterministic tie-breaking (Kruskal, weight descending then pair ascending),
 one forest walk with the path queries and path folds built on it (the
 tree-structured closed-form estimate is the product fold), and exact maximum
@@ -62,6 +65,15 @@ class WeightedGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "edges", _check_edges(self.dim, self.edges))
+
+    @classmethod
+    def from_mask(cls, mask: np.ndarray, weights: np.ndarray) -> WeightedGraph:
+        """Edge (i, j, weights[i, j]) for every i < j where ``mask`` holds.
+
+        Only the strict upper triangle of ``mask`` is read (row-major order).
+        """
+        i, j = np.nonzero(np.triu(mask, 1))
+        return cls(len(mask), tuple(zip(i.tolist(), j.tolist(), weights[i, j].tolist())))
 
     def edge_pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset((i, j) for i, j, _ in self.edges)
@@ -153,18 +165,6 @@ def _component_labels(dim: int, edges) -> tuple[int, ...]:
     return tuple(rank[rep_to_min[ds.find(v)]] for v in range(dim))
 
 
-def _positive_part_graph(r: SymMatrix) -> WeightedGraph:
-    """Graph with an edge (i, j, R_ij) for every strictly positive entry."""
-    vals = r.values
-    edges = [
-        (i, j, float(vals[i, j]))
-        for i in range(r.dim)
-        for j in range(i + 1, r.dim)
-        if vals[i, j] > 0.0
-    ]
-    return WeightedGraph(r.dim, tuple(edges))
-
-
 def mwsf(r: SymMatrix) -> WeightedForest:
     """Maximum weight spanning forest of the positive-part graph.
 
@@ -173,7 +173,7 @@ def mwsf(r: SymMatrix) -> WeightedForest:
     is minimal among maximum weight forests.  For weight-distinct inputs
     the result is the unique MWSF.
     """
-    graph = _positive_part_graph(r)
+    graph = WeightedGraph.from_mask(r.values > 0.0, r.values)
     ranked = sorted(graph.edges, key=lambda e: (-e[2], e[0], e[1]))
     ds = _DisjointSet(r.dim)
     kept = [e for e in ranked if ds.union(e[0], e[1])]

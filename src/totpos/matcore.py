@@ -20,6 +20,9 @@ from scipy.linalg import solve_triangular
 # diagonal entry of the input.
 PIVOT_RTOL = 1e-12
 
+# Largest deviation of a diagonal entry from one on correlation scale.
+UNIT_DIAG_TOL = 1e-9
+
 
 class NotPositiveDefinite(np.linalg.LinAlgError):
     """A factorization pivot fell below the positive-definiteness threshold."""
@@ -87,10 +90,10 @@ class PdFactor:
     log_det: float
 
 
-def require_unit_diagonal(m: SymMatrix, tol: float = 1e-9) -> None:
+def require_unit_diagonal(m: SymMatrix) -> None:
     """Raise unless the matrix is on correlation scale (unit diagonal)."""
     dev = float(np.abs(m.values.diagonal() - 1.0).max())
-    if dev > tol:
+    if dev > UNIT_DIAG_TOL:
         raise ValueError(
             "matrix must have unit diagonal (correlation scale); "
             "normalize with to_correlation first"

@@ -21,6 +21,9 @@ from .graphs import WeightedForest, mwsf
 from .matcore import SymMatrix, require_unit_diagonal
 from .solver import FitConfig, FitResult, MaxSweepsExceeded, fit
 
+# Largest dimension at which an unbalanced input gets the exhaustive search.
+EXHAUSTIVE_LIMIT = 12
+
 
 class ZeroWeightTreeEdge(RuntimeError):
     """A spanning-forest edge carries a zero entry (cannot normally occur)."""
@@ -164,7 +167,7 @@ def exhaustive_sign_search(
 
 
 def fit_signed(
-    r: SymMatrix, cfg: FitConfig | None = None, exhaustive_limit: int = 12
+    r: SymMatrix, cfg: FitConfig | None = None, exhaustive_limit: int = EXHAUSTIVE_LIMIT
 ) -> SignedFitResult:
     """Maximize the likelihood over sign switches of the variables.
 

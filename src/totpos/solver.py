@@ -21,8 +21,8 @@ a closed-form exact maximization per pair:
   re-inverted from Sigma once per sweep, so rounding does not pile up.
 
 The precision sweep visits only the pairs of the paper's upper bound G+ on
-the ML graph (``ml_graph_upper_bound``: positive r_uv that attain their best
-path product W_uv).  The MLE has K_uv = 0 off G+, so it is also the optimum
+the ML graph (``ml_graph_upper_bound``: the r_uv that attain their best
+path product W_uv > 0).  The MLE has K_uv = 0 off G+, so it is also the optimum
 of the problem restricted to K supported on G+; that problem is strictly
 concave, and a pair update writes only its own three entries, so the sweep
 started from the identity stays on G+ and converges to the same K.  About
@@ -47,6 +47,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -67,8 +68,11 @@ from .ultra import ml_graph_upper_bound, single_linkage
 # nearly so there.
 EXIST_MARGIN = 1e-12
 
-# Default tolerance at which fitted certificates are evaluated.
+# Tolerance at which fitted certificates are evaluated.
 CERT_TOL = 1e-6
+
+# The coordinate sweeps ``FitConfig.algorithm`` can name.
+ALGORITHMS = ("sigma", "k")
 
 
 class MleDoesNotExist(ValueError):
@@ -106,7 +110,7 @@ class FitConfig:
             raise ValueError("tolerance must be positive")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be at least 1")
-        if self.algorithm not in ("sigma", "k"):
+        if self.algorithm not in ALGORITHMS:
             raise ValueError("algorithm must be 'sigma' or 'k'")
         if not self.edge_threshold > 0:
             raise ValueError("edge_threshold must be positive")
@@ -167,20 +171,13 @@ def exists_mle(s: SymMatrix) -> bool:
     return bool(off.max() < 1.0 - EXIST_MARGIN)
 
 
-def _pair_indices(
-    p: int, pairs: Iterable[tuple[int, int]]
-) -> list[tuple[int, int, tuple | None]]:
+def _pair_indices(p: int, pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int, tuple]]:
     """The given pairs (u < v) of ``p`` vertices in sweep order, each with the
-    index blocks its ``k`` update reads."""
+    index blocks its ``k`` update reads (empty when p = 2)."""
     out = []
     for u, v in sorted(pairs):
         rest = np.array([k for k in range(p) if k != u and k != v], dtype=int)
-        blocks = (
-            (np.ix_(rest, rest), np.ix_(rest, [u, v]), np.ix_([u, v], rest))
-            if rest.size
-            else None
-        )
-        out.append((u, v, blocks))
+        out.append((u, v, (np.ix_(rest, rest), np.ix_(rest, [u, v]), np.ix_([u, v], rest))))
     return out
 
 
@@ -208,16 +205,11 @@ def _update_pair_sigma(sig: np.ndarray, k: np.ndarray, s: np.ndarray, u: int, v:
     return abs(d)
 
 
-def _update_pair_k(k: np.ndarray, s: np.ndarray, u: int, v: int, blocks: tuple | None) -> float:
+def _update_pair_k(k: np.ndarray, s: np.ndarray, u: int, v: int, blocks: tuple) -> float:
     """Exact maximization over the (u, v) block of K; returns the L1 change."""
-    if blocks is not None:
-        bb, ba, ab = blocks
-        cols = np.linalg.solve(k[bb], k[ba])
-        l = k[ab] @ cols
-        l12 = float(l[0, 1])
-    else:
-        l = np.zeros((2, 2))
-        l12 = 0.0
+    bb, ba, ab = blocks
+    l = k[ab] @ np.linalg.solve(k[bb], k[ba])
+    l12 = float(l[0, 1])
     suu, svv, suv = s[u, u], s[v, v], s[u, v]
     det = suu * svv - suv * suv
     # det == 0 only when the normalized entry sits at -1 (the +1 side is
@@ -257,7 +249,7 @@ def _descend(r: SymMatrix, cfg: FitConfig) -> tuple[np.ndarray, int, bool]:
             cur = s.copy()
         except NotPositiveDefinite:
             cur = single_linkage(r).values.copy()
-        pairs = [(u, v) for u in range(p) for v in range(u + 1, p)]
+        pairs = list(combinations(range(p), 2))
     else:
         cur = np.eye(p)
         pairs = _pair_indices(p, ml_graph_upper_bound(r).edge_pairs())
@@ -322,7 +314,7 @@ def _build_result(s, scale, sigma_r, k_r, sweeps, cfg) -> FitResult:
     sigma_hat = SymMatrix(sigma_vals, labels=s.labels)
     k_hat = SymMatrix(k_r.values / np.outer(scale, scale), labels=s.labels)
     try:
-        cert = kkt_certificate(s, sigma_hat, tol=CERT_TOL)
+        cert = kkt_certificate(s, sigma_hat)
         gap = duality_gap(s, k_hat, sigma_hat)
     except NotPositiveDefinite:
         # Pinning the variances of an ill-conditioned fit can leave sigma_hat
@@ -330,14 +322,9 @@ def _build_result(s, scale, sigma_r, k_r, sweeps, cfg) -> FitResult:
         # cannot be certified, so it is reported as failing, not raised.
         cert = KktCertificate(math.inf, math.inf, -math.inf, math.inf, False)
         gap = math.inf
+    magnitude = np.abs(k_r.values)
     cutoff = cfg.edge_threshold * float(k_r.values.diagonal().max())
-    edges = [
-        (i, j, abs(float(k_r.values[i, j])))
-        for i in range(s.dim)
-        for j in range(i + 1, s.dim)
-        if abs(k_r.values[i, j]) > cutoff
-    ]
-    graph = WeightedGraph(s.dim, tuple(edges))
+    graph = WeightedGraph.from_mask(magnitude > cutoff, magnitude)
     ll = log_likelihood(k_hat, s)
     return FitResult(sigma_hat, k_hat, cert, sweeps, ll, gap, graph)
 
@@ -358,8 +345,8 @@ def duality_gap(s: SymMatrix, k: SymMatrix, sigma: SymMatrix) -> float:
     )
 
 
-def kkt_certificate(s: SymMatrix, sigma_hat: SymMatrix, tol: float = CERT_TOL) -> KktCertificate:
-    """Evaluate the optimality system for a candidate covariance.
+def kkt_certificate(s: SymMatrix, sigma_hat: SymMatrix) -> KktCertificate:
+    """Evaluate the optimality system for a candidate covariance at CERT_TOL.
 
     Both inputs are normalized by sqrt(S_ii S_jj) first, so the residuals
     are dimensionless and the verdict is invariant under diagonal rescaling
@@ -372,7 +359,7 @@ def kkt_certificate(s: SymMatrix, sigma_hat: SymMatrix, tol: float = CERT_TOL) -
     k = inverse_pd(sig)
     if s.dim == 1:
         diag_max = float(abs(sig.values[0, 0] - 1.0))
-        return KktCertificate(0.0, diag_max, 0.0, 0.0, bool(diag_max <= tol), tol)
+        return KktCertificate(0.0, diag_max, 0.0, 0.0, bool(diag_max <= CERT_TOL))
     off = ~np.eye(s.dim, dtype=bool)
     margin = sig.values - r.values
     primal_max = float(k.values[off].max())
@@ -380,6 +367,9 @@ def kkt_certificate(s: SymMatrix, sigma_hat: SymMatrix, tol: float = CERT_TOL) -
     dual_min = float(margin[off].min())
     slack_max = float(np.abs(margin[off] * k.values[off]).max())
     passed = bool(
-        primal_max <= tol and diag_max <= tol and dual_min >= -tol and slack_max <= tol
+        primal_max <= CERT_TOL
+        and diag_max <= CERT_TOL
+        and dual_min >= -CERT_TOL
+        and slack_max <= CERT_TOL
     )
-    return KktCertificate(primal_max, diag_max, dual_min, slack_max, passed, tol)
+    return KktCertificate(primal_max, diag_max, dual_min, slack_max, passed)

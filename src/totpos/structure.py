@@ -1,16 +1,17 @@
 """Structural analysis of the fitted precision graph.
 
-Reads off the pairs that attain their best path product, detects block
-graphs, evaluates the closed-form solution available on them, checks
-spanning-forest containment, and thresholds M-matrices onto a graph without
-losing positive definiteness.  The outer envelope of the fitted graph,
-``ml_graph_upper_bound``, lives in ``ultra`` beside the path products it
-reads, because the solver screens its precision sweep with it.
+Detects block graphs, evaluates the closed-form solution available on
+them, checks spanning-forest containment, and thresholds M-matrices onto a
+graph without losing positive definiteness.  The equality graph it reads,
+``grw_graph`` (pairs that attain their best path product), lives in
+``ultra`` beside the path products, with the same rule at EC_SLACK as the
+envelope ``ml_graph_upper_bound`` that screens the solver's precision sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -22,10 +23,7 @@ from .matcore import (
     is_m_matrix,
 )
 from .solver import FitResult
-
-# Default equality tolerance, on correlation scale, for deciding that an
-# entry is exactly explained by its best path product.
-GRW_TOL = 1e-9
+from .ultra import GRW_TOL
 
 
 class InputNotMMatrix(ValueError):
@@ -52,25 +50,6 @@ class NotApplicable:
     """Returned by block_closed_form when its preconditions fail."""
 
     reason: str
-
-
-def grw_graph(r: SymMatrix, w: SymMatrix, tol: float = GRW_TOL) -> WeightedGraph:
-    """Pairs whose correlation equals its best path product, within tol.
-
-    Pairs in different components (where the closure is exactly zero) never
-    count as equalities: a zero there reflects disconnection, and estimation
-    decomposes over components anyway.
-    """
-    if r.dim != w.dim:
-        raise ValueError("dimension mismatch")
-    vals, wv = r.values, w.values
-    edges = [
-        (i, j, float(vals[i, j]))
-        for i in range(r.dim)
-        for j in range(i + 1, r.dim)
-        if wv[i, j] > 0.0 and abs(vals[i, j] - wv[i, j]) <= tol
-    ]
-    return WeightedGraph(r.dim, tuple(edges))
 
 
 def _biconnected_components(dim: int, pairs) -> list[frozenset[int]]:
@@ -134,13 +113,7 @@ def is_block_graph(graph: WeightedGraph) -> BlockReport:
     pair_set = set(pairs)
     offending = None
     for comp in blocks:
-        members = sorted(comp)
-        complete = all(
-            (members[a], members[b]) in pair_set
-            for a in range(len(members))
-            for b in range(a + 1, len(members))
-        )
-        if not complete:
+        if not all(pair in pair_set for pair in combinations(sorted(comp), 2)):
             offending = comp
             break
     return BlockReport(offending is None, tuple(blocks), offending)

@@ -6,8 +6,11 @@ paths) and the max-product matrix (best product of edge weights).  The
 single-linkage matrix is ultrametric, dominates the input, and when all
 off-diagonal entries are below one it is invertible with an M-matrix
 inverse, which makes it a ready-made dual-feasible point for the solver.
-The pairs that attain their max-product entry bound the graph of the MLE
-from the outside; the solver's precision sweep visits only those pairs.
+One rule, ``grw_graph``, reads off the pairs that attain their max-product
+entry.  At GRW_TOL it gives the equality graph of the block closed form; at
+EC_SLACK it gives the upper bound G+ on the graph of the MLE, and the
+solver's precision sweep visits only those pairs.  The excess-correlation
+graph is the same kind of mask against the forest path products.
 """
 
 from __future__ import annotations
@@ -24,6 +27,13 @@ from .matcore import SymMatrix, require_unit_diagonal
 # Slack used when comparing a correlation against a path product, so exact
 # equality on forest edges always counts.
 EC_SLACK = 1e-12
+
+# Default equality tolerance, on correlation scale, for deciding that an
+# entry is exactly explained by its best path product.
+GRW_TOL = 1e-9
+
+# Tolerance of the ultrametric inequalities and of the nonnegativity check.
+ULTRA_TOL = 1e-12
 
 
 class NegativeEntry(ValueError):
@@ -59,14 +69,15 @@ def single_linkage(r: SymMatrix) -> SymMatrix:
     return fold_paths(r, mwsf(r), min, np.inf)
 
 
-def is_ultrametric(u: SymMatrix, tol: float = 1e-12) -> UltrametricReport:
-    """Check U_ii >= U_ij and U_ij >= min(U_ik, U_jk) over all triples.
+def is_ultrametric(u: SymMatrix) -> UltrametricReport:
+    """Check U_ii >= U_ij and U_ij >= min(U_ik, U_jk) over all triples,
+    within ULTRA_TOL.
 
-    Raises NegativeEntry when some entry is below -tol.
+    Raises NegativeEntry when some entry is below -ULTRA_TOL.
     """
     vals = u.values
     p = u.dim
-    if vals.min() < -tol:
+    if vals.min() < -ULTRA_TOL:
         i, j = np.unravel_index(int(vals.argmin()), vals.shape)
         raise NegativeEntry(int(i), int(j), float(vals[i, j]))
     worst_mag = -np.inf
@@ -83,7 +94,7 @@ def is_ultrametric(u: SymMatrix, tol: float = 1e-12) -> UltrametricReport:
             worst_mag = mag
             i, j = np.unravel_index(idx, gap.shape)
             worst = (int(i), int(j), k, mag)
-    if worst_mag > tol:
+    if worst_mag > ULTRA_TOL:
         return UltrametricReport(False, worst)
     return UltrametricReport(True, None)
 
@@ -111,21 +122,32 @@ def w_matrix(r: SymMatrix) -> SymMatrix:
     return SymMatrix(out, labels=r.labels)
 
 
+def grw_graph(r: SymMatrix, w: SymMatrix, tol: float = GRW_TOL) -> WeightedGraph:
+    """Pairs whose correlation equals its best path product, within tol.
+
+    ``w`` is the path-product matrix ``w_matrix(r)``.  Pairs in different
+    components (where the closure is exactly zero) never count as
+    equalities: a zero there reflects disconnection, and estimation
+    decomposes over components anyway.
+    """
+    if r.dim != w.dim:
+        raise ValueError("dimension mismatch")
+    vals, wv = r.values, w.values
+    return WeightedGraph.from_mask((wv > 0.0) & (np.abs(vals - wv) <= tol), vals)
+
+
 def ml_graph_upper_bound(r: SymMatrix) -> WeightedGraph:
     """Envelope graph G+ that must contain the graph of the MLE.
 
-    Keeps a pair when its correlation is positive and attains its best path
-    product W_ij (within EC_SLACK).  The paper proves that the ML graph lies
-    inside this set, so the fitted precision is exactly zero on every other
-    pair; the precision sweep visits only these pairs.  The
+    The equality graph at EC_SLACK: a pair is kept when its correlation
+    attains its best path product W_ij.  The paper proves that the ML graph
+    lies inside this set, so the fitted precision is exactly zero on every
+    other pair; the precision sweep visits only these pairs.  The
     excess-correlation condition of ``ec_graph`` needs no separate test: the
     forest path product is one of the products W_ij maximizes over, so
     r_ij >= W_ij implies it.
     """
-    vals = r.values
-    keep = np.triu((vals > 0.0) & (vals >= w_matrix(r).values - EC_SLACK), 1)
-    edges = [(int(i), int(j), float(vals[i, j])) for i, j in zip(*np.nonzero(keep))]
-    return WeightedGraph(r.dim, tuple(edges))
+    return grw_graph(r, w_matrix(r), EC_SLACK)
 
 
 def ec_graph(r: SymMatrix, forest: WeightedForest) -> WeightedGraph:
@@ -135,14 +157,8 @@ def ec_graph(r: SymMatrix, forest: WeightedForest) -> WeightedGraph:
     pairs in the same component; forest edges are always included (their
     path product is the entry itself).
     """
-    tree_fit = tree_mle(r, forest).values
-    vals = r.values
-    comp = forest.component_label
-    edges = [
-        (i, j, float(vals[i, j]))
-        for i in range(r.dim)
-        for j in range(i + 1, r.dim)
-        if comp[i] == comp[j] and vals[i, j] >= tree_fit[i, j] - EC_SLACK
-    ]
-    return WeightedGraph(r.dim, tuple(edges))
-
+    comp = np.asarray(forest.component_label)
+    same = comp[:, None] == comp[None, :]
+    return WeightedGraph.from_mask(
+        same & (r.values >= tree_mle(r, forest).values - EC_SLACK), r.values
+    )

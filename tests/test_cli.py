@@ -1,12 +1,15 @@
 import dataclasses
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from totpos import SymMatrix, cli
+from totpos import FitConfig, SymMatrix, cli, fit_signed, grw_graph
 from totpos.cli import (
     MatrixParseError,
+    _config_from_args,
+    build_parser,
     cmd_selftest,
     main,
     parse_matrix_text,
@@ -108,6 +111,19 @@ class TestFitCommand:
         assert doc["input"]["labels"] == list(CARCASS_LABELS)
         assert len(doc["graphs"]["mwsf"]) == 5
         assert doc["grw_matches_ml_graph"] is True
+
+    def test_grw_mismatch_is_reported(self, tmp_path, capsys):
+        # a four-cycle precision: every pair attains its best path product,
+        # but the fitted graph is the cycle
+        k = np.array([[2.0, -0.5, 0.0, -0.5], [-0.5, 2.0, -0.5, 0.0],
+                      [0.0, -0.5, 2.0, -0.5], [-0.5, 0.0, -0.5, 2.0]])
+        path = tmp_path / "cycle.csv"
+        np.savetxt(path, np.linalg.inv(k), fmt="%.17g", delimiter=",")
+        assert main(["fit", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["graphs"]["grw"]) == 6
+        assert {(i, j) for i, j, _ in doc["ml_graph"]} == {(0, 1), (1, 2), (2, 3), (0, 3)}
+        assert doc["grw_matches_ml_graph"] is False
 
     def test_identity_input(self, tmp_path, capsys):
         path = tmp_path / "eye.csv"
@@ -429,3 +445,28 @@ class TestMoreCliPaths:
         back = read_matrix_csv(str(path))
         assert back.labels is None
         assert np.array_equal(back.values, m.values)
+
+
+class TestDefaults:
+    """The command line takes its defaults from the library."""
+
+    @staticmethod
+    def _default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    def test_fit_flags_give_default_config(self, tmp_path):
+        path = _write_carcass(tmp_path / "c.csv")
+        for command in ("fit", "signed"):
+            args = build_parser().parse_args([command, path])
+            assert _config_from_args(args) == FitConfig()
+
+    def test_grw_tol_and_exhaustive_limit(self, tmp_path):
+        path = _write_carcass(tmp_path / "c.csv")
+        grw_tol = self._default(grw_graph, "tol")
+        limit = self._default(fit_signed, "exhaustive_limit")
+        for command in ("fit", "analyze", "signed"):
+            assert build_parser().parse_args([command, path]).grw_tol == grw_tol
+        assert build_parser().parse_args(["signed", path]).exhaustive_limit == limit
+        for cmd in (cli.cmd_fit, cli.cmd_analyze, cli.cmd_signed):
+            assert self._default(cmd, "grw_tol") == grw_tol
+        assert self._default(cli.cmd_signed, "exhaustive_limit") == limit

@@ -11,7 +11,6 @@ from totpos import (
     to_dot,
     tree_mle,
 )
-from totpos.graphs import _positive_part_graph as positive_part_graph
 from conftest import (
     CARCASS_CHAIN_EDGES,
     CARCASS_LABELS,
@@ -57,6 +56,42 @@ class TestGraphTypes:
     def test_edges_sorted(self):
         g = WeightedGraph(3, ((1, 2, 0.5), (0, 1, 0.7)))
         assert g.edges == ((0, 1, 0.7), (1, 2, 0.5))
+
+
+def positive_part_graph(r):
+    return WeightedGraph.from_mask(r.values > 0.0, r.values)
+
+
+class TestFromMask:
+    def test_reads_upper_triangle_only(self):
+        mask = np.ones((3, 3), dtype=bool)
+        weights = np.arange(9.0).reshape(3, 3)
+        g = WeightedGraph.from_mask(mask, weights)
+        # diagonal and lower triangle ignored; weight taken at (i, j), i < j
+        assert g.dim == 3
+        assert g.edges == ((0, 1, 1.0), (0, 2, 2.0), (1, 2, 5.0))
+
+    def test_lower_triangle_alone_gives_no_edges(self):
+        mask = np.tril(np.ones((4, 4), dtype=bool))
+        assert WeightedGraph.from_mask(mask, np.ones((4, 4))).edges == ()
+
+    def test_empty_mask(self):
+        g = WeightedGraph.from_mask(np.zeros((5, 5), dtype=bool), np.ones((5, 5)))
+        assert g.dim == 5
+        assert g.edges == ()
+
+    def test_matches_pair_loop(self):
+        rng = np.random.default_rng(12)
+        for p in (1, 2, 7):
+            mask = rng.random((p, p)) < 0.5
+            weights = rng.standard_normal((p, p))
+            expected = tuple(
+                (i, j, float(weights[i, j]))
+                for i in range(p)
+                for j in range(i + 1, p)
+                if mask[i, j]
+            )
+            assert WeightedGraph.from_mask(mask, weights).edges == expected
 
 
 class TestPositivePartGraph:

@@ -1,9 +1,12 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from totpos import (
     FitConfig,
     InputNotMMatrix,
+    MaxSweepsExceeded,
     NotApplicable,
     SymMatrix,
     WeightedGraph,
@@ -23,7 +26,7 @@ from totpos import (
     w_matrix,
 )
 from totpos.structure import _biconnected_components
-from totpos.ultra import EC_SLACK
+from totpos.ultra import EC_SLACK, GRW_TOL
 from conftest import (
     CARCASS_ML_EDGES,
     LINKAGE_R,
@@ -49,17 +52,29 @@ class TestUpperBound:
         assert ml_graph_upper_bound(linkage4).edge_pairs() <= {(0, 3), (0, 2), (1, 2)}
 
     @staticmethod
-    def _ec_and_path_product_rule(r):
-        """G+ as first defined: the excess-correlation graph, cut down to the
-        positive pairs that attain their best path product."""
+    def _loop_references(r, res):
+        """The derived graphs of ``r`` written as pair loops: the formulas
+        of the per-graph loops that ``WeightedGraph.from_mask`` replaced."""
+        p, vals = r.dim, r.values
+        forest = mwsf(r)
+        comp, tree_fit = forest.component_label, tree_mle(r, forest).values
         w = w_matrix(r).values
-        vals = r.values
-        allowed = ec_graph(r, mwsf(r)).edge_pairs()
-        return tuple(
-            (i, j, float(vals[i, j]))
-            for i, j in sorted(allowed)
-            if vals[i, j] > 0.0 and vals[i, j] >= w[i, j] - EC_SLACK
-        )
+        k = res.k_hat.values
+        cutoff = FitConfig().edge_threshold * float(k.diagonal().max())
+        ec, grw, envelope, ml = [], [], [], []
+        for i in range(p):
+            for j in range(i + 1, p):
+                if comp[i] == comp[j] and vals[i, j] >= tree_fit[i, j] - EC_SLACK:
+                    ec.append((i, j, float(vals[i, j])))
+                    # G+ as first defined: the excess-correlation graph, cut
+                    # down to the positive pairs that attain their path product
+                    if vals[i, j] > 0.0 and vals[i, j] >= w[i, j] - EC_SLACK:
+                        envelope.append((i, j, float(vals[i, j])))
+                if w[i, j] > 0.0 and abs(vals[i, j] - w[i, j]) <= GRW_TOL:
+                    grw.append((i, j, float(vals[i, j])))
+                if abs(k[i, j]) > cutoff:
+                    ml.append((i, j, abs(float(k[i, j]))))
+        return tuple(ec), tuple(grw), tuple(envelope), tuple(ml)
 
     def test_matches_ec_and_path_product_rule(self, carcass, linkage4):
         rng = np.random.default_rng(42)
@@ -68,6 +83,15 @@ class TestUpperBound:
         inputs += [random_correlation(rng, p, n=2 * p) for p in (6, 12, 20)]
         # mixed signs: about half the entries of a random correlation are negative
         inputs += [random_correlation(rng, 8, n=3) for _ in range(4)]
+        # a non-forest entry 1e-10 below its path product: an equality at
+        # GRW_TOL, not at EC_SLACK
+        base = random_correlation(rng, 6)
+        forest = mwsf(base)
+        u, v = next(pair for pair in combinations(range(6), 2) if pair not in forest.edge_pairs())
+        vals = tree_mle(base, forest).values.copy()
+        vals[u, v] = vals[v, u] = vals[u, v] - 1e-10
+        near = SymMatrix(vals)
+        inputs.append(near)
         several = []
         for _ in range(4):
             a, b = random_correlation(rng, 4).values, random_correlation(rng, 3, n=2).values
@@ -80,7 +104,19 @@ class TestUpperBound:
         for r in several:
             assert len(set(mwsf(r).component_label)) > 1
         for r in inputs + several:
-            assert ml_graph_upper_bound(r).edges == self._ec_and_path_product_rule(r)
+            try:
+                res = fit(r, FitConfig(algorithm="k"))
+            except MaxSweepsExceeded as exc:
+                res = exc.result
+            ec, grw, envelope, ml = self._loop_references(r, res)
+            w = w_matrix(r)
+            assert ec_graph(r, mwsf(r)).edges == ec
+            assert grw_graph(r, w).edges == grw
+            assert grw_graph(r, w, EC_SLACK).edges == envelope
+            assert ml_graph_upper_bound(r).edges == envelope
+            assert res.ml_graph.edges == ml
+        assert (u, v) in grw_graph(near, w_matrix(near)).edge_pairs()
+        assert (u, v) not in ml_graph_upper_bound(near).edge_pairs()
 
     def test_containment_chain_on_random_fits(self):
         rng = np.random.default_rng(40)
