@@ -132,7 +132,7 @@ def parse_matrix_text(text: str, header_row: bool | None = None) -> SymMatrix:
 def read_matrix_csv(path: str, header_row: bool | None = None) -> SymMatrix:
     """Read a dense CSV matrix; the header row is autodetected when unset."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise MatrixParseError(str(exc)) from exc
@@ -243,10 +243,11 @@ def cmd_analyze(path: str, grw_tol: float = GRW_TOL):
         )
     r, scale = to_correlation(s)
     closures = _closures(r, grw_tol)
-    z = fold_paths(r, closures.forest, min, np.inf)  # single_linkage on the shared forest
+    z = fold_paths(r, closures.forest, np.minimum)  # single_linkage on the shared forest
     report = is_ultrametric(z)
     block = is_block_graph(closures.equality)
     closed = block_closed_form(closures.w, block)
+    applicable = not isinstance(closed, NotApplicable)
     doc = {
         "mode": "analyze",
         "generated_at": datetime.now(timezone.utc).isoformat(),
@@ -254,12 +255,7 @@ def cmd_analyze(path: str, grw_tol: float = GRW_TOL):
         "scale": scale.tolist(),
         "z_matrix": z.values.tolist(),
         "w_matrix": closures.w.values.tolist(),
-        "z_ultrametric": {
-            "is_ultrametric": report.is_ultrametric,
-            "worst_violation": list(report.worst_violation)
-            if report.worst_violation is not None
-            else None,
-        },
+        "z_ultrametric": asdict(report),
         "block_report": {
             "is_block_graph": block.is_block_graph,
             "blocks": [sorted(b) for b in block.blocks],
@@ -268,9 +264,9 @@ def cmd_analyze(path: str, grw_tol: float = GRW_TOL):
             else None,
         },
         "closed_form": {
-            "applicable": not isinstance(closed, NotApplicable),
-            "sigma": closed.values.tolist() if not isinstance(closed, NotApplicable) else None,
-            "reason": closed.reason if isinstance(closed, NotApplicable) else None,
+            "applicable": applicable,
+            "sigma": closed.values.tolist() if applicable else None,
+            "reason": None if applicable else closed.reason,
         },
         "graphs": _graphs_block(closures),
         "mwsf_tie_break": MWSF_TIE_BREAK,

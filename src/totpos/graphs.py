@@ -2,19 +2,22 @@
 
 The graphs read off a matrix (positive part, excess correlation,
 path-product equality, fitted precision) all come from one constructor,
-``WeightedGraph.from_mask``: a boolean pair mask and a weight matrix.  Holds
-maximum weight spanning forests of the positive-part graph with
-deterministic tie-breaking (Kruskal, weight descending then pair ascending),
-one forest walk with the path queries and path folds built on it (the
-tree-structured closed-form estimate is the product fold), and exact maximum
-cliques at desk scale.  One DOT writer serves plain and tiered export.
+``WeightedGraph.from_mask``: a boolean pair mask and a weight matrix, and
+every graph keeps one neighbour list.  Holds maximum weight spanning
+forests of the positive-part graph with deterministic tie-breaking
+(Kruskal, weight descending then pair ascending).  A forest is its edges:
+construction walks each tree once from its smallest vertex, which rejects
+cycles and derives the component labels and the rooted (parent, child)
+order.  The path folds read that order, one numpy row update per edge (the
+tree-structured closed-form estimate is the product fold, single linkage
+the minimum fold).  Also exact maximum cliques at desk scale, and one DOT
+writer for plain and tiered export.
 """
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -78,45 +81,47 @@ class WeightedGraph:
     def edge_pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset((i, j) for i, j, _ in self.edges)
 
-    def adjacency(self) -> list[list[tuple[int, float]]]:
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(self.dim)]
-        for i, j, w in self.edges:
-            adj[i].append((j, w))
-            adj[j].append((i, w))
-        return adj
+    @cached_property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Neighbours of each vertex, in edge order."""
+        adj: list[list[int]] = [[] for _ in range(self.dim)]
+        for i, j, _ in self.edges:
+            adj[i].append(j)
+            adj[j].append(i)
+        return tuple(map(tuple, adj))
 
 
 @dataclass(frozen=True)
 class WeightedForest(WeightedGraph):
-    """Acyclic edge set with per-vertex component labels.
+    """Acyclic edge set, rooted once at construction.
 
-    Components are numbered by their smallest vertex, in ascending order, so
-    construction is deterministic.
+    One walk of each tree from its smallest vertex, in ascending order of
+    roots, rejects a cycle and derives two fields: ``component_label``, with
+    components numbered by their smallest vertex, and ``order``, the
+    (parent, child) pair of every edge, tree by tree, each child after its
+    parent.
     """
 
-    component_label: tuple[int, ...]
+    component_label: tuple[int, ...] = field(init=False)
+    order: tuple[tuple[int, int], ...] = field(init=False)
 
     def __post_init__(self):
         super().__post_init__()
-        labels = tuple(self.component_label)
-        if len(labels) != self.dim:
-            raise ValueError("component_label length must equal dim")
-        ds = _DisjointSet(self.dim)
-        for i, j, _ in self.edges:
-            if not ds.union(i, j):
-                raise ValueError(f"edge ({i}, {j}) closes a cycle")
-        n_comp = len(set(labels))
-        if len(self.edges) != self.dim - n_comp:
-            raise ValueError("edge count must be dim - number of components")
-        # with as many labels as edge components, they agree iff each
-        # component carries a single label
-        roots = [ds.find(v) for v in range(self.dim)]
-        if len(set(zip(roots, labels))) != n_comp:
-            raise ValueError("component labels inconsistent with edges")
-
-    @cached_property
-    def _neighbors(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(v for v, _ in nbrs) for nbrs in self.adjacency())
+        labels = [-1] * self.dim
+        order = []
+        n_comp = 0
+        for root in range(self.dim):
+            if labels[root] >= 0:
+                continue
+            labels[root] = n_comp
+            for u, v in self.walk(root):
+                if labels[v] >= 0:
+                    raise ValueError(f"edge ({min(u, v)}, {max(u, v)}) closes a cycle")
+                labels[v] = n_comp
+                order.append((u, v))
+            n_comp += 1
+        object.__setattr__(self, "component_label", tuple(labels))
+        object.__setattr__(self, "order", tuple(order))
 
     def walk(self, root: int) -> Iterator[tuple[int, int]]:
         """Depth-first walk of the tree holding ``root``.
@@ -124,7 +129,7 @@ class WeightedForest(WeightedGraph):
         Yields (parent, child) once per edge of that tree, each child after
         its parent.
         """
-        nbrs = self._neighbors
+        nbrs = self.neighbors
         stack = [(root, -1)]
         while stack:
             u, up = stack.pop()
@@ -151,20 +156,6 @@ class WeightedForest(WeightedGraph):
         return out
 
 
-def _component_labels(dim: int, edges) -> tuple[int, ...]:
-    ds = _DisjointSet(dim)
-    for i, j, _ in edges:
-        ds.union(i, j)
-    # number components by smallest member, ascending
-    rep_to_min: dict[int, int] = {}
-    for v in range(dim):
-        r = ds.find(v)
-        rep_to_min[r] = min(rep_to_min.get(r, v), v)
-    order = sorted(set(rep_to_min.values()))
-    rank = {m: k for k, m in enumerate(order)}
-    return tuple(rank[rep_to_min[ds.find(v)]] for v in range(dim))
-
-
 def mwsf(r: SymMatrix) -> WeightedForest:
     """Maximum weight spanning forest of the positive-part graph.
 
@@ -177,29 +168,29 @@ def mwsf(r: SymMatrix) -> WeightedForest:
     ranked = sorted(graph.edges, key=lambda e: (-e[2], e[0], e[1]))
     ds = _DisjointSet(r.dim)
     kept = [e for e in ranked if ds.union(e[0], e[1])]
-    return WeightedForest(r.dim, tuple(kept), _component_labels(r.dim, kept))
+    return WeightedForest(r.dim, tuple(kept))
 
 
-def fold_paths(r: SymMatrix, forest: WeightedForest, combine, start: float) -> SymMatrix:
+def fold_paths(r: SymMatrix, forest: WeightedForest, combine) -> SymMatrix:
     """Fold ``combine`` over the entries of R along every forest path.
 
-    Entry (i, j), i < j, folds the entries along the forest path from i
-    out to j, beginning from ``start``; zero across components, one on the
-    diagonal.
+    ``combine`` is ``np.multiply`` or ``np.minimum``.  One pass over
+    ``forest.order``: when a child v joins its parent u, v's row is u's row
+    combined with R_uv, so each entry folds the path out from the vertex
+    reached first.  Zero across components, one on the diagonal.  R must be
+    positive on the forest's edges, as ``mwsf`` guarantees: the zeros of
+    vertices not yet reached then stay zero under either fold.
     """
     require_unit_diagonal(r)
     if forest.dim != r.dim:
         raise ValueError("dimension mismatch")
-    p = r.dim
     vals = r.values
-    out = np.zeros((p, p))
+    out = np.zeros((r.dim, r.dim))
+    for u, v in forest.order:
+        out[v] = combine(out[u], vals[u, v])
+        out[v, u] = vals[u, v]
+        out[:, v] = out[v]
     np.fill_diagonal(out, 1.0)
-    for root in range(p):
-        acc = {root: start}
-        for u, v in forest.walk(root):
-            acc[v] = combine(acc[u], vals[u, v])
-            if v > root:
-                out[root, v] = out[v, root] = acc[v]
     return SymMatrix(out, labels=r.labels)
 
 
@@ -209,15 +200,12 @@ def tree_mle(r: SymMatrix, forest: WeightedForest) -> SymMatrix:
     Entry (i, j) is the product of R along the forest path from i to j, zero
     across components, one on the diagonal.
     """
-    return fold_paths(r, forest, operator.mul, 1.0)
+    return fold_paths(r, forest, np.multiply)
 
 
 def max_clique(graph: WeightedGraph) -> frozenset[int]:
     """Exact maximum clique (Bron-Kerbosch with pivoting); desk scale only."""
-    adj = [set() for _ in range(graph.dim)]
-    for i, j, _ in graph.edges:
-        adj[i].add(j)
-        adj[j].add(i)
+    adj = [set(nbrs) for nbrs in graph.neighbors]
     best: set[int] = set()
 
     def expand(clique: set[int], cand: set[int], excl: set[int]):
@@ -241,17 +229,20 @@ def max_clique(graph: WeightedGraph) -> frozenset[int]:
 def to_dot(graph: WeightedGraph, labels=None, style=None) -> str:
     """Serialize to Graphviz DOT with a weight attribute per edge.
 
+    Vertex names are quoted, with backslashes and double quotes escaped.
     ``style``, when given, maps an edge (i, j) to extra attributes written
     after the weight.
     """
     if labels is not None and len(labels) != graph.dim:
         raise ValueError("label count does not match graph dimension")
-    name = (lambda v: str(labels[v])) if labels is not None else str
+    names = [
+        str(x).replace("\\", "\\\\").replace('"', '\\"')
+        for x in (labels if labels is not None else range(graph.dim))
+    ]
     lines = ["graph G {"]
-    for v in range(graph.dim):
-        lines.append(f'  "{name(v)}";')
+    lines.extend(f'  "{name}";' for name in names)
     for i, j, w in graph.edges:
         extra = style(i, j) if style is not None else ""
-        lines.append(f'  "{name(i)}" -- "{name(j)}" [weight="{w:.6f}"{extra}];')
+        lines.append(f'  "{names[i]}" -- "{names[j]}" [weight="{w:.6f}"{extra}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

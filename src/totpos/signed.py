@@ -88,16 +88,12 @@ def _abs_forest(r: SymMatrix) -> WeightedForest:
 
 def _propagate_signs(r: SymMatrix, forest: WeightedForest) -> SignVector:
     vals = r.values
-    signs = [0] * r.dim
-    for root in range(r.dim):
-        if signs[root]:
-            continue
-        signs[root] = 1  # vertices ascend, so this is the component minimum
-        for u, v in forest.walk(root):
-            w = vals[u, v]
-            if w == 0.0:
-                raise ZeroWeightTreeEdge(f"forest edge ({u}, {v}) has zero weight")
-            signs[v] = signs[u] * (1 if w > 0 else -1)
+    signs = [1] * r.dim  # each root, its tree's smallest vertex, keeps +1
+    for u, v in forest.order:
+        w = vals[u, v]
+        if w == 0.0:
+            raise ZeroWeightTreeEdge(f"forest edge ({u}, {v}) has zero weight")
+        signs[v] = signs[u] * (1 if w > 0 else -1)
     return SignVector(tuple(signs))
 
 

@@ -52,12 +52,12 @@ class NotApplicable:
     reason: str
 
 
-def _biconnected_components(dim: int, pairs) -> list[frozenset[int]]:
-    """Vertex sets of the biconnected components (iterative lowpoint DFS)."""
-    adj: list[list[int]] = [[] for _ in range(dim)]
-    for i, j in pairs:
-        adj[i].append(j)
-        adj[j].append(i)
+def _biconnected_components(adj) -> list[frozenset[int]]:
+    """Vertex sets of the biconnected components (iterative lowpoint DFS).
+
+    ``adj`` lists each vertex's neighbours, as ``WeightedGraph.neighbors``.
+    """
+    dim = len(adj)
     disc = [0] * dim  # 0 means unvisited
     low = [0] * dim
     comps: list[frozenset[int]] = []
@@ -105,12 +105,11 @@ def _biconnected_components(dim: int, pairs) -> list[frozenset[int]]:
 
 def is_block_graph(graph: WeightedGraph) -> BlockReport:
     """Decompose into biconnected components and require each to be complete."""
-    pairs = sorted(graph.edge_pairs())
-    comps = _biconnected_components(graph.dim, pairs)
+    comps = _biconnected_components(graph.neighbors)
     covered = set().union(*comps) if comps else set()
     blocks = comps + [frozenset({v}) for v in range(graph.dim) if v not in covered]
     blocks.sort(key=min)
-    pair_set = set(pairs)
+    pair_set = graph.edge_pairs()
     offending = None
     for comp in blocks:
         if not all(pair in pair_set for pair in combinations(sorted(comp), 2)):

@@ -62,11 +62,11 @@ def single_linkage(r: SymMatrix) -> SymMatrix:
     """Best bottleneck weight between every pair of vertices.
 
     Entry (i, j) is the maximum over connecting paths in the positive-part
-    graph of the minimum edge weight, computed along the unique path in the
-    maximum weight spanning forest (the two coincide).  Zero across
-    components, one on the diagonal.
+    graph of the minimum edge weight.  It is the minimum fold along the
+    unique path in the maximum weight spanning forest (the two coincide),
+    one ``fold_paths`` pass.  Zero across components, one on the diagonal.
     """
-    return fold_paths(r, mwsf(r), min, np.inf)
+    return fold_paths(r, mwsf(r), np.minimum)
 
 
 def is_ultrametric(u: SymMatrix) -> UltrametricReport:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import inspect
 import json
 
@@ -96,6 +97,26 @@ class TestCsvRoundTrip:
         back = read_matrix_csv(str(path))
         assert np.array_equal(back.values, m.values)
         assert back.labels == m.labels
+
+
+class TestByteOrderMark:
+    """Files saved as "CSV UTF-8" start with a byte-order mark."""
+
+    def test_numeric_file(self, tmp_path, capsys):
+        raw = "\ufeff1,0.5\n0.5,1\n".encode("utf-8")
+        path = tmp_path / "bom.csv"
+        path.write_bytes(raw)
+        m = read_matrix_csv(str(path))
+        assert m.labels is None
+        assert m.values[0, 1] == 0.5
+        assert main(["analyze", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["input"]["sha256"] == hashlib.sha256(raw).hexdigest()
+
+    def test_header_file(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("\ufeffa,b\n1,0.5\n0.5,1\n".encode("utf-8"))
+        assert read_matrix_csv(str(path)).labels == ("a", "b")
 
 
 class TestFitCommand:
@@ -279,6 +300,17 @@ class TestAnalyzeCommand:
         assert doc["block_report"]["blocks"] == [[0, 1, 2, 3]]
         assert doc["closed_form"]["applicable"] is False
         assert doc["closed_form"]["reason"] == "block [0, 1, 2, 3] is not an inverse M-matrix"
+
+    def test_dot_escapes_quoted_header(self, tmp_path, capsys):
+        # R's write.csv quotes every header cell, and the quotes stay in the labels
+        path = tmp_path / "r.csv"
+        path.write_text('"a","b"\n1,0.5\n0.5,1\n')
+        dot = tmp_path / "g.dot"
+        assert main(["analyze", str(path), "--dot", str(dot)]) == 0
+        assert json.loads(capsys.readouterr().out)["input"]["labels"] == ['"a"', '"b"']
+        text = dot.read_text()
+        assert '  "\\"a\\"";\n' in text
+        assert '  "\\"a\\"" -- "\\"b\\"" [weight="0.500000", color=red, penwidth=2.5];' in text
 
 
 class TestSignedCommand:

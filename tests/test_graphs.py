@@ -11,6 +11,7 @@ from totpos import (
     to_dot,
     tree_mle,
 )
+from totpos.graphs import fold_paths
 from conftest import (
     CARCASS_CHAIN_EDGES,
     CARCASS_LABELS,
@@ -32,26 +33,12 @@ class TestGraphTypes:
 
     def test_forest_rejects_cycles(self):
         with pytest.raises(ValueError, match="cycle"):
-            WeightedForest(3, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)), (0, 0, 0))
+            WeightedForest(3, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)))
 
-    def test_forest_rejects_bad_labels(self):
-        with pytest.raises(ValueError):
-            WeightedForest(3, ((0, 1, 1.0),), (0, 0, 0))
-
-    def test_labels_merging_two_components(self):
-        # the edges make {0, 1}, {2, 3} and {4}; the labels put 2 with {0, 1}
-        with pytest.raises(ValueError, match="inconsistent"):
-            WeightedForest(5, ((0, 1, 0.5), (2, 3, 0.5)), (0, 0, 0, 1, 2))
-
-    def test_labels_splitting_one_component(self):
-        # the edges make {0, 1, 2} and {3}; the labels cut 2 away from 0 and 1
-        with pytest.raises(ValueError, match="inconsistent"):
-            WeightedForest(4, ((0, 1, 0.5), (1, 2, 0.5)), (0, 0, 1, 1))
-
-    def test_wrong_edge_count(self):
-        # three labelled components on four vertices leave room for one edge
-        with pytest.raises(ValueError, match="edge count"):
-            WeightedForest(4, ((0, 1, 0.5), (2, 3, 0.5)), (0, 0, 1, 2))
+    def test_forest_rejects_cycle_in_second_tree(self):
+        # {0, 1} is a tree; the cycle 2-3-4 is met only by the second walk
+        with pytest.raises(ValueError, match="cycle"):
+            WeightedForest(5, ((0, 1, 0.5), (2, 3, 0.5), (3, 4, 0.5), (2, 4, 0.5)))
 
     def test_edges_sorted(self):
         g = WeightedGraph(3, ((1, 2, 0.5), (0, 1, 0.7)))
@@ -157,20 +144,20 @@ class TestMwsf:
 
 class TestForestPath:
     def test_chain(self):
-        f = WeightedForest(3, ((0, 1, 0.5), (1, 2, 0.4)), (0, 0, 0))
+        f = WeightedForest(3, ((0, 1, 0.5), (1, 2, 0.4)))
         assert f.path(0, 2) == [0, 1, 2]
         assert f.path(2, 0) == [2, 1, 0]
         assert f.path(1, 1) == [1]
 
     def test_across_components(self):
-        f = WeightedForest(4, ((0, 1, 0.5),), (0, 0, 1, 2))
+        f = WeightedForest(4, ((0, 1, 0.5),))
         assert f.path(0, 2) is None
 
     def test_carcass_end_to_end(self, carcass):
         assert mwsf(carcass).path(0, 5) == [0, 2, 4, 1, 3, 5]
 
     def test_walk_is_parent_first(self):
-        f = WeightedForest(5, ((0, 1, 0.5), (1, 2, 0.4), (1, 3, 0.3)), (0, 0, 0, 0, 1))
+        f = WeightedForest(5, ((0, 1, 0.5), (1, 2, 0.4), (1, 3, 0.3)))
         assert isinstance(f, WeightedGraph)
         seen = {2}
         for u, v in f.walk(2):
@@ -178,6 +165,74 @@ class TestForestPath:
             seen.add(v)
         assert seen == {0, 1, 2, 3}
         assert list(f.walk(4)) == []
+
+
+def random_forest(rng, p: int) -> WeightedForest:
+    """Several trees and isolated vertices, on shuffled vertex numbers."""
+    perm = rng.permutation(p)
+    edges = []
+    for v in range(1, p):
+        if rng.random() < 0.6:
+            a, b = perm[int(rng.integers(v))], perm[v]
+            edges.append((int(min(a, b)), int(max(a, b)), 1.0))
+    return WeightedForest(p, tuple(edges))
+
+
+def dsu_labels(p: int, edges) -> tuple[int, ...]:
+    """Union-find components, numbered by smallest member, ascending."""
+    parent = list(range(p))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, j, _ in edges:
+        parent[find(i)] = find(j)
+    smallest = {}
+    for v in range(p):
+        smallest.setdefault(find(v), v)
+    rank = {m: k for k, m in enumerate(sorted(smallest.values()))}
+    return tuple(rank[smallest[find(v)]] for v in range(p))
+
+
+class TestRootedForest:
+    def test_labels_and_order_match_dsu_rule(self):
+        rng = np.random.default_rng(14)
+        for p in (1, 2, 5, 9, 16):
+            for _ in range(10):
+                f = random_forest(rng, p)
+                assert f.component_label == dsu_labels(p, f.edges)
+                assert sorted((min(e), max(e)) for e in f.order) == sorted(f.edge_pairs())
+                reached = set()
+                for u, v in f.order:
+                    # a child's parent is its tree's root or an earlier child
+                    root = f.component_label.index(f.component_label[u])
+                    assert u in reached or u == root
+                    assert v not in reached and v != root
+                    reached.add(v)
+                labels = [f.component_label[u] for u, _ in f.order]
+                assert labels == sorted(labels)
+
+    def test_fold_paths_matches_path_loop(self):
+        rng = np.random.default_rng(15)
+        for p in (1, 2, 6, 12, 25):
+            for _ in range(8):
+                f = random_forest(rng, p)
+                r = np.abs(random_correlation(rng, p).values)
+                np.fill_diagonal(r, 1.0)
+                m = SymMatrix(r)
+                low, prod = np.eye(p), np.eye(p)
+                for i in range(p):
+                    for j in range(i + 1, p):
+                        path = f.path(i, j)
+                        if path is None:
+                            continue
+                        steps = [r[a, b] for a, b in zip(path, path[1:])]
+                        low[i, j] = low[j, i] = min(steps)
+                        prod[i, j] = prod[j, i] = np.prod(steps)
+                assert np.array_equal(fold_paths(m, f, np.minimum).values, low)
+                assert np.allclose(fold_paths(m, f, np.multiply).values, prod, rtol=1e-14, atol=0)
 
 
 class TestTreeMle:
@@ -257,10 +312,15 @@ class TestDot:
         text = to_dot(WeightedGraph(2, ((0, 1, 0.25),)))
         assert '"0" -- "1" [weight="0.250000"];' in text
 
+    def test_label_escapes(self):
+        text = to_dot(WeightedGraph(2, ((0, 1, 0.25),)), labels=("C:\\tmp", 'say "hi"'))
+        assert '  "C:\\\\tmp";\n' in text
+        assert '  "C:\\\\tmp" -- "say \\"hi\\"" [weight="0.250000"];' in text
+
 
 class TestGraphEdgeCases:
     def test_forest_path_validates_vertices(self):
-        f = WeightedForest(2, ((0, 1, 0.5),), (0, 0))
+        f = WeightedForest(2, ((0, 1, 0.5),))
         with pytest.raises(ValueError):
             f.path(0, 5)
 

@@ -190,7 +190,8 @@ class TestBlockGraph:
                 for j in range(i + 1, p)
                 if rng.random() < 0.35
             ]
-            got = set(_biconnected_components(p, pairs))
+            graph = WeightedGraph(p, tuple((i, j, 1.0) for i, j in pairs))
+            got = set(_biconnected_components(graph.neighbors))
             want = brute_biconnected(p, pairs)
             assert got == want, (p, sorted(pairs))
 
