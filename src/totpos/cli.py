@@ -9,6 +9,7 @@ after convergence); fit and signed still write their document then.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -52,23 +53,25 @@ class MatrixParseError(ValueError):
         super().__init__(where + message)
 
 
-def _split_cells(line: str) -> list[str]:
-    if "," in line:
-        cells = [c.strip() for c in line.split(",")]
-        while cells and cells[-1] == "":
-            cells.pop()
-        return cells
-    return line.split()
-
-
 def parse_matrix_text(text: str, header_row: bool | None = None) -> SymMatrix:
-    """Parse a dense square matrix, optionally preceded by a label row."""
+    """Parse a dense square matrix, optionally preceded by a label row.
+
+    A line holding a comma is read as one CSV record (quoted cells may hold
+    commas; trailing empty cells are dropped), any other line is split on
+    whitespace.  Blank lines and lines starting with '#' are skipped.
+    """
     rows: list[tuple[int, list[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        rows.append((lineno, _split_cells(line)))
+        if "," not in line:
+            rows.append((lineno, line.split()))
+            continue
+        cells = [c.strip() for c in next(csv.reader([line], skipinitialspace=True))]
+        while cells and cells[-1] == "":
+            cells.pop()
+        rows.append((lineno, cells))
     if not rows:
         raise MatrixParseError("empty input")
 
@@ -143,7 +146,7 @@ def write_matrix_csv(m: SymMatrix, path: str) -> None:
     """Write a matrix as dense CSV (shortest round-trip decimals)."""
     with open(path, "w", encoding="utf-8") as fh:
         if m.labels is not None:
-            fh.write(",".join(m.labels) + "\n")
+            csv.writer(fh, lineterminator="\n").writerow(m.labels)
         for row in m.values:
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
 

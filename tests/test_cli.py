@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from totpos import FitConfig, SymMatrix, cli, fit_signed, grw_graph
+from totpos import FitConfig, SymMatrix, active_set_oracle, cli, fit, fit_signed, grw_graph
 from totpos.cli import (
     MatrixParseError,
     _config_from_args,
@@ -17,7 +17,14 @@ from totpos.cli import (
     read_matrix_csv,
     write_matrix_csv,
 )
-from conftest import CARCASS_LABELS, CARCASS_ML_EDGES, CARCASS_R, UNBALANCED_R, random_pd
+from conftest import (
+    CARCASS_LABELS,
+    CARCASS_ML_EDGES,
+    CARCASS_R,
+    UNBALANCED_R,
+    random_correlation,
+    random_pd,
+)
 
 
 def _write_carcass(path):
@@ -82,6 +89,21 @@ class TestParsing:
             parse_matrix_text(text)
         assert (err.value.line, err.value.column) == (line, column)
 
+    def test_quoted_header(self):
+        # as R's write.csv writes it
+        m = parse_matrix_text('"a","b"\n1,0.5\n0.5,1\n')
+        assert m.labels == ("a", "b")
+
+    def test_quoted_label_holds_a_comma(self):
+        m = parse_matrix_text('"x,y","z"\n1,0.5\n0.5,1\n')
+        assert m.labels == ("x,y", "z")
+        assert m.values[0, 1] == 0.5
+
+    def test_trailing_empty_cells_dropped(self):
+        m = parse_matrix_text("a, b,\n1, 0.5,\n0.5, 1,,\n")
+        assert m.labels == ("a", "b")
+        assert m.values[1, 0] == 0.5
+
     def test_tiny_asymmetry_silently_averaged(self):
         m = parse_matrix_text("1,0.5\n0.5000000000001,1\n")
         assert m.values[0, 1] == pytest.approx(0.5, abs=1e-12)
@@ -97,6 +119,13 @@ class TestCsvRoundTrip:
         back = read_matrix_csv(str(path))
         assert np.array_equal(back.values, m.values)
         assert back.labels == m.labels
+
+    def test_label_with_a_comma(self, tmp_path):
+        m = SymMatrix(np.eye(2), labels=("x,y", "z"))
+        path = tmp_path / "m.csv"
+        write_matrix_csv(m, str(path))
+        assert path.read_text().splitlines()[0] == '"x,y",z'
+        assert read_matrix_csv(str(path)).labels == m.labels
 
 
 class TestByteOrderMark:
@@ -201,11 +230,28 @@ class TestFitCommand:
         assert main(["fit", "/nonexistent/file.csv"]) == 1
 
     def test_sweep_budget_exits_three(self, tmp_path, capsys):
-        path = _write_carcass(tmp_path / "carcass.csv")
+        # the carcass fit converges in one sweep from W, so a seeded input
+        # that needs more is used
+        path = str(tmp_path / "r.csv")
+        write_matrix_csv(random_correlation(np.random.default_rng(40), 6), path)
+        assert main(["fit", path, "--output", str(tmp_path / "full.json")]) == 0
+        assert json.loads((tmp_path / "full.json").read_text())["sweeps"] > 1
         code = main(["fit", path, "--max-sweeps", "1"])
         doc = json.loads(capsys.readouterr().out)
         assert code == 3
         assert doc["converged"] is False
+
+    def test_two_observation_sigma_fit_converges(self, tmp_path):
+        # p = 6, n = 2: the covariance sweep starts at W, which is the
+        # optimum here, and agrees with the precision sweep
+        path = str(tmp_path / "r.csv")
+        write_matrix_csv(random_correlation(np.random.default_rng(60), 6, n=2), path)
+        sigma = {}
+        for alg in ("sigma", "k"):
+            out = tmp_path / f"{alg}.json"
+            assert main(["fit", path, "--algorithm", alg, "--output", str(out)]) == 0
+            sigma[alg] = np.array(json.loads(out.read_text())["sigma_hat"])
+        assert np.abs(sigma["sigma"] - sigma["k"]).max() <= 1e-9
 
     def test_deterministic_output(self, tmp_path):
         path = _write_carcass(tmp_path / "carcass.csv")
@@ -302,9 +348,9 @@ class TestAnalyzeCommand:
         assert doc["closed_form"]["reason"] == "block [0, 1, 2, 3] is not an inverse M-matrix"
 
     def test_dot_escapes_quoted_header(self, tmp_path, capsys):
-        # R's write.csv quotes every header cell, and the quotes stay in the labels
+        # doubled quotes inside a quoted cell are literal quotes in the labels
         path = tmp_path / "r.csv"
-        path.write_text('"a","b"\n1,0.5\n0.5,1\n')
+        path.write_text('"""a""","""b"""\n1,0.5\n0.5,1\n')
         dot = tmp_path / "g.dot"
         assert main(["analyze", str(path), "--dot", str(dot)]) == 0
         assert json.loads(capsys.readouterr().out)["input"]["labels"] == ['"a"', '"b"']
@@ -340,6 +386,35 @@ class TestSignedCommand:
             if "color=red" in line
         }
         assert red == {'"0" -- "1"', '"0" -- "3"', '"1" -- "2"'}
+
+    def _switched(self, doc, r):
+        signs = np.array(doc["signs"], dtype=float)
+        return SymMatrix(r.values * np.outer(signs, signs))
+
+    def test_two_observations_exit_zero(self, tmp_path):
+        # p = 6, n = 2 under the default budget: every fit of the exhaustive
+        # search converges; the oracle stops at p = 5, so the reference is
+        # the precision sweep on the switched matrix
+        r = random_correlation(np.random.default_rng(60), 6, n=2)
+        path, out = str(tmp_path / "r.csv"), tmp_path / "o.json"
+        write_matrix_csv(r, path)
+        assert main(["signed", path, "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["method"] == "exhaustive_exact"
+        ref = fit(self._switched(doc, r), FitConfig(algorithm="k"))
+        assert np.abs(np.array(doc["sigma_hat"]) - ref.sigma_hat.values).max() <= 1e-6
+
+    def test_two_observations_match_oracle(self, tmp_path):
+        # p = 4, n = 2: the oracle answers in about a second here, against
+        # minutes at p = 5
+        r = random_correlation(np.random.default_rng(70), 4, n=2)
+        path, out = str(tmp_path / "r.csv"), tmp_path / "o.json"
+        write_matrix_csv(r, path)
+        assert main(["signed", path, "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["method"] == "exhaustive_exact"
+        ref = active_set_oracle(self._switched(doc, r))
+        assert np.abs(np.array(doc["sigma_hat"]) - ref.sigma.values).max() <= 1e-6
 
     def test_all_positive_is_balanced(self, tmp_path, capsys):
         path = tmp_path / "r.csv"

@@ -12,10 +12,13 @@ from totpos import (
     NotPositiveDefinite,
     SymMatrix,
     WeightedGraph,
+    block_closed_form,
     duality_gap,
     exists_mle,
     fit,
+    grw_graph,
     inverse_pd,
+    is_block_graph,
     kkt_certificate,
     log_likelihood,
     max_clique,
@@ -200,12 +203,15 @@ class TestMonotonicity:
 
 
 def _reference_sigma_descend(r: SymMatrix, cfg: FitConfig):
-    """The covariance sweep with one direct (p-2)x(p-2) solve per pair."""
+    """The covariance sweep with one direct (p-2)x(p-2) solve per pair, from
+    the same start: the max-product closure W when it is positive definite,
+    else the single-linkage matrix."""
     s = r.values
     p = r.dim
+    w = w_matrix(r)
     try:
-        pd_factorize(r)
-        cur = s.copy()
+        pd_factorize(w)
+        cur = w.values.copy()
     except NotPositiveDefinite:
         cur = single_linkage(r).values.copy()
     for sweep in range(1, cfg.max_sweeps + 1):
@@ -265,6 +271,67 @@ class TestSharedState:
         res = fit(random_correlation(np.random.default_rng(40), 10), FitConfig(algorithm="sigma"))
         assert res.sweeps > 1
         assert len(calls) == res.sweeps
+
+
+# A symmetric unit-diagonal matrix, not positive semidefinite, whose
+# max-product closure is not positive definite either (smallest eigenvalue
+# -3.5e-3); found by a random search over such matrices.  Sample
+# correlations gave no such closure in the same searches.
+INDEFINITE_CLOSURE_R = np.array([
+    [1.0, 0.868, -0.02, 0.933, 0.882, -0.138],
+    [0.868, 1.0, 0.228, 0.408, 0.159, 0.912],
+    [-0.02, 0.228, 1.0, 0.727, 0.835, 0.664],
+    [0.933, 0.408, 0.727, 1.0, 0.776, 0.861],
+    [0.882, 0.159, 0.835, 0.776, 1.0, 0.861],
+    [-0.138, 0.912, 0.664, 0.861, 0.861, 1.0],
+])
+
+
+class TestCovarianceStart:
+    """The covariance sweep starts at the max-product closure W when it is
+    positive definite: R <= W <= Sigma_hat, so W is dual feasible and sits
+    below the optimum."""
+
+    @pytest.mark.parametrize("n", [2, 3, 12])
+    def test_closure_between_sample_and_optimum(self, n):
+        rng = np.random.default_rng(41)
+        for _ in range(4):
+            r = random_correlation(rng, 6, n=n)
+            w = w_matrix(r).values
+            # the precision sweep does not use W, so it is an independent Sigma_hat
+            sigma = fit(r, FitConfig(algorithm="k")).sigma_hat.values
+            assert (r.values <= w + 1e-9).all()
+            assert (w <= sigma + 1e-9).all()
+
+    def test_carcass_closed_form_in_one_sweep(self, carcass):
+        res = fit(carcass, FitConfig(algorithm="sigma"))
+        w = w_matrix(carcass)
+        closed = block_closed_form(w, is_block_graph(grw_graph(carcass, w)))
+        assert res.sweeps == 1
+        assert np.abs(res.sigma_hat.values - closed.values).max() <= 1e-9
+
+    def test_rejected_closure_falls_back_to_single_linkage(self, monkeypatch):
+        r = SymMatrix(INDEFINITE_CLOSURE_R)
+        with pytest.raises(NotPositiveDefinite):
+            pd_factorize(w_matrix(r))
+        starts = []
+
+        def spy(m):
+            starts.append(m)
+            return single_linkage(m)
+
+        monkeypatch.setattr(solver, "single_linkage", spy)
+        res = fit(r, FitConfig(algorithm="sigma"))
+        assert len(starts) == 1
+        assert res.certificate.passed
+        ref = fit(r, FitConfig(algorithm="k"))
+        assert np.abs(res.sigma_hat.values - ref.sigma_hat.values).max() <= 1e-9
+
+    def test_positive_definite_closure_is_the_start(self, monkeypatch):
+        # R is singular at n = 2; W is positive definite and needs no fallback
+        monkeypatch.setattr(solver, "single_linkage", None)
+        r = random_correlation(np.random.default_rng(60), 6, n=2)
+        assert fit(r, FitConfig(algorithm="sigma")).certificate.passed
 
 
 def _reference_k_descend(r: SymMatrix, cfg: FitConfig):
@@ -408,9 +475,13 @@ class TestCliqueBound:
 
 
 class TestSweepBudget:
-    def test_max_sweeps_carries_result(self, carcass):
+    def test_max_sweeps_carries_result(self):
+        # the carcass fit converges in one sweep from W, so a seeded input
+        # that needs more is used
+        r = random_correlation(np.random.default_rng(40), 6)
+        assert fit(r).sweeps > 1
         with pytest.raises(MaxSweepsExceeded) as err:
-            fit(carcass, FitConfig(max_sweeps=1))
+            fit(r, FitConfig(max_sweeps=1))
         result = err.value.result
         assert result.sweeps == 1
         assert result.certificate is not None
