@@ -30,6 +30,7 @@ from .solver import (
     FitResult,
     MaxSweepsExceeded,
     MleDoesNotExist,
+    _fit_best,
     exists_mle,
     fit,
 )
@@ -183,9 +184,8 @@ class _Closures:
     equality: WeightedGraph  # entries equal to their best path product
 
 
-def _closures(r: SymMatrix, grw_tol: float) -> _Closures:
+def _closures(r: SymMatrix, w: SymMatrix, grw_tol: float) -> _Closures:
     forest = mwsf(r)
-    w = w_matrix(r)
     return _Closures(r, forest, ec_graph(r, forest), w, grw_graph(r, w, grw_tol))
 
 
@@ -218,14 +218,9 @@ def _fit_doc(path, s, closures, result: FitResult, cfg, mode, converged) -> dict
 def cmd_fit(path: str, cfg: FitConfig, grw_tol: float = GRW_TOL):
     """Fit the input covariance; returns (document, exit code, DOT payload)."""
     s = read_matrix_csv(path)
-    try:
-        result = fit(s, cfg)
-        converged = True
-    except MaxSweepsExceeded as exc:
-        result = exc.result
-        converged = False
+    result, converged = _fit_best(s, cfg)
     r, _ = to_correlation(s)
-    closures = _closures(r, grw_tol)
+    closures = _closures(r, result.w, grw_tol)
     doc = _fit_doc(path, s, closures, result, cfg, "mtp2", converged)
     # the path-product equality graph generically coincides with the fitted
     # graph when the closed form applies, but only generically; surface any
@@ -245,7 +240,7 @@ def cmd_analyze(path: str, grw_tol: float = GRW_TOL):
             "no maximum likelihood estimate: some normalized entry reaches one"
         )
     r, scale = to_correlation(s)
-    closures = _closures(r, grw_tol)
+    closures = _closures(r, w_matrix(r), grw_tol)
     z = fold_paths(r, closures.forest, np.minimum)  # single_linkage on the shared forest
     report = is_ultrametric(z)
     block = is_block_graph(closures.equality)
@@ -286,7 +281,7 @@ def cmd_signed(
     signed_result = fit_signed(r, cfg, exhaustive_limit=exhaustive_limit)
     # the graphs describe the switched matrix, whose spanning forest can
     # differ from the forest of |R| that chose the signs
-    closures = _closures(apply_signs(r, signed_result.signs), grw_tol)
+    closures = _closures(apply_signs(r, signed_result.signs), signed_result.fit.w, grw_tol)
     doc = _fit_doc(path, s, closures, signed_result.fit, cfg, "signed", signed_result.converged)
     doc["scale"] = scale.tolist()
     doc["signs"] = list(signed_result.signs.signs)
@@ -389,7 +384,8 @@ def _add_fit_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--algorithm", choices=ALGORITHMS, default=default.algorithm,
                         help="coordinate sweep: on the covariance or on the precision")
     parser.add_argument("--tol", type=_positive_float, default=default.tolerance,
-                        help="per-sweep L1 convergence tolerance (correlation scale)")
+                        help="stop when a sweep's L1 change (correlation scale) is below "
+                             "tol * max(1, largest diagonal entry of the iterate)")
     parser.add_argument("--max-sweeps", type=_positive_int, default=default.max_sweeps)
     parser.add_argument("--edge-threshold", type=_positive_float, default=default.edge_threshold,
                         help="relative precision cutoff defining graph edges")

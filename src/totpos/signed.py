@@ -19,7 +19,7 @@ import numpy as np
 
 from .graphs import WeightedForest, mwsf
 from .matcore import SymMatrix, require_unit_diagonal
-from .solver import FitConfig, FitResult, MaxSweepsExceeded, fit
+from .solver import FitConfig, FitResult, _fit_best
 
 # Largest dimension at which an unbalanced input gets the exhaustive search.
 EXHAUSTIVE_LIMIT = 12
@@ -70,14 +70,6 @@ def apply_signs(r: SymMatrix, d: SignVector) -> SymMatrix:
         raise ValueError("sign vector length does not match matrix dimension")
     s = np.array(d.signs, dtype=float)
     return SymMatrix(r.values * np.outer(s, s), labels=r.labels)
-
-
-def _fit_best(r: SymMatrix, cfg: FitConfig) -> tuple[FitResult, bool]:
-    """The fit and whether it converged; on a spent budget, the best iterate."""
-    try:
-        return fit(r, cfg), True
-    except MaxSweepsExceeded as exc:
-        return exc.result, False
 
 
 def _abs_forest(r: SymMatrix) -> WeightedForest:

@@ -3,42 +3,52 @@
 The estimation problem maximizes log det K - tr(S K) over symmetric positive
 definite K with nonpositive off-diagonal entries.  Its dual minimizes
 -log det Sigma - p over Sigma matching S on the diagonal and dominating S
-off the diagonal.  Two sweeps solve it, both cycling over vertex pairs in
-lexicographic order (the precision sweep over a screened subset, below) with
-a closed-form exact maximization per pair:
+off the diagonal.  Everything runs on the correlation matrix R (the
+estimator is equivariant under diagonal rescaling), so tolerances are
+dimensionless; results are rescaled on the way out.
 
-* descent on K updates the 2x2 block K_AA for A = {u, v}: with
+``fit`` builds the max-product closure W = ``w_matrix(R)`` once and runs the
+sweep that ``FitConfig.algorithm`` names in ``_SWEEPS``: a function of R and
+W that returns the start iterate and a callable that runs one sweep in place
+and returns its L1 change.  The loop ``_descend`` owns the budget and
+stops when that change falls below tolerance * max(1, largest diagonal
+entry of the iterate).  A new sweep is one function and one ``_SWEEPS``
+entry.  Both sweeps increase the likelihood at every step and converge to
+the unique optimum, cycling over vertex pairs in lexicographic order with a
+closed-form exact maximization per pair:
+
+* "k" updates the 2x2 block K_AA for A = {u, v}: with
   L = K_AB K_BB^{-1} K_BA, the unconstrained pair optimum S_AA^{-1} is taken
   when it keeps K_uv nonpositive (L_12 <= S_uv / (S_uu S_vv - S_uv^2)),
   otherwise the constraint binds and the diagonal is adjusted to
   (1 + sqrt(1 + 4 S_uu S_vv L_12^2)) / (2 S_uu) (resp. S_vv) with the
   off-diagonal pinned at -L_12;
-* descent on Sigma sets Sigma_uv = max(S_uv, L_12) with
+* "sigma" sets Sigma_uv = max(S_uv, L_12) with
   L = Sigma_AB Sigma_BB^{-1} Sigma_BA, which zeroes K_uv unless the dual
   bound binds.  The sweep keeps K = Sigma^{-1} beside Sigma, so that
   Sigma_AA - L = (K_AA)^{-1} gives L_12 from 2x2 algebra, and each move of
   Sigma_uv refreshes K by a rank-2 (Woodbury) update in O(p^2).  K is
   re-inverted from Sigma once per sweep, so rounding does not pile up.
 
-The covariance sweep starts at the max-product closure W of R
-(``w_matrix``).  The MLE has an M-matrix inverse, so it has the path-product
-property Sigma_ij >= Sigma_ik Sigma_kj, and it dominates R; the product of
-the r's along any path is then at most Sigma_ij, so R <= W <= Sigma_hat
-entrywise.  W is thus dual feasible and sits just below the optimum, and it
-is the optimum when the block closed form applies: the carcass fit, and 40
-of 40 seeded p = 6, n = 2 fits, converge in one sweep from it.  When
-``pd_factorize`` refuses W the sweep starts at the single-linkage matrix,
-which is positive definite and dual feasible whenever every correlation is
-below one.
+The covariance sweep starts at W.  The MLE has an M-matrix inverse, so it
+has the path-product property Sigma_ij >= Sigma_ik Sigma_kj, and it
+dominates R; the product of the r's along any path is then at most
+Sigma_ij, so R <= W <= Sigma_hat entrywise.  W is thus dual feasible and
+sits just below the optimum, and it is the optimum when the block closed
+form applies: the carcass fit, and 40 of 40 seeded p = 6, n = 2 fits,
+converge in one sweep from it.  When ``pd_factorize`` refuses W the sweep
+starts at the single-linkage matrix, which is positive definite and dual
+feasible whenever every correlation is below one.
 
-The precision sweep visits only the pairs of the paper's upper bound G+ on
-the ML graph (``ml_graph_upper_bound``: the r_uv that attain their best
-path product W_uv > 0).  The MLE has K_uv = 0 off G+, so it is also the optimum
-of the problem restricted to K supported on G+; that problem is strictly
+The precision sweep starts at the identity and visits only the pairs of the
+paper's upper bound G+ on the ML graph: the r_uv that attain their best
+path product W_uv > 0 (``grw_graph`` at EC_SLACK, as in
+``ml_graph_upper_bound``).  The MLE has K_uv = 0 off G+, so it also solves
+the problem restricted to K supported on G+; that problem is strictly
 concave, and a pair update writes only its own three entries, so the sweep
-started from the identity stays on G+ and converges to the same K.  About
-40% of the pairs are in G+ at n = 2p, and about p at n = 2.  The
-certificate still checks every pair, so a wrong screen cannot pass.
+stays on G+ and converges to the same K.  About 40% of the pairs are in G+
+at n = 2p, and about p at n = 2.  The certificate still checks every pair,
+so a wrong screen cannot pass.
 
 The precision sweep keeps its (p-2)x(p-2) solve per pair.  The analogous
 shared state would take its L as K_AA - (Sigma_AA)^{-1}, which cancels
@@ -46,11 +56,6 @@ badly when K is large: on a p = 6, n = 2 input with a correlation within
 1e-9 of one (K_ii near 5e8), such a sweep still moved K by 1e1 to 9e2 (L1)
 per sweep after 1000 sweeps, against a stopping threshold of 0.05, where
 the solve stops after 3 sweeps.
-
-Both iterations increase the likelihood at every step and converge to the
-unique optimum.  Everything runs on correlation scale internally (the
-estimator is equivariant under diagonal rescaling), so tolerances are
-dimensionless; results are rescaled on the way out.
 """
 
 from __future__ import annotations
@@ -72,7 +77,7 @@ from .matcore import (
     rescale_solution,
     to_correlation,
 )
-from .ultra import ml_graph_upper_bound, single_linkage, w_matrix
+from .ultra import EC_SLACK, grw_graph, single_linkage, w_matrix
 
 # Existence margin: inputs with a normalized off-diagonal entry within this
 # relative distance of one are rejected, the likelihood being unbounded or
@@ -81,10 +86,6 @@ EXIST_MARGIN = 1e-12
 
 # Tolerance at which fitted certificates are evaluated.
 CERT_TOL = 1e-6
-
-# The coordinate sweeps ``FitConfig.algorithm`` can name.
-ALGORITHMS = ("sigma", "k")
-
 
 class MleDoesNotExist(ValueError):
     """The existence pre-check failed for the given sample covariance."""
@@ -119,10 +120,10 @@ class FitConfig:
     def __post_init__(self):
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be at least 1")
+        if not isinstance(self.max_sweeps, (int, np.integer)) or self.max_sweeps < 1:
+            raise ValueError("max_sweeps must be an integer of at least 1")
         if self.algorithm not in ALGORITHMS:
-            raise ValueError("algorithm must be 'sigma' or 'k'")
+            raise ValueError(f"algorithm must be one of {', '.join(map(repr, ALGORITHMS))}")
         if not self.edge_threshold > 0:
             raise ValueError("edge_threshold must be positive")
 
@@ -156,7 +157,8 @@ class FitResult:
     """Fitted pair with its certificate and graph.
 
     ``sweeps`` counts the sweeps actually executed; ``ml_graph`` carries the
-    magnitude of the (correlation scale) precision entry as edge weight.
+    magnitude of the (correlation scale) precision entry as edge weight;
+    ``w`` is the correlation-scale closure ``w_matrix`` the fit used.
     """
 
     sigma_hat: SymMatrix
@@ -166,6 +168,7 @@ class FitResult:
     log_likelihood: float
     duality_gap: float
     ml_graph: WeightedGraph
+    w: SymMatrix
 
 
 def exists_mle(s: SymMatrix) -> bool:
@@ -242,59 +245,62 @@ def _update_pair_k(k: np.ndarray, s: np.ndarray, u: int, v: int, blocks: tuple) 
     return change
 
 
-def _descend(r: SymMatrix, cfg: FitConfig) -> tuple[np.ndarray, int, bool]:
-    """Run the configured sweep on correlation scale; returns (iterate, sweeps, converged).
+def _sigma_sweep(r: SymMatrix, w: SymMatrix):
+    """Covariance sweep over every pair, from W if positive definite, else
+    from the single-linkage matrix."""
+    try:
+        pd_factorize(w)
+        sig = w.values.copy()
+    except NotPositiveDefinite:
+        sig = single_linkage(r).values.copy()
+    pairs = list(combinations(range(r.dim), 2))
 
-    The covariance sweep starts from the max-product closure W when it is
-    positive definite (R <= W <= Sigma_hat, see the module docstring), else
-    from the single-linkage matrix; the precision sweep starts from the
-    identity.  The optimum is unique, so the start affects only the path.
-    The precision sweep visits only the pairs of ``ml_graph_upper_bound``:
-    an update never touches the entries of other pairs, so from the identity
-    K stays supported on G+, where the optimum is.
-    """
-    p = r.dim
-    s = r.values
-    if cfg.algorithm == "sigma":
-        w = w_matrix(r)
-        try:
-            pd_factorize(w)
-            cur = w.values.copy()
-        except NotPositiveDefinite:
-            cur = single_linkage(r).values.copy()
-        pairs = list(combinations(range(p), 2))
-    else:
-        cur = np.eye(p)
-        pairs = _pair_indices(p, ml_graph_upper_bound(r).edge_pairs())
-    for sweep in range(1, cfg.max_sweeps + 1):
-        change = 0.0
-        if cfg.algorithm == "sigma":
-            # re-inverted once per sweep so that the rank-2 updates do not
-            # accumulate rounding; inverse_pd's pivot threshold could refuse
-            # an ill-conditioned but positive definite iterate
-            k = np.linalg.inv(cur)
-            for u, v in pairs:
-                # both triangles count toward the L1 metric
-                change += 2.0 * _update_pair_sigma(cur, k, s, u, v)
-        else:
-            for u, v, blocks in pairs:
-                change += _update_pair_k(cur, s, u, v, blocks)
-        # The L1 metric is scaled by the largest diagonal entry of the
-        # iterate: a no-op on correlation-scale covariance sweeps, but
-        # required for the precision sweep, whose entries grow like the
-        # reciprocal boundary distance and whose per-sweep recomputation
-        # noise then dwarfs any absolute threshold.
+    def sweep() -> float:
+        # re-inverted once per sweep so that the rank-2 updates do not
+        # accumulate rounding; inverse_pd's pivot threshold could refuse an
+        # ill-conditioned but positive definite iterate
+        k = np.linalg.inv(sig)
+        # both triangles count toward the L1 metric
+        return sum(2.0 * _update_pair_sigma(sig, k, r.values, u, v) for u, v in pairs)
+
+    return sig, sweep
+
+
+def _k_sweep(r: SymMatrix, w: SymMatrix):
+    """Precision sweep over the pairs of G+, from the identity."""
+    k = np.eye(r.dim)
+    pairs = _pair_indices(r.dim, grw_graph(r, w, EC_SLACK).edge_pairs())
+    return k, lambda: sum(_update_pair_k(k, r.values, u, v, b) for u, v, b in pairs)
+
+
+# The coordinate sweeps ``FitConfig.algorithm`` can name, each with whether
+# its iterate is K (else Sigma).
+_SWEEPS = {"sigma": (_sigma_sweep, False), "k": (_k_sweep, True)}
+ALGORITHMS = tuple(_SWEEPS)
+
+
+def _descend(r: SymMatrix, w: SymMatrix, cfg: FitConfig) -> tuple[np.ndarray, bool, int, bool]:
+    """Run the configured sweep on correlation scale until it stops or the
+    budget runs out; returns (iterate, iterate is K, sweeps, converged)."""
+    start, iterate_is_k = _SWEEPS[cfg.algorithm]
+    cur, sweep = start(r, w)
+    for sweeps in range(1, cfg.max_sweeps + 1):
+        change = sweep()
+        # scaled by the largest diagonal entry: a no-op for covariance
+        # iterates, needed for precision iterates, whose entries and rounding
+        # noise grow like the reciprocal boundary distance
         if change < cfg.tolerance * max(1.0, float(cur.diagonal().max())):
-            return cur, sweep, True
-    return cur, cfg.max_sweeps, False
+            return cur, iterate_is_k, sweeps, True
+    return cur, iterate_is_k, cfg.max_sweeps, False
 
 
 def fit(s: SymMatrix, cfg: FitConfig | None = None) -> FitResult:
     """Compute the constrained MLE pair (Sigma_hat, K_hat) for a sample covariance.
 
-    Normalizes to correlation scale, runs the configured coordinate sweep
-    until the entrywise L1 change per sweep drops below the tolerance,
-    rescales back, and attaches a certificate evaluated at CERT_TOL.
+    Normalizes to correlation scale, builds W once, runs the configured sweep
+    until its L1 change (both triangles) falls below tolerance * max(1,
+    largest diagonal entry of the iterate), rescales back, and attaches a
+    certificate evaluated at CERT_TOL.
 
     Raises:
         MleDoesNotExist: the existence pre-check failed.
@@ -307,20 +313,25 @@ def fit(s: SymMatrix, cfg: FitConfig | None = None) -> FitResult:
             "no maximum likelihood estimate: some normalized entry reaches one"
         )
     r, scale = to_correlation(s)
-    iterate, sweeps, converged = _descend(r, cfg)
-    if cfg.algorithm == "sigma":
-        sigma_r = SymMatrix(iterate, labels=s.labels)
-        k_r = inverse_pd(sigma_r)
-    else:
-        k_r = SymMatrix(iterate, labels=s.labels)
-        sigma_r = inverse_pd(k_r)
-    result = _build_result(s, scale, sigma_r, k_r, sweeps, cfg)
+    w = w_matrix(r)
+    iterate, iterate_is_k, sweeps, converged = _descend(r, w, cfg)
+    it = SymMatrix(iterate, labels=s.labels)
+    sigma_r, k_r = (inverse_pd(it), it) if iterate_is_k else (it, inverse_pd(it))
+    result = _build_result(s, scale, sigma_r, k_r, sweeps, w, cfg)
     if not converged:
         raise MaxSweepsExceeded(result)
     return result
 
 
-def _build_result(s, scale, sigma_r, k_r, sweeps, cfg) -> FitResult:
+def _fit_best(s: SymMatrix, cfg: FitConfig) -> tuple[FitResult, bool]:
+    """The fit and whether it converged; on a spent budget, the best iterate."""
+    try:
+        return fit(s, cfg), True
+    except MaxSweepsExceeded as exc:
+        return exc.result, False
+
+
+def _build_result(s, scale, sigma_r, k_r, sweeps, w, cfg) -> FitResult:
     sigma_vals = rescale_solution(sigma_r, scale).values.copy()
     # the variances are equality constraints; pin them exactly
     np.fill_diagonal(sigma_vals, s.values.diagonal())
@@ -339,7 +350,7 @@ def _build_result(s, scale, sigma_r, k_r, sweeps, cfg) -> FitResult:
     cutoff = cfg.edge_threshold * float(k_r.values.diagonal().max())
     graph = WeightedGraph.from_mask(magnitude > cutoff, magnitude)
     ll = log_likelihood(k_hat, s)
-    return FitResult(sigma_hat, k_hat, cert, sweeps, ll, gap, graph)
+    return FitResult(sigma_hat, k_hat, cert, sweeps, ll, gap, graph, w)
 
 
 def duality_gap(s: SymMatrix, k: SymMatrix, sigma: SymMatrix) -> float:

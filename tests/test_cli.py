@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import inspect
@@ -6,7 +7,19 @@ import json
 import numpy as np
 import pytest
 
-from totpos import FitConfig, SymMatrix, active_set_oracle, cli, fit, fit_signed, grw_graph
+from totpos import (
+    FitConfig,
+    SymMatrix,
+    active_set_oracle,
+    cli,
+    fit,
+    fit_signed,
+    grw_graph,
+    solver,
+    ultra,
+    w_matrix,
+)
+from totpos.solver import ALGORITHMS
 from totpos.cli import (
     MatrixParseError,
     _config_from_args,
@@ -229,14 +242,16 @@ class TestFitCommand:
     def test_missing_file_exits_one(self, capsys):
         assert main(["fit", "/nonexistent/file.csv"]) == 1
 
-    def test_sweep_budget_exits_three(self, tmp_path, capsys):
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_sweep_budget_exits_three(self, tmp_path, capsys, algorithm):
         # the carcass fit converges in one sweep from W, so a seeded input
         # that needs more is used
         path = str(tmp_path / "r.csv")
         write_matrix_csv(random_correlation(np.random.default_rng(40), 6), path)
-        assert main(["fit", path, "--output", str(tmp_path / "full.json")]) == 0
+        full = ["fit", path, "--algorithm", algorithm]
+        assert main([*full, "--output", str(tmp_path / "full.json")]) == 0
         assert json.loads((tmp_path / "full.json").read_text())["sweeps"] > 1
-        code = main(["fit", path, "--max-sweeps", "1"])
+        code = main([*full, "--max-sweeps", "1"])
         doc = json.loads(capsys.readouterr().out)
         assert code == 3
         assert doc["converged"] is False
@@ -563,9 +578,13 @@ class TestDefaults:
 
     def test_fit_flags_give_default_config(self, tmp_path):
         path = _write_carcass(tmp_path / "c.csv")
+        parser = build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         for command in ("fit", "signed"):
-            args = build_parser().parse_args([command, path])
+            args = parser.parse_args([command, path])
             assert _config_from_args(args) == FitConfig()
+            options = commands.choices[command]._option_string_actions
+            assert tuple(options["--algorithm"].choices) == ALGORITHMS
 
     def test_grw_tol_and_exhaustive_limit(self, tmp_path):
         path = _write_carcass(tmp_path / "c.csv")
@@ -577,3 +596,39 @@ class TestDefaults:
         for cmd in (cli.cmd_fit, cli.cmd_analyze, cli.cmd_signed):
             assert self._default(cmd, "grw_tol") == grw_tol
         assert self._default(cli.cmd_signed, "exhaustive_limit") == limit
+
+
+class TestClosureOnce:
+    """A command builds the max-product closure W once, inside its fit."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        real = ultra.w_matrix
+
+        def counting(r):
+            calls.append(r)
+            return real(r)
+
+        for module in (ultra, solver, cli):
+            monkeypatch.setattr(module, "w_matrix", counting)
+        return calls
+
+    @pytest.mark.parametrize("argv", [
+        *(["fit", "--algorithm", a] for a in ALGORITHMS), ["signed"],
+    ], ids=[*(f"fit-{a}" for a in ALGORITHMS), "signed"])
+    def test_one_closure_per_command(self, tmp_path, capsys, calls, argv):
+        # a tridiagonal M-matrix precision: every covariance is positive,
+        # so the signed input is balanced and takes one fit
+        k = 2.0 * np.eye(5) - 0.8 * (np.eye(5, k=1) + np.eye(5, k=-1))
+        path = str(tmp_path / "r.csv")
+        write_matrix_csv(SymMatrix(np.linalg.inv(k)), path)
+        assert main([argv[0], path, *argv[1:]]) == 0
+        if argv[0] == "signed":
+            assert json.loads(capsys.readouterr().out)["method"] == "balanced_exact"
+        assert len(calls) == 1
+
+    def test_fit_carries_its_closure(self):
+        r = random_correlation(np.random.default_rng(40), 6)
+        for algorithm in ALGORITHMS:
+            assert np.array_equal(fit(r, FitConfig(algorithm=algorithm)).w.values, w_matrix(r).values)

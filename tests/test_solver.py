@@ -33,7 +33,7 @@ from totpos import (
 )
 from totpos import solver
 from totpos.cli import main
-from totpos.solver import _descend, _pair_indices, _update_pair_k, _update_pair_sigma
+from totpos.solver import ALGORITHMS, _descend, _pair_indices, _update_pair_k, _update_pair_sigma
 from conftest import (
     CARCASS_CHAIN_EDGES,
     CARCASS_ML_EDGES,
@@ -67,7 +67,9 @@ class TestConfig:
             FitConfig(tolerance=0.0)
         with pytest.raises(ValueError):
             FitConfig(max_sweeps=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="integer"):
+            FitConfig(max_sweeps=2.5)
+        with pytest.raises(ValueError, match=", ".join(f"'{a}'" for a in ALGORITHMS)):
             FitConfig(algorithm="newton")
 
 
@@ -239,7 +241,7 @@ class TestSharedState:
     def test_matches_direct_solve_sweep(self):
         cfg = FitConfig(algorithm="sigma", max_sweeps=1000)
         for r in self._inputs():
-            sig, sweeps, converged = _descend(r, cfg)
+            sig, _, sweeps, converged = _descend(r, w_matrix(r), cfg)
             ref, ref_sweeps, ref_converged = _reference_sigma_descend(r, cfg)
             assert (sweeps, converged) == (ref_sweeps, ref_converged)
             assert np.abs(sig - ref).max() <= 1e-12
@@ -376,7 +378,7 @@ class TestScreenedPrecisionSweep:
     def test_matches_full_sweep(self):
         cfg = FitConfig(algorithm="k")
         for r in self._inputs():
-            k, _, converged = _descend(r, cfg)
+            k, _, _, converged = _descend(r, w_matrix(r), cfg)
             ref, _, ref_converged = _reference_k_descend(r, cfg)
             assert converged and ref_converged
             assert np.abs(k - ref).max() <= 1e-10 * np.abs(ref).max()
@@ -409,7 +411,8 @@ class TestScreenedPrecisionSweep:
         narrowed = WeightedGraph(
             carcass.dim, tuple(e for e in bound.edges if (e[0], e[1]) != dropped)
         )
-        monkeypatch.setattr(solver, "ml_graph_upper_bound", lambda r: narrowed)
+        # the precision sweep reads G+ as the equality graph of W at EC_SLACK
+        monkeypatch.setattr(solver, "grw_graph", lambda r, w, tol: narrowed)
         res = fit(carcass, FitConfig(algorithm="k"))
         assert not res.certificate.passed
         path = tmp_path / "carcass.csv"
@@ -475,13 +478,14 @@ class TestCliqueBound:
 
 
 class TestSweepBudget:
-    def test_max_sweeps_carries_result(self):
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_max_sweeps_carries_result(self, algorithm):
         # the carcass fit converges in one sweep from W, so a seeded input
         # that needs more is used
         r = random_correlation(np.random.default_rng(40), 6)
-        assert fit(r).sweeps > 1
+        assert fit(r, FitConfig(algorithm=algorithm)).sweeps > 1
         with pytest.raises(MaxSweepsExceeded) as err:
-            fit(r, FitConfig(max_sweeps=1))
+            fit(r, FitConfig(max_sweeps=1, algorithm=algorithm))
         result = err.value.result
         assert result.sweeps == 1
         assert result.certificate is not None

@@ -1,0 +1,157 @@
+"""Byte-parity gate for the command line.
+
+Runs a fixed, seeded set of CLI invocations in-process and writes a JSON
+manifest ``{run: [exit code, sha256 of the document, sha256 of the DOT
+file]}``.  The document is hashed without its ``generated_at`` line, the
+only part that changes between two runs of the same tree.  Inputs are
+sample covariances of Gaussian draws with a sparse M-matrix precision, at
+p = 3 to 20 and n = 2, 3 and 2p; odd seeds flip the signs of some
+variables, even seeds carry a header row.  Each input runs ``fit`` with
+every algorithm, ``signed`` and ``analyze``, all with ``--dot``.
+
+    python tools/cli_parity.py SRC --output manifest.json
+    python tools/cli_parity.py --compare A.json B.json
+
+SRC is the ``src`` directory whose ``totpos`` package is run.  Two trees
+behave the same when their manifests are equal: ``--compare`` lists the
+runs that differ and exits 1 when any do.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import re
+import sys
+import tempfile
+import warnings
+
+import numpy as np
+
+DIMS = (3, 4, 5, 6, 8, 10, 12, 16, 20)
+SEEDS = range(5)
+# pinned, not read from the package, so that two trees run the same set
+ALGORITHMS = ("sigma", "k")
+# Caps that keep one run under a few seconds: a covariance sweep that stalls
+# at n = 2 stops at the budget, and an unbalanced signed input beyond p = 6
+# takes the forest heuristic instead of 2^(p-1) fits.
+FIT_FLAGS = ("--max-sweeps", "200")
+SIGNED_FLAGS = (*FIT_FLAGS, "--exhaustive-limit", "6")
+GENERATED_AT = re.compile(r'^  "generated_at": .*\n', flags=re.M)
+
+
+def sample_covariance(p: int, n: int, seed: int) -> np.ndarray:
+    """Sample covariance (known zero mean) of n draws from a Gaussian whose
+    precision is a random sparse M-matrix; odd seeds flip signs at random."""
+    rng = np.random.default_rng([p, n, seed])
+    mask = np.triu(rng.random((p, p)) < 3.0 / p, 1)
+    a = np.where(mask, rng.uniform(0.2, 1.0, (p, p)), 0.0)
+    a = a + a.T
+    k = -a
+    np.fill_diagonal(k, a.sum(axis=1) + rng.uniform(1.0, 2.0, p))
+    x = rng.standard_normal((n, p)) @ np.linalg.cholesky(np.linalg.inv(k)).T
+    if seed % 2:
+        x *= np.where(rng.random(p) < 0.5, -1.0, 1.0)
+    return x.T @ x / n
+
+
+def cases(dims=DIMS, seeds=SEEDS) -> list[tuple[str, str]]:
+    """(name, CSV text) for every input of the gate."""
+    out = []
+    for p in dims:
+        for n in sorted({2, 3, 2 * p}):
+            for seed in seeds:
+                s = sample_covariance(p, n, seed)
+                lines = [",".join(f"v{i}" for i in range(p))] if seed % 2 == 0 else []
+                lines += [",".join(repr(float(x)) for x in row) for row in s]
+                out.append((f"p{p:02d}_n{n:02d}_s{seed}", "\n".join(lines) + "\n"))
+    return out
+
+
+def invocations(name: str) -> dict[str, list[str]]:
+    path = f"{name}.csv"
+    runs = {f"{name}/fit-{a}": ["fit", path, "--algorithm", a, *FIT_FLAGS] for a in ALGORITHMS}
+    runs[f"{name}/signed"] = ["signed", path, *SIGNED_FLAGS]
+    runs[f"{name}/analyze"] = ["analyze", path]
+    return runs
+
+
+def _sha256(path: str, strip=None) -> str | None:
+    if not os.path.exists(path):
+        return None
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    if strip is not None:
+        text = strip.sub("", text, count=1)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def manifest(cli, inputs, workdir: str) -> dict[str, list]:
+    """Run every invocation of ``inputs`` through ``cli.main`` inside
+    ``workdir``; paths are relative, so documents do not depend on it."""
+    out = {}
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for name, text in inputs:
+            with open(f"{name}.csv", "w", encoding="utf-8") as fh:
+                fh.write(text)
+            for run, argv in invocations(name).items():
+                doc, dot = "out.json", "out.dot"
+                for stale in (doc, dot):
+                    if os.path.exists(stale):
+                        os.remove(stale)
+                with warnings.catch_warnings(), contextlib.redirect_stderr(io.StringIO()):
+                    warnings.simplefilter("ignore")
+                    try:
+                        code = cli.main([*argv, "--output", doc, "--dot", dot])
+                    except Exception as exc:  # recorded, so that the gate compares it
+                        code = f"raised {type(exc).__name__}"
+                out[run] = [code, _sha256(doc, GENERATED_AT), _sha256(dot)]
+    finally:
+        os.chdir(cwd)
+    return out
+
+
+def compare(a: dict, b: dict) -> list[str]:
+    return sorted(run for run in a.keys() | b.keys() if a.get(run) != b.get(run))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("src", nargs="?", help="src directory holding the totpos package")
+    parser.add_argument("--output", help="write the manifest here instead of stdout")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two manifests")
+    args = parser.parse_args(argv)
+    if args.compare:
+        with open(args.compare[0]) as fa, open(args.compare[1]) as fb:
+            a, b = json.load(fa), json.load(fb)
+        differ = compare(a, b)
+        for run in differ:
+            print(f"{run}: {a.get(run)} != {b.get(run)}")
+        print(f"{len(a.keys() | b.keys()) - len(differ)} identical, {len(differ)} differ")
+        return 1 if differ else 0
+    if not args.src:
+        parser.error("give a src directory or --compare")
+    sys.path.insert(0, os.path.abspath(args.src))
+    from totpos import cli
+
+    if not os.path.abspath(cli.__file__).startswith(os.path.abspath(args.src) + os.sep):
+        parser.error(f"imported totpos from {cli.__file__}, not from {args.src}")
+    with tempfile.TemporaryDirectory() as workdir:
+        result = manifest(cli, cases(), workdir)
+    text = json.dumps(result, indent=1, sort_keys=True) + "\n"
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
