@@ -631,4 +631,5 @@ class TestClosureOnce:
     def test_fit_carries_its_closure(self):
         r = random_correlation(np.random.default_rng(40), 6)
         for algorithm in ALGORITHMS:
-            assert np.array_equal(fit(r, FitConfig(algorithm=algorithm)).w.values, w_matrix(r).values)
+            w = fit(r, FitConfig(algorithm=algorithm)).w
+            assert np.array_equal(w.values, w_matrix(r).values)
