@@ -50,12 +50,14 @@ stays on G+ and converges to the same K.  About 40% of the pairs are in G+
 at n = 2p, and about p at n = 2.  The certificate still checks every pair,
 so a wrong screen cannot pass.
 
-The precision sweep keeps its (p-2)x(p-2) solve per pair.  The analogous
-shared state would take its L as K_AA - (Sigma_AA)^{-1}, which cancels
-badly when K is large: on a p = 6, n = 2 input with a correlation within
-1e-9 of one (K_ii near 5e8), such a sweep still moved K by 1e1 to 9e2 (L1)
-per sweep after 1000 sweeps, against a stopping threshold of 0.05, where
-the solve stops after 3 sweeps.
+The precision sweep keeps one (p-2)x(p-2) LU solve per pair: K_BB and K_BA
+are gathered by flat indices that ``_pair_indices`` computes once per fit,
+and LAPACK's dgesv, the routine np.linalg.solve wraps, is called directly,
+without numpy's per-call overhead.  The analogous shared state would take
+its L as K_AA - (Sigma_AA)^{-1}, which cancels badly when K is large: on a
+p = 6, n = 2 input with a correlation within 1e-9 of one (K_ii near 5e8),
+such a sweep still moved K by 1e1 to 9e2 (L1) per sweep after 1000 sweeps,
+against a stopping threshold of 0.05, where the solve stops after 3 sweeps.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 
 from .graphs import WeightedGraph
 from .matcore import (
@@ -187,11 +190,12 @@ def exists_mle(s: SymMatrix) -> bool:
 
 def _pair_indices(p: int, pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int, tuple]]:
     """The given pairs (u < v) of ``p`` vertices in sweep order, each with the
-    index blocks its ``k`` update reads (empty when p = 2)."""
+    flat indices into K of the blocks K_BB and K_BA its ``k`` update reads,
+    B being the other p - 2 vertices (empty when p = 2)."""
     out = []
     for u, v in sorted(pairs):
         rest = np.array([k for k in range(p) if k != u and k != v], dtype=int)
-        out.append((u, v, (np.ix_(rest, rest), np.ix_(rest, [u, v]), np.ix_([u, v], rest))))
+        out.append((u, v, (p * rest[:, None] + rest, p * rest[:, None] + np.array([u, v]))))
     return out
 
 
@@ -202,10 +206,11 @@ def _update_pair_sigma(sig: np.ndarray, k: np.ndarray, s: np.ndarray, u: int, v:
     by Woodbury, K -= K[:, A] M K[A, :] with M = C (I + K_AA C)^{-1} and
     C = [[0, d], [d, 0]].  Returns the absolute change.
     """
-    kuu, kvv, kuv = k[u, u], k[v, v], k[u, v]
-    l12 = sig[u, v] + kuv / (kuu * kvv - kuv * kuv)
-    new = max(s[u, v], l12)
-    d = new - sig[u, v]
+    kuu, kvv, kuv = k.item(u, u), k.item(v, v), k.item(u, v)
+    suv = sig.item(u, v)
+    l12 = suv + kuv / (kuu * kvv - kuv * kuv)
+    new = max(s.item(u, v), l12)
+    d = new - suv
     if d == 0.0:
         return 0.0
     sig[u, v] = sig[v, u] = new
@@ -220,11 +225,23 @@ def _update_pair_sigma(sig: np.ndarray, k: np.ndarray, s: np.ndarray, u: int, v:
 
 
 def _update_pair_k(k: np.ndarray, s: np.ndarray, u: int, v: int, blocks: tuple) -> float:
-    """Exact maximization over the (u, v) block of K; returns the L1 change."""
-    bb, ba, ab = blocks
-    l = k[ab] @ np.linalg.solve(k[bb], k[ba])
-    l12 = float(l[0, 1])
-    suu, svv, suv = s[u, u], s[v, v], s[u, v]
+    """Exact maximization over the (u, v) block of K; returns the L1 change.
+
+    ``blocks`` holds the flat indices of K_BB and K_BA from ``_pair_indices``;
+    L = K_AB K_BB^{-1} K_BA comes from one LU solve (LAPACK dgesv).
+    """
+    bb, ba = blocks
+    flat = k.ravel()
+    k_ba = flat.take(ba)
+    if len(k_ba):
+        _, _, x, info = dgesv(flat.take(bb), k_ba)
+        if info > 0:
+            raise np.linalg.LinAlgError("K_BB is singular")
+        l = k_ba.T @ x
+    else:
+        l = np.zeros((2, 2))
+    l12 = l.item(0, 1)
+    suu, svv, suv = s.item(u, u), s.item(v, v), s.item(u, v)
     det = suu * svv - suv * suv
     # det == 0 only when the normalized entry sits at -1 (the +1 side is
     # rejected by the existence check); the product form keeps that case in
@@ -236,10 +253,11 @@ def _update_pair_k(k: np.ndarray, s: np.ndarray, u: int, v: int, blocks: tuple) 
         k11 = (1.0 + root) / (2.0 * suu)
         k22 = (1.0 + root) / (2.0 * svv)
         k12 = -l12
-    new_uu = k11 + l[0, 0]
-    new_vv = k22 + l[1, 1]
+    new_uu = k11 + l.item(0, 0)
+    new_vv = k22 + l.item(1, 1)
     new_uv = k12 + l12
-    change = abs(new_uu - k[u, u]) + abs(new_vv - k[v, v]) + 2.0 * abs(new_uv - k[u, v])
+    change = (abs(new_uu - k.item(u, u)) + abs(new_vv - k.item(v, v))
+              + 2.0 * abs(new_uv - k.item(u, v)))
     k[u, u], k[v, v] = new_uu, new_vv
     k[u, v] = k[v, u] = new_uv
     return change

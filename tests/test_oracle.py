@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,79 @@ from totpos import (
     fit,
     FitConfig,
 )
-from totpos.oracle import _restricted_mle
+from totpos.oracle import NEWTON_TOL, _restricted_mle, _restricted_mles
 from conftest import CARCASS_LABELS, CARCASS_R, random_correlation
+
+# The tenth p = 4, n = 2 draw of random_correlation(default_rng(5), ., n=2),
+# after ten p = 3 draws.  On the support {01, 03, 13, 23} the restricted
+# problem has no maximum: the Newton iterate grows to entries near 1e16 until
+# inverting it raises, which once escaped the oracle.
+DIVERGENT_SUPPORT_R = np.array([
+    [1.0, 0.9398083503150123, 0.940639495049888, 0.4638264142934825],
+    [0.9398083503150123, 1.0, 0.7680446823345223, 0.7386306682083987],
+    [0.940639495049888, 0.7680446823345223, 1.0, 0.13560362530127135],
+    [0.4638264142934825, 0.7386306682083987, 0.13560362530127135, 1.0],
+])
+
+
+def _reference_restricted_mle(r: np.ndarray, support_pairs) -> np.ndarray | None:
+    """The restricted Newton iteration for one support, one candidate at a
+    time: identity start, at most 200 steps, 60 step halvings accepting at
+    ll - 1e-12, Cholesky as the positive definiteness test; None when a step
+    fails."""
+    p = r.shape[0]
+    idx_i = np.array([i for i in range(p)] + [i for i, _ in support_pairs], dtype=int)
+    idx_j = np.array([i for i in range(p)] + [j for _, j in support_pairs], dtype=int)
+    mult = np.where(idx_i == idx_j, 1.0, 2.0)
+
+    def assemble(theta):
+        k = np.zeros((p, p))
+        k[idx_i, idx_j] = theta
+        k[idx_j, idx_i] = theta
+        return k
+
+    def chol_logdet(k):
+        try:
+            low = np.linalg.cholesky(k)
+        except np.linalg.LinAlgError:
+            return None
+        return 2.0 * float(np.log(low.diagonal()).sum())
+
+    theta = np.zeros(len(idx_i))
+    theta[:p] = 1.0
+    k = assemble(theta)
+    ll = chol_logdet(k) - float((r * k).sum())
+    for _ in range(200):
+        try:
+            sigma = np.linalg.inv(k)
+        except np.linalg.LinAlgError:
+            return None
+        grad = mult * (sigma[idx_i, idx_j] - r[idx_i, idx_j])
+        if np.abs(grad).max() < NEWTON_TOL:
+            return k
+        hess = -0.5 * np.outer(mult, mult) * (
+            sigma[np.ix_(idx_i, idx_i)] * sigma[np.ix_(idx_j, idx_j)]
+            + sigma[np.ix_(idx_i, idx_j)] * sigma[np.ix_(idx_j, idx_i)]
+        )
+        try:
+            step = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError:
+            return None
+        t = 1.0
+        for _ in range(60):
+            cand = assemble(theta + t * step)
+            logdet = chol_logdet(cand)
+            if logdet is not None:
+                cand_ll = logdet - float((r * cand).sum())
+                if cand_ll >= ll - 1e-12:
+                    theta = theta + t * step
+                    k = cand
+                    ll = cand_ll
+                    break
+            t /= 2.0
+        else:
+            return None
+    return None
 
 
 class TestSmallCases:
@@ -29,6 +102,13 @@ class TestSmallCases:
     def test_dimension_limit(self):
         with pytest.raises(ValueError):
             active_set_oracle(SymMatrix(np.eye(6)))
+
+    def test_divergent_support_fails_alone(self):
+        s = SymMatrix(DIVERGENT_SUPPORT_R)
+        sol = active_set_oracle(s)
+        res = fit(s, FitConfig(algorithm="sigma"))
+        assert sol.kkt.passed
+        assert np.abs(sol.sigma.values - res.sigma_hat.values).max() <= 1e-6
 
     def test_existence_required(self):
         x = np.array([1.0, 2.0])
@@ -61,6 +141,23 @@ class TestRestrictedSolve:
         for i, j in pairs:
             assert sigma[i, j] == pytest.approx(r.values[i, j], abs=1e-10)
         assert k[0, 2] == 0.0 and k[1, 4] == 0.0
+
+    @pytest.mark.parametrize("n", [7, 2])
+    def test_batch_matches_one_at_a_time(self, n):
+        # n = 7 is p + 3; at n = 2 the reproducer has 24 supports without a
+        # maximum, one of them ending in a singular K
+        if n == 2:
+            r = DIVERGENT_SUPPORT_R
+        else:
+            r = random_correlation(np.random.default_rng(74), 4, n=n).values
+        all_pairs = list(combinations(range(4), 2))
+        for size in range(len(all_pairs) + 1):
+            subsets = list(combinations(all_pairs, size))
+            for subset, k in zip(subsets, _restricted_mles(r, subsets)):
+                ref = _reference_restricted_mle(r, subset)
+                assert (k is None) == (ref is None), subset
+                if ref is not None:
+                    assert np.abs(k - ref).max() <= 1e-12
 
 
 class TestAgainstSolver:

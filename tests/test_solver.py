@@ -404,6 +404,39 @@ class TestScreenedPrecisionSweep:
                 if (i, j) not in bound:
                     assert k[i, j] == 0.0 and k[j, i] == 0.0
 
+    def test_one_lu_solve_per_pair_and_no_numpy_solve(self, monkeypatch):
+        real_dgesv = solver.dgesv
+        shapes = []
+
+        def counting_dgesv(a, b):
+            shapes.append(a.shape)
+            return real_dgesv(a, b)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the precision sweep called np.linalg.solve")
+
+        monkeypatch.setattr(solver, "dgesv", counting_dgesv)
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        r = random_correlation(np.random.default_rng(40), 10)
+        res = fit(r, FitConfig(algorithm="k"))
+        assert res.sweeps > 1
+        assert len(shapes) == res.sweeps * len(ml_graph_upper_bound(r).edge_pairs())
+        assert set(shapes) == {(8, 8)}
+
+    def test_pair_update_with_empty_or_singular_rest(self):
+        # p = 2: B is empty and the update is the pair optimum S_AA^{-1}
+        s = np.array([[1.0, 0.5], [0.5, 1.0]])
+        k = np.eye(2)
+        [(u, v, blocks)] = _pair_indices(2, [(0, 1)])
+        _update_pair_k(k, s, u, v, blocks)
+        assert np.abs(k - np.linalg.inv(s)).max() <= 1e-14
+        # an exactly singular K_BB raises
+        k = np.eye(4)
+        k[3, 3] = 0.0
+        [(u, v, blocks)] = _pair_indices(4, [(0, 1)])
+        with pytest.raises(np.linalg.LinAlgError):
+            _update_pair_k(k, np.eye(4), u, v, blocks)
+
     def test_dropping_an_ml_edge_is_not_certified(self, carcass, tmp_path, capsys, monkeypatch):
         bound = ml_graph_upper_bound(carcass)
         dropped = min(CARCASS_ML_EDGES)
