@@ -1,5 +1,11 @@
 """Command line interface: matrix ingestion, fitting, analysis, export.
 
+Result documents are written exactly as ``json.dumps(doc, indent=2,
+sort_keys=True)`` would write them, non-finite values included (``NaN``,
+``Infinity``), by the block writer in ``jsonout``.  CSV rows are converted
+one row at a time; only a row that fails is scanned cell by cell, to name
+the offending cell.
+
 Exit codes: 0 on success with a passing certificate, 1 on input parse
 errors, 2 when no maximum likelihood estimate exists or on a usage error
 (argparse), 3 when the sweep budget runs out (or the certificate fails
@@ -11,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import json
 import math
 import os
 import sys
@@ -21,6 +26,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from . import jsonout
 from .graphs import WeightedForest, WeightedGraph, fold_paths, mwsf
 from .matcore import SymMatrix, to_correlation
 from .oracle import MAX_ORACLE_DIM, active_set_oracle
@@ -54,6 +60,19 @@ class MatrixParseError(ValueError):
         super().__init__(where + message)
 
 
+def _raise_at_bad_cell(lineno: int, cells: list[str]) -> None:
+    """Raise the parse error of the first cell that is not a finite number."""
+    for j, cell in enumerate(cells):
+        try:
+            value = float(cell)
+        except ValueError:
+            raise MatrixParseError(
+                f"invalid number {cell!r}", line=lineno, column=j + 1
+            ) from None
+        if not math.isfinite(value):
+            raise MatrixParseError(f"non-finite entry {cell!r}", line=lineno, column=j + 1)
+
+
 def parse_matrix_text(text: str, header_row: bool | None = None) -> SymMatrix:
     """Parse a dense square matrix, optionally preceded by a label row.
 
@@ -69,7 +88,7 @@ def parse_matrix_text(text: str, header_row: bool | None = None) -> SymMatrix:
         if "," not in line:
             rows.append((lineno, line.split()))
             continue
-        cells = [c.strip() for c in next(csv.reader([line], skipinitialspace=True))]
+        cells = list(map(str.strip, next(csv.reader([line], skipinitialspace=True))))
         while cells and cells[-1] == "":
             cells.pop()
         rows.append((lineno, cells))
@@ -99,23 +118,20 @@ def parse_matrix_text(text: str, header_row: bool | None = None) -> SymMatrix:
         )
     if labels is not None and len(labels) != p:
         raise MatrixParseError(f"header has {len(labels)} labels for {p} columns")
-    data = np.zeros((p, p))
-    for i, (lineno, cells) in enumerate(rows):
+    values = []
+    for lineno, cells in rows:
         if len(cells) != p:
             raise MatrixParseError(
                 f"expected {p} entries, found {len(cells)}", line=lineno
             )
-        for j, cell in enumerate(cells):
-            try:
-                data[i, j] = float(cell)
-            except ValueError:
-                raise MatrixParseError(
-                    f"invalid number {cell!r}", line=lineno, column=j + 1
-                ) from None
-            if not math.isfinite(data[i, j]):
-                raise MatrixParseError(
-                    f"non-finite entry {cell!r}", line=lineno, column=j + 1
-                )
+        try:
+            row = list(map(float, cells))
+        except ValueError:
+            row = None
+        if row is None or not all(map(math.isfinite, row)):
+            _raise_at_bad_cell(lineno, cells)
+        values.append(row)
+    data = np.array(values)
     scale = max(1.0, float(np.abs(data).max()))
     asym = float(np.abs(data - data.T).max())
     if asym > 1e-9 * scale:
@@ -148,8 +164,8 @@ def write_matrix_csv(m: SymMatrix, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         if m.labels is not None:
             csv.writer(fh, lineterminator="\n").writerow(m.labels)
-        for row in m.values:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        cells = jsonout.FloatTexts()(m.values.ravel())
+        fh.writelines(",".join(cells[i : i + m.dim]) + "\n" for i in range(0, len(cells), m.dim))
 
 
 def _sha256_file(path: str) -> str:
@@ -335,7 +351,7 @@ def cmd_selftest(trials: int, dims: list[int], seed: int, out=print) -> int:
 
 
 def _emit(doc: dict, output: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = jsonout.dumps(doc) + "\n"
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -46,17 +47,28 @@ class _DisjointSet:
 
 
 def _check_edges(dim: int, edges) -> tuple[Edge, ...]:
-    seen = set()
-    out = []
-    for i, j, w in edges:
-        if not (0 <= i < j < dim):
-            raise ValueError(f"bad edge ({i}, {j}) for dimension {dim}")
-        if (i, j) in seen:
-            raise ValueError(f"duplicate edge ({i}, {j})")
-        seen.add((i, j))
-        out.append((int(i), int(j), float(w)))
-    out.sort(key=lambda e: (e[0], e[1]))
-    return tuple(out)
+    """Edges as (int, int, float), sorted by pair; raises ValueError at the
+    first edge, in input order, that is out of range, not ordered i < j, or
+    a pair already given."""
+    edges = tuple(edges)
+    if not edges:
+        return ()
+    if set(map(len, edges)) != {3}:
+        raise ValueError("an edge is a triple (i, j, weight)")
+    i, j, w = np.fromiter(chain.from_iterable(edges), float, 3 * len(edges)).reshape(-1, 3).T
+    bad = ~((0 <= i) & (i < j) & (j < dim))
+    order = np.lexsort((j, i))  # stable: equal pairs stay in input order
+    si, sj = i[order], j[order]
+    repeated = np.zeros(len(edges), dtype=bool)
+    repeated[order[1:][(si[1:] == si[:-1]) & (sj[1:] == sj[:-1])]] = True
+    offending = np.flatnonzero(bad | repeated)
+    if len(offending):
+        k = offending[0]
+        a, b = edges[k][0], edges[k][1]
+        if bad[k]:
+            raise ValueError(f"bad edge ({a}, {b}) for dimension {dim}")
+        raise ValueError(f"duplicate edge ({a}, {b})")
+    return tuple(zip(si.astype(np.int64).tolist(), sj.astype(np.int64).tolist(), w[order].tolist()))
 
 
 @dataclass(frozen=True)
@@ -230,19 +242,23 @@ def to_dot(graph: WeightedGraph, labels=None, style=None) -> str:
     """Serialize to Graphviz DOT with a weight attribute per edge.
 
     Vertex names are quoted, with backslashes and double quotes escaped.
-    ``style``, when given, maps an edge (i, j) to extra attributes written
-    after the weight.
+    ``style``, when given, holds extra attributes for each edge, in edge
+    order, written after the weight.
     """
     if labels is not None and len(labels) != graph.dim:
         raise ValueError("label count does not match graph dimension")
+    if style is not None and len(style) != len(graph.edges):
+        raise ValueError("style count does not match edge count")
     names = [
         str(x).replace("\\", "\\\\").replace('"', '\\"')
         for x in (labels if labels is not None else range(graph.dim))
     ]
     lines = ["graph G {"]
     lines.extend(f'  "{name}";' for name in names)
-    for i, j, w in graph.edges:
-        extra = style(i, j) if style is not None else ""
-        lines.append(f'  "{names[i]}" -- "{names[j]}" [weight="{w:.6f}"{extra}];')
+    if graph.edges:
+        i, j, w = zip(*graph.edges)
+        extra = style if style is not None else [""] * len(w)
+        cells = zip(map(names.__getitem__, i), map(names.__getitem__, j), w, extra)
+        lines.extend(map('  "%s" -- "%s" [weight="%.6f"%s];'.__mod__, cells))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -11,7 +11,7 @@ envelope ``ml_graph_upper_bound`` that screens the solver's precision sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -186,19 +186,21 @@ def tiered_dot(
     dim = forest.dim
     if middle.dim != dim or envelope.dim != dim:
         raise ValueError("dimension mismatch")
-    forest_pairs = forest.edge_pairs()
-    middle_pairs = middle.edge_pairs()
-    # prefer envelope/forest weights (input scale) over middle ones
-    weight = {(i, j): w for i, j, w in middle.edges}
-    weight.update({(i, j): w for i, j, w in envelope.edges})
-    weight.update({(i, j): w for i, j, w in forest.edges})
 
-    def tier(i: int, j: int) -> str:
-        if (i, j) in forest_pairs:
-            return ", color=red, penwidth=2.5"
-        if (i, j) in middle_pairs:
-            return ", color=blue"
-        return ", color=gray, penwidth=0.5"
+    def keyed(graph):
+        count = len(graph.edges)
+        cols = np.fromiter(chain.from_iterable(graph.edges), float, 3 * count).reshape(count, 3)
+        return cols[:, 0].astype(np.int64) * dim + cols[:, 1].astype(np.int64), cols[:, 2]
 
-    union = WeightedGraph(dim, tuple((i, j, w) for (i, j), w in weight.items()))
-    return to_dot(union, labels=labels, style=tier)
+    (fk, fw), (ek, ew), (mk, mw) = map(keyed, (forest, envelope, middle))
+    # the first occurrence of a pair gives its weight: forest and envelope
+    # weights (input scale) before middle ones
+    union, first = np.unique(np.concatenate((fk, ek, mk)), return_index=True)
+    weights = np.concatenate((fw, ew, mw))[first]
+    tier = np.full(len(union), 2)
+    tier[np.isin(union, mk)] = 1
+    tier[np.isin(union, fk)] = 0
+    styles = (", color=red, penwidth=2.5", ", color=blue", ", color=gray, penwidth=0.5")
+    edges = zip((union // dim).tolist(), (union % dim).tolist(), weights.tolist())
+    union_graph = WeightedGraph(dim, tuple(edges))
+    return to_dot(union_graph, labels=labels, style=list(map(styles.__getitem__, tier.tolist())))

@@ -121,6 +121,17 @@ class TestParsing:
         m = parse_matrix_text("1,0.5\n0.5000000000001,1\n")
         assert m.values[0, 1] == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("text, message", [
+        ("1,inf,oops\n1,1,1\n1,1,1\n", "line 1, column 2: non-finite entry 'inf'"),
+        ("1,oops,inf\n1,1,1\n1,1,1\n", "line 1, column 2: invalid number 'oops'"),
+        ("1,1,nan\n1,1,oops\n1,1,1\n", "line 1, column 3: non-finite entry 'nan'"),
+        ("1,1,1\n1,1,oops\n1,inf,1\n", "line 2, column 3: invalid number 'oops'"),
+    ])
+    def test_first_bad_cell_in_reading_order(self, text, message):
+        with pytest.raises(MatrixParseError) as err:
+            parse_matrix_text(text, header_row=False)
+        assert str(err.value) == message
+
 
 class TestCsvRoundTrip:
     def test_seventeen_digit_fidelity(self, tmp_path):
@@ -139,6 +150,17 @@ class TestCsvRoundTrip:
         write_matrix_csv(m, str(path))
         assert path.read_text().splitlines()[0] == '"x,y",z'
         assert read_matrix_csv(str(path)).labels == m.labels
+
+    def test_cells_written_as_repr(self, tmp_path):
+        # enough entries for the formatting to run once per distinct value;
+        # 0.0 and -0.0 compare equal but are written apart
+        values = random_pd(np.random.default_rng(81), 12).values.copy()
+        values[0, 1] = values[1, 0] = -0.0
+        values[0, 2] = values[2, 0] = 0.0
+        path = tmp_path / "m.csv"
+        write_matrix_csv(SymMatrix(values), str(path))
+        expected = "".join(",".join(repr(float(x)) for x in row) + "\n" for row in values)
+        assert path.read_text() == expected
 
 
 class TestByteOrderMark:
@@ -633,3 +655,111 @@ class TestClosureOnce:
         for algorithm in ALGORITHMS:
             w = fit(r, FitConfig(algorithm=algorithm)).w
             assert np.array_equal(w.values, w_matrix(r).values)
+
+
+def _collinear_covariance() -> np.ndarray:
+    """The input of ``test_indefinite_pinned_sigma_exits_three``."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((2, 6))
+    x[:, 4] = x[:, 1] * (1 + 1e-4 * rng.standard_normal(2))
+    return x.T @ x / 2
+
+
+def _synthetic_document() -> dict:
+    """Every kind of value a JSON document can hold, in blocks long enough
+    for the text of each distinct float to be formatted once."""
+    special = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1e16,
+               -1e-7, 0.1, 1.0, -2.5, 123456789.0]
+    rng = np.random.default_rng(5)
+    floats = rng.standard_normal(80).tolist() + special * 6
+    matrix = [[special[(i + j) % len(special)] for j in range(12)] for i in range(12)]
+    return {
+        "floats": floats,
+        "special": special,
+        "matrix": matrix,
+        "matrix_again": [row[::-1] for row in matrix],
+        "edges": [[i, i + 1, x] for i, x in enumerate(floats)],
+        "tuple_rows": ((1, 2, 0.5), (3, 4, 0.25)),
+        "int_matrix": [[i * j - 40 for j in range(9)] for i in range(9)],
+        "ints_beside_floats": [1, 1.0, 2, -0.0, 10**20, 2.0**70, True, None, "x"],
+        "mixed_rows": [[1, "a", None], [2.0, True, float("nan")], [3, "b", -0.0]],
+        "ragged": [[1.0, 2.0], [3.0], [], [4.0, 5.0, 6.0]],
+        "nested": [[[1.0, 2.0]], [[3.0]], []],
+        "empty": {"list": [], "dict": {}, "tuple": ()},
+        "Ünïcødé ключ": {"labels": ["α", 'β "q"', "tab\t", " ", "\\"], "✓": "värde"},
+        "bools": [True, False],
+        "nones": [None, None],
+        "scalars": [None, True, False, 0, -1, 0.5, "s"],
+        "numeric_keys": {10: "b", 2.5: "c", True: "d", -1: "e", float("inf"): "f"},
+        "null_key": {None: 0},
+        "float_subclass": [np.float64(0.1), np.float64(-0.0), np.float64("nan")],
+    }
+
+
+def _assert_writes_json_dumps(doc, tmp_path):
+    out = tmp_path / "doc.json"
+    cli._emit(doc, str(out))
+    assert out.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+
+class TestDocumentText:
+    """``_emit`` writes exactly ``json.dumps(doc, indent=2, sort_keys=True)``
+    and a newline."""
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_fit_document(self, tmp_path, algorithm):
+        path = _write_carcass(tmp_path / "carcass.csv")
+        doc, code, _ = cli.cmd_fit(path, FitConfig(algorithm=algorithm))
+        assert code == 0
+        _assert_writes_json_dumps(doc, tmp_path)
+
+    def test_exhaustive_signed_document(self, tmp_path):
+        path = tmp_path / "r.csv"
+        write_matrix_csv(SymMatrix(UNBALANCED_R), str(path))
+        doc, code, _ = cli.cmd_signed(str(path), FitConfig())
+        assert code == 0 and len(doc["switched_likelihoods"]) == 8
+        _assert_writes_json_dumps(doc, tmp_path)
+
+    def test_analyze_documents(self, tmp_path):
+        path = _write_carcass(tmp_path / "carcass.csv")
+        doc, _, _ = cli.cmd_analyze(path)
+        assert doc["closed_form"]["applicable"] is True
+        _assert_writes_json_dumps(doc, tmp_path)
+        path = str(tmp_path / "r.csv")
+        write_matrix_csv(random_correlation(np.random.default_rng(14), 12), path)
+        doc, _, _ = cli.cmd_analyze(path)
+        assert doc["closed_form"]["applicable"] is False
+        _assert_writes_json_dumps(doc, tmp_path)
+
+    def test_large_analyze_document(self, tmp_path):
+        path = str(tmp_path / "r.csv")
+        write_matrix_csv(random_correlation(np.random.default_rng(15), 200, n=400), path)
+        doc, _, _ = cli.cmd_analyze(path)
+        assert len(doc["graphs"]["ec"]) > 1000
+        _assert_writes_json_dumps(doc, tmp_path)
+
+    def test_exit_three_document(self, tmp_path):
+        path = tmp_path / "collinear.csv"
+        np.savetxt(path, _collinear_covariance(), fmt="%.17g", delimiter=",")
+        doc, code, _ = cli.cmd_fit(str(path), FitConfig(algorithm="k"))
+        assert code == 3 and doc["duality_gap"] == float("inf")
+        _assert_writes_json_dumps(doc, tmp_path)
+
+    def test_synthetic_document(self, tmp_path):
+        _assert_writes_json_dumps(_synthetic_document(), tmp_path)
+
+    @pytest.mark.parametrize("doc", [[], {}, "s", None, 1.5, float("nan"), [[]], [[1.0]]])
+    def test_small_documents(self, tmp_path, doc):
+        _assert_writes_json_dumps(doc, tmp_path)
+
+    def test_standard_output(self, capsys):
+        doc = _synthetic_document()
+        cli._emit(doc, None)
+        assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("doc", [{"x": object()}, [np.int64(1)], {(1, 2): 3}])
+    def test_unserializable_values_raise(self, tmp_path, doc):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            cli._emit(doc, str(tmp_path / "doc.json"))

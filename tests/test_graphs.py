@@ -44,6 +44,53 @@ class TestGraphTypes:
         g = WeightedGraph(3, ((1, 2, 0.5), (0, 1, 0.7)))
         assert g.edges == ((0, 1, 0.7), (1, 2, 0.5))
 
+    @pytest.mark.parametrize("edges, message", [
+        (((0, 1, 0.5), (2, 1, 0.5)), "bad edge (2, 1) for dimension 3"),
+        (((0, 1, 0.5), (0, 3, 0.5)), "bad edge (0, 3) for dimension 3"),
+        (((-1, 2, 0.5),), "bad edge (-1, 2) for dimension 3"),
+        (((0, 1, 0.5), (1, 2, 0.1), (0, 1, 0.7), (2, 1, 0.3)), "duplicate edge (0, 1)"),
+        (((0, 1, 0.5), (2, 2, 0.3), (0, 1, 0.7)), "bad edge (2, 2) for dimension 3"),
+        (((2, 1, 0.3), (2, 1, 0.3)), "bad edge (2, 1) for dimension 3"),
+    ])
+    def test_first_offending_edge_reported(self, edges, message):
+        with pytest.raises(ValueError) as err:
+            WeightedGraph(3, edges)
+        assert str(err.value) == message
+
+    def test_validation_matches_edge_loop(self):
+        rng = np.random.default_rng(16)
+        for trial in range(300):
+            dim = int(rng.integers(1, 7))
+            count = int(rng.integers(0, 12))
+            pairs = rng.integers(-1, dim + 1, size=(count, 2)).tolist()
+            edges = [(i, j, float(w)) for (i, j), w in zip(pairs, rng.standard_normal(count))]
+            if trial % 2:  # mostly valid edge sets
+                edges = [(i, j, w) for i, j, w in edges if 0 <= i < j < dim]
+                edges = list({(i, j): (i, j, w) for i, j, w in edges}.values())
+            try:
+                expected = _reference_check_edges(dim, edges)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as err:
+                    WeightedGraph(dim, edges)
+                assert str(err.value) == str(exc)
+            else:
+                assert WeightedGraph(dim, edges).edges == expected
+
+
+def _reference_check_edges(dim, edges):
+    """Edge validation as one loop over the edges, in input order."""
+    seen = set()
+    out = []
+    for i, j, w in edges:
+        if not (0 <= i < j < dim):
+            raise ValueError(f"bad edge ({i}, {j}) for dimension {dim}")
+        if (i, j) in seen:
+            raise ValueError(f"duplicate edge ({i}, {j})")
+        seen.add((i, j))
+        out.append((int(i), int(j), float(w)))
+    out.sort(key=lambda e: (e[0], e[1]))
+    return tuple(out)
+
 
 def positive_part_graph(r):
     return WeightedGraph.from_mask(r.values > 0.0, r.values)
@@ -317,6 +364,15 @@ class TestDot:
         assert '  "C:\\\\tmp";\n' in text
         assert '  "C:\\\\tmp" -- "say \\"hi\\"" [weight="0.250000"];' in text
 
+    def test_style_follows_edge_order(self):
+        g = WeightedGraph(3, ((1, 2, 0.5), (0, 1, -0.125)))
+        text = to_dot(g, style=[", color=red", ""])
+        assert text == (
+            'graph G {\n  "0";\n  "1";\n  "2";\n'
+            '  "0" -- "1" [weight="-0.125000", color=red];\n'
+            '  "1" -- "2" [weight="0.500000"];\n}\n'
+        )
+
 
 class TestGraphEdgeCases:
     def test_forest_path_validates_vertices(self):
@@ -327,3 +383,7 @@ class TestGraphEdgeCases:
     def test_to_dot_label_count_checked(self):
         with pytest.raises(ValueError):
             to_dot(WeightedGraph(3, ()), labels=("a", "b"))
+
+    def test_to_dot_style_count_checked(self):
+        with pytest.raises(ValueError):
+            to_dot(WeightedGraph(3, ((0, 1, 0.5), (1, 2, 0.5))), style=[""])

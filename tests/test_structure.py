@@ -307,3 +307,56 @@ class TestTieredDot:
         assert "color=blue" in text
         assert "color=gray, penwidth=0.5" in text
         assert '"Meat12" -- "Meat13"' in text
+
+    def test_matches_pair_loop_on_fit(self, carcass):
+        res = fit(carcass)
+        forest = mwsf(carcass)
+        args = (forest, res.ml_graph, ec_graph(carcass, forest))
+        for labels in (carcass.labels, None):
+            assert tiered_dot(*args, labels=labels) == _reference_tiered_dot(*args, labels=labels)
+
+    def test_matches_pair_loop_at_scale(self):
+        # the analyze payload at p = 200: about 18k edges over three graphs
+        r = random_correlation(np.random.default_rng(17), 200, n=400)
+        forest = mwsf(r)
+        args = (forest, grw_graph(r, w_matrix(r), GRW_TOL), ec_graph(r, forest))
+        labels = tuple(f'v"{i}\\' for i in range(200))
+        assert tiered_dot(*args, labels=labels) == _reference_tiered_dot(*args, labels=labels)
+
+    def test_weight_and_tier_precedence(self):
+        # three graphs that share pairs but disagree on weights
+        rng = np.random.default_rng(18)
+        for p in (1, 2, 5, 9):
+            forest = mwsf(random_correlation(rng, p))
+            middle, envelope = (
+                WeightedGraph.from_mask(rng.random((p, p)) < 0.5, rng.standard_normal((p, p)))
+                for _ in range(2)
+            )
+            assert tiered_dot(forest, middle, envelope) == _reference_tiered_dot(
+                forest, middle, envelope
+            )
+
+
+def _reference_tiered_dot(forest, middle, envelope, labels=None) -> str:
+    """Tiered DOT export as one loop over the union of the pairs."""
+    forest_pairs = forest.edge_pairs()
+    middle_pairs = middle.edge_pairs()
+    weight = {(i, j): w for i, j, w in middle.edges}
+    weight.update({(i, j): w for i, j, w in envelope.edges})
+    weight.update({(i, j): w for i, j, w in forest.edges})
+    names = [
+        str(x).replace("\\", "\\\\").replace('"', '\\"')
+        for x in (labels if labels is not None else range(forest.dim))
+    ]
+    lines = ["graph G {"]
+    lines.extend(f'  "{name}";' for name in names)
+    for (i, j), w in sorted(weight.items()):
+        if (i, j) in forest_pairs:
+            extra = ", color=red, penwidth=2.5"
+        elif (i, j) in middle_pairs:
+            extra = ", color=blue"
+        else:
+            extra = ", color=gray, penwidth=0.5"
+        lines.append(f'  "{names[i]}" -- "{names[j]}" [weight="{w:.6f}"{extra}];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -7,7 +7,9 @@ only part that changes between two runs of the same tree.  Inputs are
 sample covariances of Gaussian draws with a sparse M-matrix precision, at
 p = 3 to 20 and n = 2, 3 and 2p; odd seeds flip the signs of some
 variables, even seeds carry a header row.  Each input runs ``fit`` with
-every algorithm, ``signed`` and ``analyze``, all with ``--dot``.
+every algorithm, ``signed`` and ``analyze``, all with ``--dot``.  Inputs
+at p = 100 and 200 (n = 2p, seeds 0 and 1) run ``analyze`` alone: there
+most of a document is matrices and edge lists.
 
     python tools/cli_parity.py SRC --output manifest.json
     python tools/cli_parity.py --compare A.json B.json
@@ -34,6 +36,8 @@ import numpy as np
 
 DIMS = (3, 4, 5, 6, 8, 10, 12, 16, 20)
 SEEDS = range(5)
+LARGE_DIMS = (100, 200)
+LARGE_SEEDS = (0, 1)
 # pinned, not read from the package, so that two trees run the same set
 ALGORITHMS = ("sigma", "k")
 # Caps that keep one run under a few seconds: a covariance sweep that stalls
@@ -59,21 +63,24 @@ def sample_covariance(p: int, n: int, seed: int) -> np.ndarray:
     return x.T @ x / n
 
 
-def cases(dims=DIMS, seeds=SEEDS) -> list[tuple[str, str]]:
+def _case(p: int, n: int, seed: int) -> tuple[str, str]:
+    s = sample_covariance(p, n, seed)
+    lines = [",".join(f"v{i}" for i in range(p))] if seed % 2 == 0 else []
+    lines += [",".join(repr(float(x)) for x in row) for row in s]
+    return f"p{p:02d}_n{n:02d}_s{seed}", "\n".join(lines) + "\n"
+
+
+def cases(dims=DIMS, seeds=SEEDS, large_dims=LARGE_DIMS) -> list[tuple[str, str]]:
     """(name, CSV text) for every input of the gate."""
-    out = []
-    for p in dims:
-        for n in sorted({2, 3, 2 * p}):
-            for seed in seeds:
-                s = sample_covariance(p, n, seed)
-                lines = [",".join(f"v{i}" for i in range(p))] if seed % 2 == 0 else []
-                lines += [",".join(repr(float(x)) for x in row) for row in s]
-                out.append((f"p{p:02d}_n{n:02d}_s{seed}", "\n".join(lines) + "\n"))
+    out = [_case(p, n, seed) for p in dims for n in sorted({2, 3, 2 * p}) for seed in seeds]
+    out += [_case(p, 2 * p, seed) for p in large_dims for seed in LARGE_SEEDS]
     return out
 
 
 def invocations(name: str) -> dict[str, list[str]]:
     path = f"{name}.csv"
+    if int(name[1:].split("_")[0]) >= min(LARGE_DIMS):
+        return {f"{name}/analyze": ["analyze", path]}
     runs = {f"{name}/fit-{a}": ["fit", path, "--algorithm", a, *FIT_FLAGS] for a in ALGORITHMS}
     runs[f"{name}/signed"] = ["signed", path, *SIGNED_FLAGS]
     runs[f"{name}/analyze"] = ["analyze", path]
