@@ -8,8 +8,8 @@ one generator step per value.  Here a list of plain scalars is one
 edge list) is formatted column by column, or as one block when every cell
 is a float, and laid out with one ``join``.  A float is written as
 ``float.__repr__`` writes it, once per distinct IEEE bit pattern in the
-document, and an int once per distinct value in its list; keys and strings
-go through json's C string encoder.  Anything else, such as a subclass of
+document, and an int as ``int.__repr__`` writes it; keys and strings go
+through json's C string encoder.  Anything else, such as a subclass of
 float, takes the value-by-value path, which follows
 ``json.encoder._make_iterencode``.
 """
@@ -117,10 +117,7 @@ class _Writer:
         if kinds == {float}:
             return self.floats(values)
         if kinds == {int}:
-            texts = dict.fromkeys(values)
-            for v in texts:
-                texts[v] = int.__repr__(v)
-            return list(map(texts.__getitem__, values))
+            return list(map(int.__repr__, values))
         if kinds <= _SCALAR_TYPES:
             return list(map(_scalar, values))
         return None

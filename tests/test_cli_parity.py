@@ -29,3 +29,13 @@ def test_same_tree_gives_identical_manifests(tmp_path):
     assert len(a) == 4 * len(inputs)
     assert all(doc is not None and dot is not None for _, doc, dot in a.values())
     assert tool.compare(a, b) == []
+
+
+def test_analyze_only_inputs_run_analyze_alone(tmp_path):
+    tool = _load_tool()
+    inputs = tool.cases(dims=(3,), seeds=(0,))[:1]
+    runs = tool.manifest(cli, [], str(tmp_path), analyze_only=inputs)
+    assert list(runs) == ["p03_n02_s0/analyze"]
+    every = tool.manifest(cli, inputs, str(tmp_path))
+    assert len(every) == 4
+    assert runs["p03_n02_s0/analyze"] == every["p03_n02_s0/analyze"]

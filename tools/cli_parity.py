@@ -70,17 +70,18 @@ def _case(p: int, n: int, seed: int) -> tuple[str, str]:
     return f"p{p:02d}_n{n:02d}_s{seed}", "\n".join(lines) + "\n"
 
 
-def cases(dims=DIMS, seeds=SEEDS, large_dims=LARGE_DIMS) -> list[tuple[str, str]]:
-    """(name, CSV text) for every input of the gate."""
-    out = [_case(p, n, seed) for p in dims for n in sorted({2, 3, 2 * p}) for seed in seeds]
-    out += [_case(p, 2 * p, seed) for p in large_dims for seed in LARGE_SEEDS]
-    return out
+def cases(dims=DIMS, seeds=SEEDS) -> list[tuple[str, str]]:
+    """(name, CSV text) for every input that runs every command."""
+    return [_case(p, n, seed) for p in dims for n in sorted({2, 3, 2 * p}) for seed in seeds]
+
+
+def large_cases() -> list[tuple[str, str]]:
+    """(name, CSV text) for every input that runs ``analyze`` alone."""
+    return [_case(p, 2 * p, seed) for p in LARGE_DIMS for seed in LARGE_SEEDS]
 
 
 def invocations(name: str) -> dict[str, list[str]]:
     path = f"{name}.csv"
-    if int(name[1:].split("_")[0]) >= min(LARGE_DIMS):
-        return {f"{name}/analyze": ["analyze", path]}
     runs = {f"{name}/fit-{a}": ["fit", path, "--algorithm", a, *FIT_FLAGS] for a in ALGORITHMS}
     runs[f"{name}/signed"] = ["signed", path, *SIGNED_FLAGS]
     runs[f"{name}/analyze"] = ["analyze", path]
@@ -97,17 +98,22 @@ def _sha256(path: str, strip=None) -> str | None:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def manifest(cli, inputs, workdir: str) -> dict[str, list]:
-    """Run every invocation of ``inputs`` through ``cli.main`` inside
-    ``workdir``; paths are relative, so documents do not depend on it."""
+def manifest(cli, inputs, workdir: str, analyze_only=()) -> dict[str, list]:
+    """Run every invocation of ``inputs``, and the ``analyze`` invocation of
+    ``analyze_only``, through ``cli.main`` inside ``workdir``; paths are
+    relative, so documents do not depend on it."""
+    jobs = [(name, text, invocations(name)) for name, text in inputs]
+    for name, text in analyze_only:
+        runs = {run: argv for run, argv in invocations(name).items() if argv[0] == "analyze"}
+        jobs.append((name, text, runs))
     out = {}
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
-        for name, text in inputs:
+        for name, text, runs in jobs:
             with open(f"{name}.csv", "w", encoding="utf-8") as fh:
                 fh.write(text)
-            for run, argv in invocations(name).items():
+            for run, argv in runs.items():
                 doc, dot = "out.json", "out.dot"
                 for stale in (doc, dot):
                     if os.path.exists(stale):
@@ -150,7 +156,7 @@ def main(argv=None) -> int:
     if not os.path.abspath(cli.__file__).startswith(os.path.abspath(args.src) + os.sep):
         parser.error(f"imported totpos from {cli.__file__}, not from {args.src}")
     with tempfile.TemporaryDirectory() as workdir:
-        result = manifest(cli, cases(), workdir)
+        result = manifest(cli, cases(), workdir, analyze_only=large_cases())
     text = json.dumps(result, indent=1, sort_keys=True) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
