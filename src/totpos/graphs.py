@@ -2,10 +2,10 @@
 
 The graphs read off a matrix (positive part, excess correlation,
 path-product equality, fitted precision) all come from one constructor,
-``WeightedGraph.from_mask``: a boolean pair mask and a weight matrix, and
-every graph keeps one neighbour list.  Holds maximum weight spanning
-forests of the positive-part graph with deterministic tie-breaking
-(Kruskal, weight descending then pair ascending).  A forest is its edges:
+``WeightedGraph.from_mask``, and are valid by construction: only edges a
+caller passes to ``WeightedGraph(dim, edges)`` are checked.  Holds maximum
+weight spanning forests of the positive-part graph, Kruskal's forest for
+weight descending then pair ascending.  A forest is its edges:
 construction walks each tree once from its smallest vertex, which rejects
 cycles and derives the component labels and the rooted (parent, child)
 order.  The path folds read that order, one numpy row update per edge (the
@@ -22,28 +22,12 @@ from functools import cached_property
 from itertools import chain
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .matcore import SymMatrix, require_unit_diagonal
 
 Edge = tuple[int, int, float]
-
-
-class _DisjointSet:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
 
 
 def _check_edges(dim: int, edges) -> tuple[Edge, ...]:
@@ -81,14 +65,18 @@ class WeightedGraph:
     def __post_init__(self):
         object.__setattr__(self, "edges", _check_edges(self.dim, self.edges))
 
-    @classmethod
-    def from_mask(cls, mask: np.ndarray, weights: np.ndarray) -> WeightedGraph:
+    @staticmethod
+    def from_mask(mask: np.ndarray, weights: np.ndarray) -> WeightedGraph:
         """Edge (i, j, weights[i, j]) for every i < j where ``mask`` holds.
 
-        Only the strict upper triangle of ``mask`` is read (row-major order).
+        Only the strict upper triangle of the square ``mask`` is read
+        (row-major order); ``weights`` has the shape of ``mask``.
         """
+        shape = np.shape(mask)
+        if len(shape) != 2 or shape[0] != shape[1] or np.shape(weights) != shape:
+            raise ValueError(f"mask {shape} and weights {np.shape(weights)}: need one square shape")
         i, j = np.nonzero(np.triu(mask, 1))
-        return cls(len(mask), tuple(zip(i.tolist(), j.tolist(), weights[i, j].tolist())))
+        return _derived_graph(len(mask), i, j, np.asarray(weights, dtype=float)[i, j])
 
     def edge_pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset((i, j) for i, j, _ in self.edges)
@@ -101,6 +89,14 @@ class WeightedGraph:
             adj[i].append(j)
             adj[j].append(i)
         return tuple(map(tuple, adj))
+
+
+def _derived_graph(dim: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> WeightedGraph:
+    """Graph on index arrays that are valid by construction (in range, i < j,
+    unique, sorted by pair), as a mask or a sorted key set gives them."""
+    graph = object.__new__(WeightedGraph)
+    graph.__dict__.update(dim=dim, edges=tuple(zip(i.tolist(), j.tolist(), w.tolist())))
+    return graph
 
 
 @dataclass(frozen=True)
@@ -171,16 +167,18 @@ class WeightedForest(WeightedGraph):
 def mwsf(r: SymMatrix) -> WeightedForest:
     """Maximum weight spanning forest of the positive-part graph.
 
-    Kruskal over positive edges sorted by (weight descending, pair
-    ascending); only strictly positive edges are candidates, so the forest
-    is minimal among maximum weight forests.  For weight-distinct inputs
-    the result is the unique MWSF.
+    Kruskal's forest for positive edges ranked 1..m by (weight descending,
+    pair ascending): the minimum spanning forest of those distinct ranks.
+    Only strictly positive edges are candidates, so the forest is minimal
+    among maximum weight forests.  For weight-distinct inputs the result is
+    the unique MWSF.
     """
-    graph = WeightedGraph.from_mask(r.values > 0.0, r.values)
-    ranked = sorted(graph.edges, key=lambda e: (-e[2], e[0], e[1]))
-    ds = _DisjointSet(r.dim)
-    kept = [e for e in ranked if ds.union(e[0], e[1])]
-    return WeightedForest(r.dim, tuple(kept))
+    i, j = np.nonzero(np.triu(r.values > 0.0, 1))
+    w = r.values[i, j]
+    order = np.lexsort((j, i, -w))
+    ranks = csr_matrix((np.arange(1.0, len(w) + 1), (i[order], j[order])), shape=(r.dim, r.dim))
+    kept = order[minimum_spanning_tree(ranks).data.astype(np.int64) - 1]
+    return WeightedForest(r.dim, tuple(zip(i[kept].tolist(), j[kept].tolist(), w[kept].tolist())))
 
 
 def fold_paths(r: SymMatrix, forest: WeightedForest, combine) -> SymMatrix:

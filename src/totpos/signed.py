@@ -73,9 +73,7 @@ def apply_signs(r: SymMatrix, d: SignVector) -> SymMatrix:
 
 
 def _abs_forest(r: SymMatrix) -> WeightedForest:
-    a = np.abs(r.values)
-    np.fill_diagonal(a, 1.0)
-    return mwsf(SymMatrix(a))
+    return mwsf(SymMatrix(np.abs(r.values)))  # mwsf reads no diagonal entry
 
 
 def _propagate_signs(r: SymMatrix, forest: WeightedForest) -> SignVector:

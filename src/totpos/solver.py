@@ -53,11 +53,15 @@ so a wrong screen cannot pass.
 The precision sweep keeps one (p-2)x(p-2) LU solve per pair: K_BB and K_BA
 are gathered by flat indices that ``_pair_indices`` computes once per fit,
 and LAPACK's dgesv, the routine np.linalg.solve wraps, is called directly,
-without numpy's per-call overhead.  The analogous shared state would take
-its L as K_AA - (Sigma_AA)^{-1}, which cancels badly when K is large: on a
-p = 6, n = 2 input with a correlation within 1e-9 of one (K_ii near 5e8),
-such a sweep still moved K by 1e1 to 9e2 (L1) per sweep after 1000 sweeps,
-against a stopping threshold of 0.05, where the solve stops after 3 sweeps.
+without numpy's per-call overhead.  Those indices take O(|G+| p^2) memory:
+at n = 2p, 0.24 MB at p = 20 (82 pairs), 3.4 MB at p = 40 (283) and 65 MB
+at p = 80 (1303), so about 1 GB at p = 160 and 2.5 GB at p = 200.  Built
+per pair, they slowed eight p = 20 fits from about 0.3 s to 0.5 s (2-vCPU
+Xeon).  The analogous shared state would take its L as
+K_AA - (Sigma_AA)^{-1}, which cancels badly when K is large: on a p = 6,
+n = 2 input with a correlation within 1e-9 of one (K_ii near 5e8), such a
+sweep still moved K by 1e1 to 9e2 (L1) per sweep after 1000 sweeps, against
+a stopping threshold of 0.05, where the solve stops after 3 sweeps.
 """
 
 from __future__ import annotations

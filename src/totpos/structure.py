@@ -15,7 +15,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .graphs import WeightedForest, WeightedGraph, mwsf, to_dot
+from .graphs import WeightedForest, WeightedGraph, _derived_graph, mwsf, to_dot
 from .matcore import (
     SymMatrix,
     NotPositiveDefinite,
@@ -201,6 +201,5 @@ def tiered_dot(
     tier[np.isin(union, mk)] = 1
     tier[np.isin(union, fk)] = 0
     styles = (", color=red, penwidth=2.5", ", color=blue", ", color=gray, penwidth=0.5")
-    edges = zip((union // dim).tolist(), (union % dim).tolist(), weights.tolist())
-    union_graph = WeightedGraph(dim, tuple(edges))
+    union_graph = _derived_graph(dim, union // dim, union % dim, weights)
     return to_dot(union_graph, labels=labels, style=list(map(styles.__getitem__, tier.tolist())))

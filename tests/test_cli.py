@@ -14,7 +14,9 @@ from totpos import (
     cli,
     fit,
     fit_signed,
+    graphs,
     grw_graph,
+    mwsf,
     solver,
     ultra,
     w_matrix,
@@ -655,6 +657,29 @@ class TestClosureOnce:
         for algorithm in ALGORITHMS:
             w = fit(r, FitConfig(algorithm=algorithm)).w
             assert np.array_equal(w.values, w_matrix(r).values)
+
+
+class TestDerivedGraphsUnchecked:
+    def test_analyze_checks_only_the_forest_edges(self, tmp_path, monkeypatch):
+        """Graphs built from masks and the DOT union skip ``_check_edges``;
+        at p = 200 only the spanning forest's edges reach it."""
+        checked = []
+        real = graphs._check_edges
+
+        def spy(dim, edges):
+            checked.append(tuple(edges))
+            return real(dim, edges)
+
+        monkeypatch.setattr(graphs, "_check_edges", spy)
+        r = random_correlation(np.random.default_rng(60), 200)
+        path, dot = str(tmp_path / "r.csv"), str(tmp_path / "g.dot")
+        write_matrix_csv(r, path)
+        assert main(["analyze", path, "--output", str(tmp_path / "o.json"), "--dot", dot]) == 0
+        monkeypatch.undo()
+        forest = set(mwsf(read_matrix_csv(path)).edges)
+        assert len(forest) == 199
+        assert checked and all(set(edges) == forest for edges in checked)
+        assert sum(map(len, checked)) <= 2 * 199
 
 
 def _collinear_covariance() -> np.ndarray:

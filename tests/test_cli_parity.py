@@ -19,8 +19,10 @@ def _load_tool():
 def test_same_tree_gives_identical_manifests(tmp_path):
     tool = _load_tool()
     # a header and no flips at p = 3, n = 2; flipped signs at p = 5, n = 10
+    # and two-decimal correlations with tied entries, in two blocks, at p = 8
     inputs = tool.cases(dims=(3, 5), seeds=(0, 1))[::11]
-    assert [name for name, _ in inputs] == ["p03_n02_s0", "p05_n10_s1"]
+    inputs += tool.tied_cases(dims=(8,), seeds=(1,))[1:]
+    assert [name for name, _ in inputs] == ["p03_n02_s0", "p05_n10_s1", "t08_n16_s1"]
     first, second = tmp_path / "a", tmp_path / "b"
     first.mkdir()
     second.mkdir()

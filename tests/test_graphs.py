@@ -128,6 +128,34 @@ class TestFromMask:
             assert WeightedGraph.from_mask(mask, weights).edges == expected
 
 
+    @pytest.mark.parametrize("shape", [(5, 3), (3, 5), (4,), (2, 2, 2)])
+    def test_mask_must_be_square(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            WeightedGraph.from_mask(np.ones(shape, dtype=bool), np.ones(shape))
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 4), (3,)])
+    def test_weights_must_match_mask(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            WeightedGraph.from_mask(np.ones((3, 3), dtype=bool), np.ones(shape))
+
+    def test_integer_weights_become_floats(self):
+        g = WeightedGraph.from_mask(np.ones((3, 3), dtype=bool), np.arange(9).reshape(3, 3))
+        assert g.edges == ((0, 1, 1.0), (0, 2, 2.0), (1, 2, 5.0))
+        assert all(type(x) is int for i, j, _ in g.edges for x in (i, j))
+        assert all(type(w) is float for _, _, w in g.edges)
+
+    def test_equals_graph_from_the_same_triples(self):
+        rng = np.random.default_rng(13)
+        for p in (1, 2, 5, 9):
+            mask = rng.random((p, p)) < 0.5
+            weights = rng.standard_normal((p, p))
+            g = WeightedGraph.from_mask(mask, weights)
+            checked = WeightedGraph(p, g.edges[::-1])
+            assert type(g) is WeightedGraph
+            assert g == checked
+            assert g.neighbors == checked.neighbors
+
+
 class TestPositivePartGraph:
     def test_linkage_example(self, linkage4):
         g = positive_part_graph(linkage4)
@@ -187,6 +215,85 @@ class TestMwsf:
         r[0, 2] = r[2, 0] = 0.5
         r[1, 2] = r[2, 1] = 0.5
         assert mwsf(SymMatrix(r)).edge_pairs() == {(0, 1), (0, 2)}
+
+
+class _ReferenceDisjointSet:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        return True
+
+
+def _reference_mwsf(r):
+    """Kruskal as one loop: positive edges sorted by (weight descending,
+    pair ascending), each kept when it joins two components."""
+    ranked = sorted(positive_part_graph(r).edges, key=lambda e: (-e[2], e[0], e[1]))
+    ds = _ReferenceDisjointSet(r.dim)
+    return WeightedForest(r.dim, tuple(e for e in ranked if ds.union(e[0], e[1])))
+
+
+def _block_diagonal(rng, p):
+    """Correlation blocks, isolated vertices among them, on shuffled
+    vertices, with some entries negated (kept symmetric)."""
+    r = np.eye(p)
+    start = 0
+    while start < p:
+        size = min(int(rng.integers(1, 5)), p - start)
+        block = slice(start, start + size)
+        r[block, block] = random_correlation(rng, size, n=2 + size).values
+        start += size
+    flip = np.triu(rng.random((p, p)) < 0.3, 1)
+    r[flip | flip.T] *= -1.0
+    perm = rng.permutation(p)
+    return SymMatrix(r[np.ix_(perm, perm)])
+
+
+class TestMwsfMatchesKruskal:
+    def _assert_same(self, r):
+        got, expected = mwsf(r), _reference_mwsf(r)
+        assert got.edges == expected.edges
+        assert got.component_label == expected.component_label
+        assert got.order == expected.order
+
+    @pytest.mark.parametrize("step", [0.2, 0.01])
+    def test_rounded_correlations_with_ties(self, step):
+        rng = np.random.default_rng(17)
+        tied = 0
+        for p in range(1, 17):
+            for _ in range(6):
+                r = random_correlation(rng, p, n=int(rng.integers(2, 2 * p + 3))).values
+                r = np.round(r / step) * step
+                np.fill_diagonal(r, 1.0)
+                positive = r[np.triu_indices(p, 1)]
+                positive = positive[positive > 0.0]
+                tied += len(np.unique(positive)) < len(positive)
+                self._assert_same(SymMatrix(r))
+        assert tied >= 48  # half of the 96 inputs have equal positive weights
+
+    def test_block_diagonal_with_isolated_vertices(self):
+        rng = np.random.default_rng(18)
+        isolated = 0
+        for p in range(1, 17):
+            for _ in range(6):
+                r = _block_diagonal(rng, p)
+                labels = mwsf(r).component_label
+                isolated += any(labels.count(c) == 1 for c in labels) and p > 1
+                self._assert_same(r)
+        assert isolated >= 48  # half of the 96 inputs have an isolated vertex
+
+    def test_large_random_correlation(self):
+        self._assert_same(random_correlation(np.random.default_rng(19), 200))
 
 
 class TestForestPath:

@@ -6,10 +6,14 @@ file]}``.  The document is hashed without its ``generated_at`` line, the
 only part that changes between two runs of the same tree.  Inputs are
 sample covariances of Gaussian draws with a sparse M-matrix precision, at
 p = 3 to 20 and n = 2, 3 and 2p; odd seeds flip the signs of some
-variables, even seeds carry a header row.  Each input runs ``fit`` with
-every algorithm, ``signed`` and ``analyze``, all with ``--dot``.  Inputs
-at p = 100 and 200 (n = 2p, seeds 0 and 1) run ``analyze`` alone: there
-most of a document is matrices and edge lists.
+variables, even seeds carry a header row.  A second family rounds the
+correlations of such draws to two decimals, so that positive entries tie
+and the spanning forest's tie-break decides; odd seeds there also zero
+every entry between the two halves of the variables (p = 4 to 12, n = 3
+and 2p).  Each input runs ``fit`` with every algorithm, ``signed`` and
+``analyze``, all with ``--dot``: 672 runs in all.  Inputs at p = 100 and
+200 (n = 2p, seeds 0 and 1) run ``analyze`` alone: there most of a
+document is matrices and edge lists.
 
     python tools/cli_parity.py SRC --output manifest.json
     python tools/cli_parity.py --compare A.json B.json
@@ -36,6 +40,8 @@ import numpy as np
 
 DIMS = (3, 4, 5, 6, 8, 10, 12, 16, 20)
 SEEDS = range(5)
+TIED_DIMS = (4, 6, 8, 12)
+TIED_SEEDS = range(4)
 LARGE_DIMS = (100, 200)
 LARGE_SEEDS = (0, 1)
 # pinned, not read from the package, so that two trees run the same set
@@ -63,16 +69,36 @@ def sample_covariance(p: int, n: int, seed: int) -> np.ndarray:
     return x.T @ x / n
 
 
+def _csv(name: str, m: np.ndarray, header: bool) -> tuple[str, str]:
+    lines = [",".join(f"v{i}" for i in range(len(m)))] if header else []
+    lines += [",".join(repr(float(x)) for x in row) for row in m]
+    return name, "\n".join(lines) + "\n"
+
+
 def _case(p: int, n: int, seed: int) -> tuple[str, str]:
+    return _csv(f"p{p:02d}_n{n:02d}_s{seed}", sample_covariance(p, n, seed), seed % 2 == 0)
+
+
+def _tied_case(p: int, n: int, seed: int) -> tuple[str, str]:
+    """Correlations of a ``sample_covariance`` draw rounded to two decimals;
+    odd seeds are split into two diagonal blocks."""
     s = sample_covariance(p, n, seed)
-    lines = [",".join(f"v{i}" for i in range(p))] if seed % 2 == 0 else []
-    lines += [",".join(repr(float(x)) for x in row) for row in s]
-    return f"p{p:02d}_n{n:02d}_s{seed}", "\n".join(lines) + "\n"
+    scale = np.sqrt(np.diag(s))
+    r = np.round(s / np.outer(scale, scale), 2)
+    np.fill_diagonal(r, 1.0)
+    if seed % 2:
+        r[: p // 2, p // 2 :] = r[p // 2 :, : p // 2] = 0.0
+    return _csv(f"t{p:02d}_n{n:02d}_s{seed}", r, seed % 2 == 0)
 
 
 def cases(dims=DIMS, seeds=SEEDS) -> list[tuple[str, str]]:
     """(name, CSV text) for every input that runs every command."""
     return [_case(p, n, seed) for p in dims for n in sorted({2, 3, 2 * p}) for seed in seeds]
+
+
+def tied_cases(dims=TIED_DIMS, seeds=TIED_SEEDS) -> list[tuple[str, str]]:
+    """(name, CSV text) for the rounded inputs, which also run every command."""
+    return [_tied_case(p, n, seed) for p in dims for n in (3, 2 * p) for seed in seeds]
 
 
 def large_cases() -> list[tuple[str, str]]:
@@ -156,7 +182,7 @@ def main(argv=None) -> int:
     if not os.path.abspath(cli.__file__).startswith(os.path.abspath(args.src) + os.sep):
         parser.error(f"imported totpos from {cli.__file__}, not from {args.src}")
     with tempfile.TemporaryDirectory() as workdir:
-        result = manifest(cli, cases(), workdir, analyze_only=large_cases())
+        result = manifest(cli, cases() + tied_cases(), workdir, analyze_only=large_cases())
     text = json.dumps(result, indent=1, sort_keys=True) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
