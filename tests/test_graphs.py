@@ -127,7 +127,6 @@ class TestFromMask:
             )
             assert WeightedGraph.from_mask(mask, weights).edges == expected
 
-
     @pytest.mark.parametrize("shape", [(5, 3), (3, 5), (4,), (2, 2, 2)])
     def test_mask_must_be_square(self, shape):
         with pytest.raises(ValueError, match="square"):
