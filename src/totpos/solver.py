@@ -25,10 +25,16 @@ closed-form exact maximization per pair:
   off-diagonal pinned at -L_12;
 * "sigma" sets Sigma_uv = max(S_uv, L_12) with
   L = Sigma_AB Sigma_BB^{-1} Sigma_BA, which zeroes K_uv unless the dual
-  bound binds.  The sweep keeps K = Sigma^{-1} beside Sigma, so that
-  Sigma_AA - L = (K_AA)^{-1} gives L_12 from 2x2 algebra, and each move of
-  Sigma_uv refreshes K by a rank-2 (Woodbury) update in O(p^2).  K is
-  re-inverted from Sigma once per sweep, so rounding does not pile up.
+  bound binds.  The sweep runs row by row: the steps (u, v), v > u, move
+  only row u, so Sigma without row u stays fixed between them, and with
+  Q its inverse and x = Sigma[u, -u], L_12 = x_v - (Qx)_v / Q_vv.  Each row
+  makes one Cholesky of that block (LAPACK dpotrf, with dpotri for Q) and
+  then O(p) per pair; no K is kept, so no rounding carries over from row
+  to row.  A sweep costs p - 1 factorizations.  Per sigma fit at n = 2p
+  (median of seeded draws, 2-vCPU Xeon, one BLAS thread) this is 1.65x as
+  fast as a rank-2 update of a kept K per pair at p = 20, 2.0x at p = 40
+  and 1.8x at p = 80; at p = 5, with its four short rows, the descent
+  takes 10-20% longer.
 
 The covariance sweep starts at W.  The MLE has an M-matrix inverse, so it
 has the path-product property Sigma_ij >= Sigma_ik Sigma_kj, and it
@@ -57,7 +63,7 @@ without numpy's per-call overhead.  Those indices take O(|G+| p^2) memory:
 at n = 2p, 0.24 MB at p = 20 (82 pairs), 3.4 MB at p = 40 (283) and 65 MB
 at p = 80 (1303), so about 1 GB at p = 160 and 2.5 GB at p = 200.  Built
 per pair, they slowed eight p = 20 fits from about 0.3 s to 0.5 s (2-vCPU
-Xeon).  The analogous shared state would take its L as
+Xeon).  Keeping Sigma = K^{-1} beside K instead would take L as
 K_AA - (Sigma_AA)^{-1}, which cancels badly when K is large: on a p = 6,
 n = 2 input with a correlation within 1e-9 of one (K_ii near 5e8), such a
 sweep still moved K by 1e1 to 9e2 (L1) per sweep after 1000 sweeps, against
@@ -72,7 +78,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg.lapack import dgesv
+from scipy.linalg.blas import dsymv
+from scipy.linalg.lapack import dgesv, dpotrf, dpotri
 
 from .graphs import WeightedGraph
 from .matcore import (
@@ -228,6 +235,36 @@ def _update_pair_sigma(sig: np.ndarray, k: np.ndarray, s: np.ndarray, u: int, v:
     return abs(d)
 
 
+def _update_row_sigma(sig: np.ndarray, s: np.ndarray, u: int, rest: np.ndarray) -> float:
+    """The pair steps (u, u+1), ..., (u, p-1) in turn, as one pass over row u;
+    returns the absolute change, summed over the pairs.
+
+    ``rest`` lists the other p - 1 vertices in order.  The pass moves only
+    x = Sigma[u, rest], so Q = (Sigma_rest,rest)^{-1} stays fixed and
+    L_12 = x_v - (Qx)_v / Q_vv.  One Cholesky (LAPACK dpotrf) and dpotri
+    give the lower triangle of Q, which serves every pair: a move of x_v by
+    d adds d Q[F, v] to g = (Qx)_F, F = u+1..p-1, and the entries of g
+    before v, which that column does not hold, are not read again.
+    """
+    c, info = dpotrf(sig.take(rest, 0).take(rest, 1), lower=1)
+    if info:
+        raise np.linalg.LinAlgError("Sigma without row u is not positive definite")
+    q, _ = dpotri(c, lower=1, overwrite_c=1)
+    x = sig[u].take(rest)
+    g = dsymv(1.0, q, x, lower=1)[u:]
+    qf = q[u:, u:]
+    change = 0.0
+    for j, v in enumerate(range(u + 1, len(rest) + 1)):
+        suv = x.item(u + j)
+        new = max(s.item(u, v), suv - g.item(j) / qf.item(j, j))
+        d = new - suv
+        if d != 0.0:
+            sig[u, v] = sig[v, u] = new
+            g += d * qf[:, j]
+            change += abs(d)
+    return change
+
+
 def _update_pair_k(k: np.ndarray, s: np.ndarray, u: int, v: int, blocks: tuple) -> float:
     """Exact maximization over the (u, v) block of K; returns the L1 change.
 
@@ -268,24 +305,17 @@ def _update_pair_k(k: np.ndarray, s: np.ndarray, u: int, v: int, blocks: tuple) 
 
 
 def _sigma_sweep(r: SymMatrix, w: SymMatrix):
-    """Covariance sweep over every pair, from W if positive definite, else
-    from the single-linkage matrix."""
+    """Covariance sweep over every pair, row by row, from W if positive
+    definite, else from the single-linkage matrix."""
     try:
         pd_factorize(w)
         sig = w.values.copy()
     except NotPositiveDefinite:
         sig = single_linkage(r).values.copy()
-    pairs = list(combinations(range(r.dim), 2))
-
-    def sweep() -> float:
-        # re-inverted once per sweep so that the rank-2 updates do not
-        # accumulate rounding; inverse_pd's pivot threshold could refuse an
-        # ill-conditioned but positive definite iterate
-        k = np.linalg.inv(sig)
-        # both triangles count toward the L1 metric
-        return sum(2.0 * _update_pair_sigma(sig, k, r.values, u, v) for u, v in pairs)
-
-    return sig, sweep
+    p = r.dim
+    rows = [(u, np.delete(np.arange(p), u)) for u in range(p - 1)]
+    # both triangles count toward the L1 metric
+    return sig, lambda: sum(2.0 * _update_row_sigma(sig, r.values, u, rest) for u, rest in rows)
 
 
 def _k_sweep(r: SymMatrix, w: SymMatrix):

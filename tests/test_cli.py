@@ -114,6 +114,14 @@ class TestParsing:
         assert m.labels == ("x,y", "z")
         assert m.values[0, 1] == 0.5
 
+    def test_quoted_and_plain_spellings_agree(self):
+        plain = parse_matrix_text("a, b,c\n1,0.5, 0.25\n0.5,1,0.1,\n0.25 ,0.1,1\n")
+        quoted = parse_matrix_text(
+            '"a", "b","c"\n"1","0.5", "0.25"\n"0.5",1,"0.1",\n" 0.25 ",0.1,"1"\n')
+        assert plain.labels == quoted.labels == ("a", "b", "c")
+        assert np.array_equal(plain.values, quoted.values)
+        assert plain.values[2, 0] == 0.25
+
     def test_trailing_empty_cells_dropped(self):
         m = parse_matrix_text("a, b,\n1, 0.5,\n0.5, 1,,\n")
         assert m.labels == ("a", "b")

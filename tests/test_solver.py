@@ -33,7 +33,14 @@ from totpos import (
 )
 from totpos import solver
 from totpos.cli import main
-from totpos.solver import ALGORITHMS, _descend, _pair_indices, _update_pair_k, _update_pair_sigma
+from totpos.solver import (
+    ALGORITHMS,
+    _descend,
+    _pair_indices,
+    _update_pair_k,
+    _update_pair_sigma,
+    _update_row_sigma,
+)
 from conftest import (
     CARCASS_CHAIN_EDGES,
     CARCASS_ML_EDGES,
@@ -231,7 +238,9 @@ def _reference_sigma_descend(r: SymMatrix, cfg: FitConfig):
 
 
 class TestSharedState:
-    """The covariance sweep keeps K = Sigma^{-1} next to Sigma."""
+    """The covariance sweep runs row by row: one Cholesky of Sigma without
+    row u serves the pair steps (u, u+1), ..., (u, p-1), which equal the
+    pair hook's, and no K is kept between rows."""
 
     def _inputs(self):
         rng = np.random.default_rng(38)
@@ -257,22 +266,51 @@ class TestSharedState:
         assert change > 0.01
         assert np.linalg.norm(k @ sig - np.eye(8), np.inf) <= 1e-10
 
-    def test_one_inversion_per_sweep_and_no_solve(self, monkeypatch):
-        real_inv = np.linalg.inv
-        calls = []
+    @pytest.mark.parametrize("p, n", [(6, 2), (20, 40)])
+    def test_row_pass_equals_pair_steps(self, p, n):
+        r = random_correlation(np.random.default_rng(41), p, n=n)
+        s = r.values
+        sig = single_linkage(r).values.copy()
+        moved = binding = 0
+        for _ in range(2):
+            for u in range(p - 1):
+                ref = sig.copy()
+                k = np.linalg.inv(ref)
+                ref_change = sum(_update_pair_sigma(ref, k, s, u, v) for v in range(u + 1, p))
+                binding += sum(ref[u, v] == s[u, v] for v in range(u + 1, p))
+                before = np.linalg.slogdet(sig)[1]
+                change = _update_row_sigma(sig, s, u, np.delete(np.arange(p), u))
+                assert np.linalg.slogdet(sig)[1] >= before - 1e-12
+                assert np.abs(sig - ref).max() <= 1e-12
+                assert abs(change - ref_change) <= 1e-12
+                moved += change > 0
+        assert moved > 0 and binding > 0
 
-        def counting_inv(a):
-            calls.append(a)
-            return real_inv(a)
+    def test_row_pass_with_indefinite_rest_raises(self):
+        sig = np.eye(4)
+        sig[2, 3] = sig[3, 2] = 1.0
+        with pytest.raises(np.linalg.LinAlgError):
+            _update_row_sigma(sig, np.eye(4), 0, np.array([1, 2, 3]))
 
-        def no_solve(*args, **kwargs):
-            raise AssertionError("the covariance sweep called np.linalg.solve")
+    def test_one_cholesky_per_row_and_no_inverse_or_solve(self, monkeypatch):
+        r = random_correlation(np.random.default_rng(40), 10)
+        w = w_matrix(r)
+        real_dpotrf = solver.dpotrf
+        shapes = []
 
-        monkeypatch.setattr(np.linalg, "inv", counting_inv)
-        monkeypatch.setattr(np.linalg, "solve", no_solve)
-        res = fit(random_correlation(np.random.default_rng(40), 10), FitConfig(algorithm="sigma"))
-        assert res.sweeps > 1
-        assert len(calls) == res.sweeps
+        def counting_dpotrf(a, **kwargs):
+            shapes.append(a.shape)
+            return real_dpotrf(a, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the covariance sweep called np.linalg.inv or np.linalg.solve")
+
+        monkeypatch.setattr(solver, "dpotrf", counting_dpotrf)
+        monkeypatch.setattr(np.linalg, "inv", forbidden)
+        monkeypatch.setattr(np.linalg, "solve", forbidden)
+        _, _, sweeps, converged = _descend(r, w, FitConfig(algorithm="sigma"))
+        assert converged and sweeps > 1
+        assert shapes == [(9, 9)] * (9 * sweeps)
 
 
 # A symmetric unit-diagonal matrix, not positive semidefinite, whose
