@@ -75,7 +75,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 from scipy.linalg.blas import dsymv
