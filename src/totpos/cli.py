@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import math
 import os
@@ -260,7 +261,7 @@ def cmd_analyze(path: str, grw_tol: float = GRW_TOL):
     r, scale = to_correlation(s)
     closures = _closures(r, w_matrix(r), grw_tol)
     z = fold_paths(r, closures.forest, np.minimum)  # single_linkage on the shared forest
-    report = is_ultrametric(z)
+    report = is_ultrametric(z, closures.forest)
     block = is_block_graph(closures.equality)
     closed = block_closed_form(closures.w, block)
     applicable = not isinstance(closed, NotApplicable)
@@ -453,8 +454,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once per process: parsing leaves no
+    state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "selftest":
             seed = int(os.environ.get("TOTPOS_SEED", "0"))

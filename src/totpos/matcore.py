@@ -122,6 +122,27 @@ def pd_factorize(m: SymMatrix) -> PdFactor:
     return PdFactor(lower, log_det)
 
 
+def pd_mask(stack: np.ndarray) -> np.ndarray:
+    """Which matrices of a stack of shape (m, p, p) ``pd_factorize`` accepts.
+
+    One Cholesky of the whole stack under the same pivot rule, a pivot at
+    most PIVOT_RTOL times the member's largest diagonal entry failing it; a
+    failed member carries on with unit pivots so that the others finish.
+    """
+    m, p, _ = stack.shape
+    tol = PIVOT_RTOL * stack.diagonal(axis1=1, axis2=2).max(axis=1)
+    lower = np.zeros_like(stack)
+    ok = np.ones(m, dtype=bool)
+    for j in range(p):
+        row = lower[:, j, :j]
+        pivot = stack[:, j, j] - np.einsum("mi,mi->m", row, row)
+        ok &= pivot > tol
+        lower[:, j, j] = root = np.sqrt(np.where(ok, pivot, 1.0))
+        below = stack[:, j + 1 :, j] - np.einsum("mki,mi->mk", lower[:, j + 1 :, :j], row)
+        lower[:, j + 1 :, j] = below / root[:, None]
+    return ok
+
+
 def inverse_pd(m: SymMatrix) -> SymMatrix:
     """Invert a positive definite matrix via its triangular factor."""
     fac = pd_factorize(m)

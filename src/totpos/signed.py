@@ -7,6 +7,16 @@ exact optimum over all sign choices.  Unbalanced inputs need a search; at
 desk dimensions an exhaustive sweep over all anchored sign vectors is exact,
 beyond that the spanning-forest assignment is used as a heuristic and
 flagged as such.
+
+The exhaustive search fits the 2^(p-1) switched matrices as stacks: one
+max-product closure for the stack, one covariance descent in which every
+pair step is elementwise over the members that have not yet met the
+stopping rule, and one stacked log-determinant to rank them.  Only the
+winner (and any sign vector that ties with it) is fitted again through
+``fit``, which builds the certificate, gap and graph the result carries.
+Unbalanced inputs at n = 2p (2-vCPU Xeon, one BLAS thread) took 0.4-0.6 s
+at p = 10 and 3.2-5.9 s at p = 12, against 5.2-5.8 s and 22-48 s with one
+``fit`` per sign vector.
 """
 
 from __future__ import annotations
@@ -18,11 +28,29 @@ from itertools import product
 import numpy as np
 
 from .graphs import WeightedForest, mwsf
-from .matcore import SymMatrix, require_unit_diagonal
-from .solver import FitConfig, FitResult, _fit_best
+from .matcore import SymMatrix, require_unit_diagonal, to_correlation
+from .solver import (
+    FitConfig,
+    FitResult,
+    MleDoesNotExist,
+    _descend,
+    _fit_best,
+    _sigma_descend_stack,
+    exists_mle,
+)
+from .ultra import max_product_closure
 
 # Largest dimension at which an unbalanced input gets the exhaustive search.
 EXHAUSTIVE_LIMIT = 12
+
+# Sign vectors the exhaustive search fits in one stack: at p = 12, 512
+# switched matrices take 0.6 MB per stacked array.
+SEARCH_CHUNK = 512
+
+# Relative distance from the best stacked likelihood within which sign
+# vectors are refitted and ranked by ``fit``: the stacked and the plain
+# fits of one matrix agree to about 1e-15.
+TIE_WINDOW = 1e-9
 
 
 class ZeroWeightTreeEdge(RuntimeError):
@@ -122,22 +150,75 @@ def is_balanced(r: SymMatrix) -> tuple[bool, list[int] | None]:
     return witness is None, witness
 
 
+def _anchored_signs(p: int) -> np.ndarray:
+    """Every anchored sign vector of length p, one per row, first sign +1,
+    the rest in ``itertools.product((1, -1), ...)`` order."""
+    rest = np.array(list(product((1.0, -1.0), repeat=p - 1))).reshape(-1, p - 1)
+    return np.hstack([np.ones((len(rest), 1)), rest])
+
+
+def _stack_likelihoods(stack: np.ndarray, cfg: FitConfig) -> tuple[np.ndarray, bool]:
+    """log det K - tr(R K) at the fitted K of every correlation matrix of a
+    stack, and whether every descent converged.
+
+    The covariance sweep runs on the whole stack; the precision sweep, whose
+    pairs differ from member to member and whose iterate is K, runs member
+    by member.  Neither builds the certificate, gap or graph that a full
+    fit adds.
+    """
+    w = max_product_closure(stack)
+    if cfg.algorithm == "sigma":
+        sig, done = _sigma_descend_stack(stack, w, cfg)
+        k = np.linalg.inv(sig)
+    else:
+        runs = [_descend(SymMatrix(a), SymMatrix(b), cfg) for a, b in zip(stack, w)]
+        k = np.array([it for it, *_ in runs])
+        done = np.array([ok for *_, ok in runs])
+    ll = np.linalg.slogdet(k)[1] - np.einsum("mij,mij->m", stack, k)
+    return ll, bool(done.all())
+
+
 def exhaustive_sign_search(
     r: SymMatrix, cfg: FitConfig | None = None, prefer: SignVector | None = None
 ) -> SignedFitResult:
     """Fit every anchored sign vector and keep the likelihood maximizer.
 
-    Exact ties (identical switched matrices occur across disconnected
-    components) resolve toward ``prefer`` when given, then toward the
-    vector with the fewest leading flips.  A fit that runs out of sweeps
-    competes with its best iterate and marks the result unconverged.
+    The switched correlation matrices are fitted together, SEARCH_CHUNK at a
+    time (``_stack_likelihoods``), and ranked by their log-likelihood.  The
+    sign vectors within TIE_WINDOW (relative) of the best, usually the
+    winner alone, are then refitted through ``fit`` and ranked again by
+    those likelihoods, which also replace theirs in the table; so the
+    result's fit is the one a plain ``fit`` of the switched matrix gives,
+    and the table's largest entry is its likelihood.  Exact ties (identical
+    switched matrices occur across disconnected components) resolve toward
+    ``prefer`` when given, then toward the vector with the fewest leading
+    flips.  A fit that runs out of sweeps competes with its best iterate
+    and marks the result unconverged.
+
+    Raises MleDoesNotExist when some switched matrix fails ``exists_mle``.
     """
     cfg = cfg or FitConfig()
-    fits: dict[tuple[int, ...], FitResult] = {}
+    # switching moves the largest normalized entry of no sign vector above
+    # the largest |R_ij|, and some vector attains it
+    if not exists_mle(SymMatrix(np.abs(r.values))):
+        raise MleDoesNotExist("no maximum likelihood estimate: some normalized entry reaches one")
+    rc, scale = to_correlation(r)
+    signs = _anchored_signs(r.dim)
+    ll = np.empty(len(signs))
     converged = True
-    for rest in product((1, -1), repeat=r.dim - 1):
-        signs = (1, *rest)
-        fits[signs], done = _fit_best(apply_signs(r, SignVector(signs)), cfg)
+    for at in range(0, len(signs), SEARCH_CHUNK):
+        d = signs[at : at + SEARCH_CHUNK]
+        ll[at : at + len(d)], done = _stack_likelihoods(rc.values * d[:, :, None] * d[:, None, :], cfg)
+        converged = converged and done
+    # back to the scale of the input, as ``fit`` reports it
+    ll -= 2.0 * np.log(scale).sum()
+    table = {tuple(map(int, d)): float(x) for d, x in zip(signs, ll)}
+    near = ll >= ll.max() - TIE_WINDOW * max(1.0, abs(ll.max()))
+    fits: dict[tuple[int, ...], FitResult] = {}
+    for d in signs[near]:
+        key = tuple(map(int, d))
+        fits[key], done = _fit_best(apply_signs(r, SignVector(key)), cfg)
+        table[key] = fits[key].log_likelihood
         converged = converged and done
     best_ll = max(f.log_likelihood for f in fits.values())
     candidates = sorted(
@@ -148,7 +229,6 @@ def exhaustive_sign_search(
         winner = prefer.signs
     else:
         winner = candidates[0]
-    table = {s: f.log_likelihood for s, f in fits.items()}
     return SignedFitResult(SignVector(winner), fits[winner], "exhaustive_exact", converged, table)
 
 

@@ -46,6 +46,14 @@ converge in one sweep from it.  When ``pd_factorize`` refuses W the sweep
 starts at the single-linkage matrix, which is positive definite and dual
 feasible whenever every correlation is below one.
 
+``_sigma_descend_stack`` runs the covariance descent on a stack of
+matrices, as the exhaustive sign search needs: the same start, pair steps,
+order and stopping rule per member, with Q_FF and (Qx)_F of each row read
+off the covariance of the row's later variables given its earlier ones,
+which one Cholesky step per row carries from row to row.  Its row u
+inverts one (p-1-u)x(p-1-u) block per member, where the row pass above
+factors a (p-1)x(p-1) one.
+
 The precision sweep starts at the identity and visits only the pairs of the
 paper's upper bound G+ on the ML graph: the r_uv that attain their best
 path product W_uv > 0 (``grw_graph`` at EC_SLACK, as in
@@ -87,6 +95,7 @@ from .matcore import (
     inverse_pd,
     log_likelihood,
     pd_factorize,
+    pd_mask,
     rescale_solution,
     to_correlation,
 )
@@ -315,6 +324,77 @@ def _sigma_sweep(r: SymMatrix, w: SymMatrix):
     rows = [(u, np.delete(np.arange(p), u)) for u in range(p - 1)]
     # both triangles count toward the L1 metric
     return sig, lambda: sum(2.0 * _update_row_sigma(sig, r.values, u, rest) for u, rest in rows)
+
+
+def _sweep_sigma_stack(sig: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """One covariance sweep, row by row, on every member of a stack
+    (m, p, p) at once; returns each member's absolute change, summed over
+    the pairs.
+
+    Row u needs the F = u+1..p-1 block of Q = (Sigma without row u)^{-1} and
+    g = (Qx)_F.  With B = 0..u-1, Q_FF is the inverse of C_FF, the
+    covariance of F given B, and g = Q_FF c_F, where c_F = C_Fu is the
+    covariance of F and u given B; a move of Sigma_uv by d moves c_v by d.
+    After the row, eliminating u from C (one Cholesky step, C_FF -
+    c_F c_F^T / C_uu) gives the C of the next row.  So row u makes one
+    stacked inverse, of size p - 1 - u, and its pair steps are elementwise
+    over the members.  C starts from Sigma at every sweep.  Raises
+    LinAlgError when some member's Sigma is not positive definite.
+    """
+    m, p, _ = sig.shape
+    c = sig.copy()
+    change = np.zeros(m)
+    for u in range(p):
+        # the pivots of this Cholesky are the C_uu
+        if not (c[:, 0, 0] > 0.0).all():
+            raise np.linalg.LinAlgError("Sigma is not positive definite")
+        if u == p - 1:
+            break
+        q = np.linalg.inv(c[:, 1:, 1:])
+        cf = c[:, 1:, 0].copy()
+        g = np.matmul(q, cf[:, :, None])[:, :, 0]
+        qd = q.diagonal(axis1=1, axis2=2)
+        for j, v in enumerate(range(u + 1, p)):
+            suv = sig[:, u, v]
+            new = np.maximum(s[:, u, v], suv - g[:, j] / qd[:, j])
+            d = new - suv
+            sig[:, u, v] = sig[:, v, u] = new
+            cf[:, j] += d
+            g += d[:, None] * q[:, :, j]
+            change += np.abs(d)
+        c = c[:, 1:, 1:] - cf[:, :, None] * (cf / c[:, :1, 0])[:, None, :]
+    return change
+
+
+def _sigma_descend_stack(r: np.ndarray, w: np.ndarray, cfg: FitConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The ``sigma`` descent of ``_descend`` on a stack (m, p, p) of
+    correlation matrices, with their closures W; returns the iterates and
+    whether each member converged.
+
+    Each member starts at its W when ``pd_mask`` accepts it, else at its
+    single-linkage matrix, takes the pair steps of ``_sigma_sweep`` in the
+    same order (``_sweep_sigma_stack``), and leaves the stack when its
+    sweep meets the stopping rule of ``_descend``; the members left when
+    the budget is spent keep their last iterate and are reported
+    unconverged.
+    """
+    sig = w.copy()
+    for i in np.flatnonzero(~pd_mask(w)):
+        sig[i] = single_linkage(SymMatrix(r[i])).values
+    converged = np.zeros(len(sig), dtype=bool)
+    active, cur, s = np.arange(len(sig)), sig, r
+    for _ in range(cfg.max_sweeps):
+        change = _sweep_sigma_stack(cur, s)
+        # both triangles count toward the L1 metric
+        done = 2.0 * change < cfg.tolerance * np.maximum(1.0, cur.diagonal(axis1=1, axis2=2).max(1))
+        if done.any():
+            sig[active[done]] = cur[done]
+            converged[active[done]] = True
+            active, cur, s = active[~done], cur[~done], s[~done]
+            if not len(active):
+                break
+    sig[active] = cur
+    return sig, converged
 
 
 def _k_sweep(r: SymMatrix, w: SymMatrix):

@@ -2,7 +2,10 @@
 
 Two matrix closures of the positive-correlation graph drive the structural
 analysis: the single-linkage matrix (best bottleneck weight over connecting
-paths) and the max-product matrix (best product of edge weights).  The
+paths), folded along the spanning forest, and the max-product matrix (best
+product of edge weights), by Floyd-Warshall over the (max, x) semiring on a
+stack of matrices at once; the latter reproduces R bit for bit on every
+spanning-forest edge, where no longer path can win.  The
 single-linkage matrix is ultrametric, dominates the input, and when all
 off-diagonal entries are below one it is invertible with an M-matrix
 inverse, which makes it a ready-made dual-feasible point for the solver.
@@ -18,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .graphs import WeightedForest, WeightedGraph, fold_paths, mwsf, tree_mle
 from .matcore import SymMatrix, require_unit_diagonal
@@ -69,9 +70,18 @@ def single_linkage(r: SymMatrix) -> SymMatrix:
     return fold_paths(r, mwsf(r), np.minimum)
 
 
-def is_ultrametric(u: SymMatrix) -> UltrametricReport:
+def is_ultrametric(u: SymMatrix, forest: WeightedForest | None = None) -> UltrametricReport:
     """Check U_ii >= U_ij and U_ij >= min(U_ik, U_jk) over all triples,
     within ULTRA_TOL.
+
+    U passes every triple with i != j when it dominates its own max-min
+    closure off the diagonal, since that closure is at least
+    min(U_ik, U_jk) for every k; the closure is one ``fold_paths`` over a
+    maximum weight spanning forest of U, exact because min and max round
+    nothing.  ``forest`` is such a forest when the caller has one (the
+    forest of R is one for its single-linkage matrix), else ``mwsf(U)``.
+    Only when that test or the diagonal condition fails does the O(p^3)
+    triple scan run, to name the worst triple.
 
     Raises NegativeEntry when some entry is below -ULTRA_TOL.
     """
@@ -80,6 +90,17 @@ def is_ultrametric(u: SymMatrix) -> UltrametricReport:
     if vals.min() < -ULTRA_TOL:
         i, j = np.unravel_index(int(vals.argmin()), vals.shape)
         raise NegativeEntry(int(i), int(j), float(vals[i, j]))
+    # the closure reads only the forest's off-diagonal entries
+    unit = u
+    if not np.all(vals.diagonal() == 1.0):
+        unit = vals.copy()
+        np.fill_diagonal(unit, 1.0)
+        unit = SymMatrix(unit)
+    closure = fold_paths(unit, mwsf(unit) if forest is None else forest, np.minimum).values
+    excess = closure - vals
+    np.fill_diagonal(excess, -np.inf)
+    if excess.max() <= ULTRA_TOL and (vals - vals.diagonal()[:, None]).max() <= ULTRA_TOL:
+        return UltrametricReport(True, None)
     worst_mag = -np.inf
     worst = None
     # k == i covers the diagonal condition: U_ii >= min(U_ii, U_ij) forces
@@ -99,12 +120,31 @@ def is_ultrametric(u: SymMatrix) -> UltrametricReport:
     return UltrametricReport(True, None)
 
 
+def max_product_closure(vals: np.ndarray) -> np.ndarray:
+    """Best product of positive entries along a path, for every pair of
+    vertices of every matrix in a stack of shape (..., p, p).
+
+    Floyd-Warshall over the (max, x) semiring on the positive part, with
+    one broadcast update of the whole stack per pivot vertex.  Entries off
+    the diagonal must lie below one (not checked here).  A product of
+    factors below one rounds to at most each factor, so an entry that no
+    path beats, as on every spanning-forest edge, comes back bit for bit.
+    Zero across components, one on the diagonal.
+    """
+    p = vals.shape[-1]
+    w = np.maximum(vals, 0.0)
+    w[..., range(p), range(p)] = 1.0
+    for k in range(p):
+        np.maximum(w, w[..., :, k, None] * w[..., None, k, :], out=w)
+    return w
+
+
 def w_matrix(r: SymMatrix) -> SymMatrix:
     """Best product of edge weights between every pair of vertices.
 
-    Computed as all-pairs shortest paths on edge lengths -log(R_ij) over the
-    positive-part graph (Dijkstra from each source).  Requires off-diagonal
-    entries strictly below one so that all lengths are positive.  Zero across
+    The stack-of-one case of ``max_product_closure``, so it equals R on
+    every spanning-forest edge.  Requires off-diagonal entries strictly
+    below one, the products then decreasing along every path.  Zero across
     components, one on the diagonal.
     """
     require_unit_diagonal(r)
@@ -113,13 +153,7 @@ def w_matrix(r: SymMatrix) -> SymMatrix:
     off = ~np.eye(p, dtype=bool)
     if p > 1 and vals[off].max() >= 1.0:
         raise ValueError("off-diagonal entries must be < 1 to define path products")
-    rows, cols = np.where((vals > 0.0) & off)
-    lengths = csr_matrix((-np.log(vals[rows, cols]), (rows, cols)), shape=(p, p))
-    dist = dijkstra(lengths, directed=False)
-    dist = np.minimum(dist, dist.T)
-    out = np.where(np.isinf(dist), 0.0, np.exp(-dist))
-    np.fill_diagonal(out, 1.0)
-    return SymMatrix(out, labels=r.labels)
+    return SymMatrix(max_product_closure(vals), labels=r.labels)
 
 
 def grw_graph(r: SymMatrix, w: SymMatrix, tol: float = GRW_TOL) -> WeightedGraph:

@@ -630,6 +630,51 @@ class TestDefaults:
         assert self._default(cli.cmd_signed, "exhaustive_limit") == limit
 
 
+class TestParserOnce:
+    """``main`` builds its parser once per process, and a parser that has
+    parsed earlier commands gives what a fresh one gives."""
+
+    def _session(self, tmp_path, capsys, tag):
+        path = _write_carcass(tmp_path / "c.csv")
+        runs = [
+            ["fit", path, "--algorithm", "k", "--max-sweeps", "50"],
+            ["analyze", path, "--grw-tol", "1e-6"],
+            ["signed", path, "--exhaustive-limit", "6", "--tol", "1e-9"],
+            ["fit", path],
+            ["fit", path, "--algorithm", "nope"],
+            ["signed", path, "--help"],
+            ["analyze", str(tmp_path / "missing.csv")],
+            ["selftest", "--trials", "1", "--dims", "3"],
+            ["--help"],
+        ]
+        out = []
+        for i, argv in enumerate(runs):
+            doc = tmp_path / f"{tag}{i}.json"
+            wants_doc = argv[0] in ("fit", "analyze", "signed") and "--help" not in argv
+            try:
+                code = main(argv + (["--output", str(doc)] if wants_doc else []))
+            except SystemExit as exc:
+                code = f"exit {exc.code}"
+            text = doc.read_text() if doc.exists() else None
+            if text is not None:
+                text = "\n".join(l for l in text.splitlines() if '"generated_at"' not in l)
+            captured = capsys.readouterr()
+            out.append((code, text, captured.out, captured.err))
+        return out
+
+    def test_back_to_back_commands_match_fresh_parsers(self, tmp_path, capsys, monkeypatch):
+        cli._parser.cache_clear()
+        shared = self._session(tmp_path, capsys, "a")
+        assert cli._parser.cache_info().misses == 1
+        monkeypatch.setattr(cli, "_parser", build_parser)
+        fresh = self._session(tmp_path, capsys, "b")
+        assert shared == fresh
+        codes = [code for code, *_ in shared]
+        assert codes == [0, 0, 0, 0, "exit 2", "exit 0", 1, 0, "exit 0"]
+        assert "--exhaustive-limit" in shared[5][2]
+        assert "invalid choice" in shared[4][3]
+
+
 class TestClosureOnce:
     """A command builds the max-product closure W once, inside its fit."""
 

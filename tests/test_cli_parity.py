@@ -4,6 +4,8 @@ deterministic, so two manifests of the same tree are identical."""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from totpos import cli
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "cli_parity.py"
@@ -41,3 +43,27 @@ def test_analyze_only_inputs_run_analyze_alone(tmp_path):
     every = tool.manifest(cli, inputs, str(tmp_path))
     assert len(every) == 4
     assert runs["p03_n02_s0/analyze"] == every["p03_n02_s0/analyze"]
+
+
+def test_cycle_and_exhaustive_families(tmp_path):
+    tool = _load_tool()
+    cycles = tool.cycle_cases()
+    exhaustive = tool.exhaustive_cases()
+    assert len(cycles) == 8 and len(exhaustive) == 8
+    names = [name for name, _ in tool.cases() + tool.tied_cases() + cycles]
+    assert len(set(names)) == len(names)
+    # p edges tie at 0.3 on a cycle through every vertex, above every chord
+    _, text = cycles[1]
+    r = np.array([[float(x) for x in line.split(",")] for line in text.split()])
+    p = len(r)
+    tied = np.triu(r == 0.3, 1)
+    assert tied.sum() == p and (tied | tied.T).sum(axis=1).tolist() == [2] * p
+    assert (np.abs(r[~np.eye(p, dtype=bool) & ~(tied | tied.T)]) <= 0.05).all()
+    runs = tool.manifest(cli, cycles[:1], str(tmp_path), exhaustive=exhaustive[2:3])
+    assert sorted(runs) == [
+        "c05_s0/analyze", "c05_s0/fit-k", "c05_s0/fit-sigma", "c05_s0/signed",
+        "p07_n14_s1/signed-exhaustive",
+    ]
+    with open(tmp_path / "p07_n14_s1.csv") as fh:
+        assert len(fh.read().split()) == 7
+    assert all(code in (0, 3) for code, _, _ in runs.values())

@@ -14,6 +14,7 @@ from totpos import (
     rescale_solution,
     to_correlation,
 )
+from totpos.matcore import PIVOT_RTOL, pd_mask
 from conftest import STAR_K, random_pd
 
 
@@ -164,3 +165,28 @@ class TestLogLikelihood:
         with pytest.raises(ValueError):
             log_likelihood(SymMatrix(np.eye(2)), SymMatrix(np.eye(3)))
 
+
+
+class TestStackedPdMask:
+    def test_matches_pd_factorize(self):
+        rng = np.random.default_rng(90)
+        members = [random_pd(rng, 5).values for _ in range(4)]
+        x = rng.standard_normal((3, 5))
+        members.append(x.T @ x)  # rank 3
+        indefinite = np.eye(5)
+        indefinite[0, 4] = indefinite[4, 0] = 1.2
+        members.append(indefinite)
+        # last pivot 2e-12 and 0.5e-12 times the largest diagonal entry
+        for slack in (2.0, 0.5):
+            a = np.eye(5)
+            a[3, 4] = a[4, 3] = math.sqrt(1.0 - slack * PIVOT_RTOL)
+            members.append(a)
+        mask = pd_mask(np.array(members))
+        expected = []
+        for a in members:
+            try:
+                pd_factorize(SymMatrix(a))
+                expected.append(True)
+            except NotPositiveDefinite:
+                expected.append(False)
+        assert mask.tolist() == expected == [True] * 4 + [False, False, True, False]

@@ -1,13 +1,18 @@
+from itertools import product
+
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from totpos import (
     FitConfig,
+    MleDoesNotExist,
     SignVector,
     SymMatrix,
     apply_signs,
     d_star,
     exhaustive_sign_search,
+    exists_mle,
     fit,
     fit_signed,
     is_balanced,
@@ -15,11 +20,54 @@ from totpos import (
     mwsf,
     tree_mle,
 )
+from totpos import signed
+from totpos.cli import main, write_matrix_csv
+from totpos.solver import _fit_best
 from conftest import UNBALANCED_R, random_correlation, random_m_matrix
 
 
 def _random_sign_vector(rng, p):
     return SignVector((1, *(int(s) for s in rng.choice([-1, 1], size=p - 1))))
+
+
+def _serial_sign_search(r, cfg=None, prefer=None):
+    """Fit every anchored sign vector through ``fit``, one at a time, and keep
+    the likelihood maximizer; returns (signs, converged, likelihood table,
+    winning fit).  Ties go to ``prefer``, then to the fewest leading flips."""
+    cfg = cfg or FitConfig()
+    fits, converged = {}, True
+    for rest in product((1, -1), repeat=r.dim - 1):
+        signs = (1, *rest)
+        fits[signs], done = _fit_best(apply_signs(r, SignVector(signs)), cfg)
+        converged = converged and done
+    best_ll = max(f.log_likelihood for f in fits.values())
+    candidates = sorted(
+        (s for s, f in fits.items() if f.log_likelihood == best_ll),
+        key=lambda s: tuple(0 if x > 0 else 1 for x in s),
+    )
+    winner = prefer.signs if prefer is not None and prefer.signs in candidates else candidates[0]
+    return winner, converged, {s: f.log_likelihood for s, f in fits.items()}, fits[winner]
+
+
+def _assert_matches_serial(r, cfg=None, prefer=None):
+    result = exhaustive_sign_search(r, cfg, prefer=prefer)
+    signs, converged, table, best = _serial_sign_search(r, cfg, prefer=prefer)
+    assert result.method == "exhaustive_exact"
+    assert (result.signs.signs, result.converged) == (signs, converged)
+    assert list(result.switched_likelihoods) == list(table)
+    for key, ll in table.items():
+        assert abs(result.switched_likelihoods[key] - ll) <= 1e-12 * max(1.0, abs(ll))
+    # the winner is refitted through fit, so its fit is the serial one
+    assert np.array_equal(result.fit.sigma_hat.values, best.sigma_hat.values)
+    assert result.fit.log_likelihood == best.log_likelihood == max(result.switched_likelihoods.values())
+    return result
+
+
+def _two_twin_components() -> SymMatrix:
+    """The unbalanced 4x4 example beside a 2x2 block: flipping both variables
+    of the block leaves the switched matrix unchanged, so every sign vector
+    ties exactly with its twin."""
+    return SymMatrix(block_diag(UNBALANCED_R, [[1.0, -0.5], [-0.5, 1.0]]))
 
 
 class TestSignVector:
@@ -200,6 +248,100 @@ class TestFitSigned:
                               anchored=False)
         b = apply_signs(unbalanced4, composed)
         assert np.abs(a.values - b.values).max() <= 1e-12
+
+
+class TestStackedSearch:
+    """The exhaustive search fits every sign vector in one stack; the serial
+    loop over ``fit`` is the reference."""
+
+    @pytest.mark.parametrize("p, n", [(4, 3), (5, 10), (6, 2), (6, 12), (7, 3), (7, 14)])
+    def test_matches_serial_reference(self, p, n):
+        rng = np.random.default_rng(300 + 10 * p + n)
+        for _ in range(2):
+            r = random_correlation(rng, p, n=n)
+            d = _random_sign_vector(rng, p)
+            _assert_matches_serial(r, FitConfig(max_sweeps=200), prefer=d)
+
+    def test_unbalanced_example_matches_serial(self, unbalanced4):
+        _assert_matches_serial(unbalanced4, prefer=d_star(unbalanced4))
+
+    def test_precision_sweep_matches_serial(self):
+        rng = np.random.default_rng(310)
+        for n in (2, 10):
+            _assert_matches_serial(random_correlation(rng, 5, n=n), FitConfig(algorithm="k"))
+
+    def test_twin_ties_resolve_like_serial(self):
+        r = _two_twin_components()
+        plain = _assert_matches_serial(r)
+        table = plain.switched_likelihoods
+        for signs, ll in table.items():
+            twin = (*signs[:4], -signs[4], -signs[5])
+            assert table[twin] == ll
+        # fewest leading flips: the twin with + on the block's first variable wins
+        assert plain.signs.signs[4] == 1
+        twin = SignVector((*plain.signs.signs[:4], -1, -plain.signs.signs[5]))
+        preferred = _assert_matches_serial(r, prefer=twin)
+        assert preferred.signs == twin
+        loser = SignVector((1, 1, 1, 1, 1, 1))
+        assert _assert_matches_serial(r, prefer=loser).signs == plain.signs
+
+    def test_spent_budget_makes_search_unconverged(self):
+        r = random_correlation(np.random.default_rng(317), 6, n=12)
+        cfg = FitConfig(max_sweeps=2)
+        result = _assert_matches_serial(r, cfg)
+        assert not result.converged
+        # the winner itself converged: a losing sign vector spent its budget
+        assert _fit_best(apply_signs(r, result.signs), cfg)[1]
+
+    def test_switched_matrix_without_mle_raises(self, tmp_path):
+        r = np.eye(4)
+        r[0, 1] = r[1, 0] = 0.3
+        r[1, 2] = r[2, 1] = 0.3
+        r[0, 2] = r[2, 0] = -0.3  # a negative cycle: unbalanced
+        r[2, 3] = r[3, 2] = -(1.0 - 1e-13)  # +(1 - 1e-13) once switched
+        r = SymMatrix(r)
+        assert exists_mle(r)  # the unswitched input passes
+        for search in (exhaustive_sign_search, _serial_sign_search):
+            with pytest.raises(MleDoesNotExist):
+                search(r)
+        path = str(tmp_path / "r.csv")
+        write_matrix_csv(r, path)
+        assert main(["signed", path]) == 2
+
+    def test_chunks_give_the_same_table(self, monkeypatch):
+        r = random_correlation(np.random.default_rng(312), 6, n=3)
+        whole = exhaustive_sign_search(r, FitConfig(max_sweeps=200))
+        monkeypatch.setattr(signed, "SEARCH_CHUNK", 5)
+        chunked = exhaustive_sign_search(r, FitConfig(max_sweeps=200))
+        assert chunked.switched_likelihoods == whole.switched_likelihoods
+        assert (chunked.signs, chunked.converged) == (whole.signs, whole.converged)
+
+    def test_one_fit_per_search(self, monkeypatch):
+        calls = []
+
+        def counting(s, cfg):
+            calls.append(s)
+            return _fit_best(s, cfg)
+
+        monkeypatch.setattr(signed, "_fit_best", counting)
+        r = random_correlation(np.random.default_rng(313), 7, n=14)
+        result = exhaustive_sign_search(r)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0].values, apply_signs(r, result.signs).values)
+
+    def test_tied_twins_are_the_only_refits(self, monkeypatch):
+        calls = []
+
+        def counting(s, cfg):
+            calls.append(s)
+            return _fit_best(s, cfg)
+
+        monkeypatch.setattr(signed, "_fit_best", counting)
+        result = exhaustive_sign_search(_two_twin_components())
+        # the twins differ only in the signs of their zero entries
+        assert len(calls) == 2
+        assert np.array_equal(calls[0].values, calls[1].values)
+        assert np.array_equal(calls[0].values, apply_signs(_two_twin_components(), result.signs).values)
 
 
 class TestDominanceIdentity:

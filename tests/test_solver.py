@@ -33,9 +33,12 @@ from totpos import (
 )
 from totpos import solver
 from totpos.cli import main
+from totpos.ultra import max_product_closure
 from totpos.solver import (
     ALGORITHMS,
     _descend,
+    _sigma_descend_stack,
+    _sweep_sigma_stack,
     _pair_indices,
     _update_pair_k,
     _update_pair_sigma,
@@ -403,6 +406,61 @@ def _reference_k_descend(r: SymMatrix, cfg: FitConfig):
         if change < cfg.tolerance * max(1.0, float(cur.diagonal().max())):
             return cur, sweep, True
     return cur, cfg.max_sweeps, False
+
+
+class TestStackedSigmaDescent:
+    """The covariance descent on a stack of matrices takes each member's
+    pair steps of the row pass, in the same order, and retires each member
+    under ``_descend``'s stopping rule."""
+
+    def _stack(self, p, ns, seed):
+        rng = np.random.default_rng(seed)
+        return np.array([random_correlation(rng, p, n=n).values for n in ns])
+
+    def test_sweep_equals_row_passes(self):
+        stack = self._stack(7, (2, 3, 8, 14, 14, 40), 45)
+        sig = max_product_closure(stack)
+        ref = sig.copy()
+        for _ in range(3):
+            change = _sweep_sigma_stack(sig, stack)
+            for member, s, ch in zip(ref, stack, change):
+                rows = sum(_update_row_sigma(member, s, u, np.delete(np.arange(7), u)) for u in range(6))
+                assert abs(rows - ch) <= 1e-12
+            assert np.abs(sig - ref).max() <= 1e-12
+        assert change.max() > 1e-6
+
+    def test_sweep_raises_on_indefinite_member(self):
+        stack = self._stack(4, (9, 9), 46)
+        stack[1, 2, 3] = stack[1, 3, 2] = 1.0
+        stack[1, 1, 2] = stack[1, 2, 1] = -0.9
+        with pytest.raises(np.linalg.LinAlgError):
+            _sweep_sigma_stack(stack.copy(), stack)
+
+    @pytest.mark.parametrize("p, ns", [(6, (2, 3, 3, 12, 12, 30)), (9, (3, 18, 18, 18))])
+    def test_matches_descend(self, p, ns):
+        stack = self._stack(p, ns, 47 + p)
+        cfg = FitConfig(max_sweeps=60)
+        sig, converged = _sigma_descend_stack(stack, max_product_closure(stack), cfg)
+        for member, it, ok in zip(stack, sig, converged):
+            r = SymMatrix(member)
+            ref, _, _, ref_ok = _descend(r, w_matrix(r), cfg)
+            assert ok == ref_ok
+            assert np.abs(it - ref).max() <= 1e-12
+        assert converged.any()
+
+    def test_single_linkage_start_where_closure_is_indefinite(self, monkeypatch):
+        stack = np.array([INDEFINITE_CLOSURE_R, *self._stack(6, (12, 12), 48)])
+        calls = []
+        real = solver.single_linkage
+        monkeypatch.setattr(solver, "single_linkage", lambda r: calls.append(r) or real(r))
+        cfg = FitConfig(max_sweeps=300)
+        sig, converged = _sigma_descend_stack(stack, max_product_closure(stack), cfg)
+        assert len(calls) == 1 and np.array_equal(calls[0].values, INDEFINITE_CLOSURE_R)
+        for member, it, ok in zip(stack, sig, converged):
+            r = SymMatrix(member)
+            ref, _, _, ref_ok = _descend(r, w_matrix(r), cfg)
+            assert ok == ref_ok
+            assert np.abs(it - ref).max() <= 1e-12
 
 
 class TestScreenedPrecisionSweep:

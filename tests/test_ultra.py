@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from totpos import (
     FitConfig,
@@ -18,6 +21,8 @@ from totpos import (
     tree_mle,
     w_matrix,
 )
+from totpos.matcore import require_unit_diagonal
+from totpos.ultra import ULTRA_TOL, UltrametricReport, max_product_closure
 from conftest import (
     CARCASS_ML_EDGES,
     LINKAGE_R,
@@ -27,6 +32,49 @@ from conftest import (
     random_correlation,
     random_pd,
 )
+
+
+def _reference_w_matrix(r: SymMatrix) -> np.ndarray:
+    """The max-product closure as all-pairs shortest paths on -log R_ij over
+    the positive-part graph, by Dijkstra from each source."""
+    require_unit_diagonal(r)
+    p = r.dim
+    vals = r.values
+    off = ~np.eye(p, dtype=bool)
+    if p > 1 and vals[off].max() >= 1.0:
+        raise ValueError("off-diagonal entries must be < 1 to define path products")
+    rows, cols = np.where((vals > 0.0) & off)
+    lengths = csr_matrix((-np.log(vals[rows, cols]), (rows, cols)), shape=(p, p))
+    dist = dijkstra(lengths, directed=False)
+    dist = np.minimum(dist, dist.T)
+    out = np.where(np.isinf(dist), 0.0, np.exp(-dist))
+    np.fill_diagonal(out, 1.0)
+    return out
+
+
+def _reference_is_ultrametric(u: SymMatrix) -> UltrametricReport:
+    """The triple scan alone: the worst of min(U_ik, U_jk) - U_ij over all
+    i, j, k, the triples with i == j giving the diagonal condition."""
+    vals = u.values
+    worst_mag, worst = -np.inf, None
+    for k in range(u.dim):
+        col = vals[:, k]
+        gap = np.minimum(col[:, None], col[None, :]) - vals
+        idx = int(gap.argmax())
+        if gap.flat[idx] > worst_mag:
+            worst_mag = float(gap.flat[idx])
+            i, j = np.unravel_index(idx, gap.shape)
+            worst = (int(i), int(j), k, worst_mag)
+    if worst_mag > ULTRA_TOL:
+        return UltrametricReport(False, worst)
+    return UltrametricReport(True, None)
+
+
+def _components_input(rng) -> SymMatrix:
+    """Two random correlation blocks and an isolated vertex, with negative
+    entries inside the blocks."""
+    return SymMatrix(block_diag(random_correlation(rng, 5).values, [[1.0]],
+                                random_correlation(rng, 4).values))
 
 
 class TestSingleLinkage:
@@ -109,6 +157,103 @@ class TestWMatrix:
             w = w_matrix(random_correlation(rng, 6))
             again = w_matrix(w)
             assert np.abs(again.values - w.values).max() <= 1e-12
+
+
+class TestWClosureKernel:
+    """``w_matrix`` is Floyd-Warshall over (max, x); the Dijkstra closure it
+    replaced is the reference."""
+
+    @pytest.mark.parametrize("p", [1, 2, 200])
+    def test_matches_dijkstra(self, p):
+        rng = np.random.default_rng(200 + p)
+        for r in [random_correlation(rng, p, n=2 * p + 2) for _ in range(3 if p < 200 else 1)]:
+            w = w_matrix(r).values
+            ref = _reference_w_matrix(r)
+            assert np.all(np.abs(w - ref) <= 1e-14 * ref)
+
+    def test_matches_dijkstra_across_components(self):
+        rng = np.random.default_rng(210)
+        for _ in range(5):
+            r = _components_input(rng)
+            assert r.values.min() < 0.0
+            w = w_matrix(r).values
+            ref = _reference_w_matrix(r)
+            assert np.array_equal(w == 0.0, ref == 0.0)
+            assert np.all(np.abs(w - ref) <= 1e-14 * ref)
+
+    def test_exact_on_forest_edges(self):
+        rng = np.random.default_rng(211)
+        inputs = [random_correlation(rng, p, n=n) for p, n in ((6, 2), (12, 24), (40, 80))]
+        for r in inputs + [_components_input(rng)]:
+            w = w_matrix(r).values
+            for i, j, weight in mwsf(r).edges:
+                assert w[i, j] == weight == w[j, i]
+
+    def test_stack_equals_members(self):
+        rng = np.random.default_rng(212)
+        stack = np.array([random_correlation(rng, 7, n=n).values for n in (2, 3, 9, 14, 30)])
+        out = max_product_closure(stack)
+        assert out.shape == stack.shape
+        for member, w in zip(stack, out):
+            assert np.array_equal(w, w_matrix(SymMatrix(member)).values)
+
+    @pytest.mark.parametrize("value", [1.0, 1.5])
+    def test_entry_at_one_raises_like_the_reference(self, value):
+        r = np.eye(3)
+        r[0, 2] = r[2, 0] = value
+        r[0, 1] = r[1, 0] = -0.2
+        for closure in (w_matrix, _reference_w_matrix):
+            with pytest.raises(ValueError, match="off-diagonal entries must be < 1"):
+                closure(SymMatrix(r))
+
+
+class TestUltrametricShortcut:
+    """The closure test decides the passing inputs; every verdict and worst
+    triple equals the triple scan's."""
+
+    def _inputs(self):
+        rng = np.random.default_rng(220)
+        zs = [single_linkage(random_correlation(rng, p)).values for p in (1, 2, 6, 9)]
+        noise = rng.uniform(-5e-13, 5e-13, (6, 6))
+        within = zs[2] + (noise + noise.T) / 2
+        np.fill_diagonal(within, 1.0)
+        violated = np.abs(random_correlation(rng, 6).values)
+        blocks = block_diag(zs[2], zs[3])
+        scaled = 2.0 * zs[3]
+        low_diagonal = zs[2].copy()
+        np.fill_diagonal(low_diagonal, 0.0)
+        np.fill_diagonal(low_diagonal, low_diagonal.max() / 2)
+        raised = zs[2].copy()
+        raised[0, 3] = raised[3, 0] = raised[0, 3] + 1e-9  # breaks one triple
+        return [*zs, within, blocks, scaled, violated, 2.0 * violated, low_diagonal, raised]
+
+    def test_matches_triple_scan(self):
+        verdicts = []
+        for vals in self._inputs():
+            u = SymMatrix(vals)
+            report = is_ultrametric(u)
+            assert report == _reference_is_ultrametric(u)
+            verdicts.append(report.is_ultrametric)
+        assert verdicts == [True] * 7 + [False] * 4
+
+    def test_forest_of_r_serves_its_linkage_matrix(self):
+        rng = np.random.default_rng(221)
+        for r in [random_correlation(rng, 8), _components_input(rng), random_correlation(rng, 30)]:
+            forest = mwsf(r)
+            z = single_linkage(r)
+            report = is_ultrametric(z, forest)
+            assert report == is_ultrametric(z) == UltrametricReport(True, None)
+            # halving a pair off the forest keeps it a maximum weight forest
+            lowered = z.values.copy()
+            off_forest = np.triu(lowered > 0.0, 1)
+            for a, b in forest.edge_pairs():
+                off_forest[a, b] = False
+            i, j = np.argwhere(off_forest)[0]
+            lowered[i, j] = lowered[j, i] = lowered[i, j] * 0.5
+            broken = SymMatrix(lowered)
+            report = is_ultrametric(broken, forest)
+            assert not report.is_ultrametric
+            assert report == _reference_is_ultrametric(broken)
 
 
 class TestEcGraph:

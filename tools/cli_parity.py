@@ -10,10 +10,14 @@ variables, even seeds carry a header row.  A second family rounds the
 correlations of such draws to two decimals, so that positive entries tie
 and the spanning forest's tie-break decides; odd seeds there also zero
 every entry between the two halves of the variables (p = 4 to 12, n = 3
-and 2p).  Each input runs ``fit`` with every algorithm, ``signed`` and
-``analyze``, all with ``--dot``: 672 runs in all.  Inputs at p = 100 and
-200 (n = 2p, seeds 0 and 1) run ``analyze`` alone: there most of a
-document is matrices and edge lists.
+and 2p).  A third family puts equal weights on a cycle through every
+variable, with small chords, so that the tie-break alone decides which
+cycle edge the forest drops (p = 5 to 12).  Each input runs ``fit`` with
+every algorithm, ``signed`` and ``analyze``, all with ``--dot``.  Inputs at
+p = 100 and 200 (n = 2p, seeds 0 and 1) run ``analyze`` alone: there most
+of a document is matrices and edge lists.  Unbalanced inputs at p = 7 and
+8 (n = 3 and 2p, seeds 1 and 3) run ``signed`` alone, with the exhaustive
+search over 64 and 128 sign vectors.  That is 712 runs in all.
 
     python tools/cli_parity.py SRC --output manifest.json
     python tools/cli_parity.py --compare A.json B.json
@@ -42,6 +46,10 @@ DIMS = (3, 4, 5, 6, 8, 10, 12, 16, 20)
 SEEDS = range(5)
 TIED_DIMS = (4, 6, 8, 12)
 TIED_SEEDS = range(4)
+CYCLE_DIMS = (5, 6, 8, 12)
+CYCLE_SEEDS = range(2)
+EXHAUSTIVE_DIMS = (7, 8)
+EXHAUSTIVE_SEEDS = (1, 3)
 LARGE_DIMS = (100, 200)
 LARGE_SEEDS = (0, 1)
 # pinned, not read from the package, so that two trees run the same set
@@ -51,6 +59,8 @@ ALGORITHMS = ("sigma", "k")
 # takes the forest heuristic instead of 2^(p-1) fits.
 FIT_FLAGS = ("--max-sweeps", "200")
 SIGNED_FLAGS = (*FIT_FLAGS, "--exhaustive-limit", "6")
+# the exhaustive family runs the sign search on 64 and 128 sign vectors
+EXHAUSTIVE_FLAGS = (*FIT_FLAGS, "--exhaustive-limit", "8")
 GENERATED_AT = re.compile(r'^  "generated_at": .*\n', flags=re.M)
 
 
@@ -91,6 +101,20 @@ def _tied_case(p: int, n: int, seed: int) -> tuple[str, str]:
     return _csv(f"t{p:02d}_n{n:02d}_s{seed}", r, seed % 2 == 0)
 
 
+def _cycle_case(p: int, seed: int) -> tuple[str, str]:
+    """Every edge of a cycle through all variables, in a seeded order, at
+    0.3, and chords drawn from [-0.05, 0.05]: the spanning forest keeps all
+    but one cycle edge, and the tie-break alone decides which."""
+    rng = np.random.default_rng([p, seed, 7])
+    r = np.triu(rng.uniform(-0.05, 0.05, (p, p)), 1)
+    r = r + r.T
+    cycle = rng.permutation(p)
+    after = np.roll(cycle, -1)
+    r[cycle, after] = r[after, cycle] = 0.3
+    np.fill_diagonal(r, 1.0)
+    return _csv(f"c{p:02d}_s{seed}", r, seed % 2 == 0)
+
+
 def cases(dims=DIMS, seeds=SEEDS) -> list[tuple[str, str]]:
     """(name, CSV text) for every input that runs every command."""
     return [_case(p, n, seed) for p in dims for n in sorted({2, 3, 2 * p}) for seed in seeds]
@@ -99,6 +123,19 @@ def cases(dims=DIMS, seeds=SEEDS) -> list[tuple[str, str]]:
 def tied_cases(dims=TIED_DIMS, seeds=TIED_SEEDS) -> list[tuple[str, str]]:
     """(name, CSV text) for the rounded inputs, which also run every command."""
     return [_tied_case(p, n, seed) for p in dims for n in (3, 2 * p) for seed in seeds]
+
+
+def cycle_cases(dims=CYCLE_DIMS, seeds=CYCLE_SEEDS) -> list[tuple[str, str]]:
+    """(name, CSV text) for the tied cycles, which also run every command."""
+    return [_cycle_case(p, seed) for p in dims for seed in seeds]
+
+
+def exhaustive_cases() -> list[tuple[str, str]]:
+    """(name, CSV text) for unbalanced inputs that run ``signed`` alone,
+    with the exhaustive search reaching p = 8."""
+    return [
+        _case(p, n, seed) for p in EXHAUSTIVE_DIMS for n in (3, 2 * p) for seed in EXHAUSTIVE_SEEDS
+    ]
 
 
 def large_cases() -> list[tuple[str, str]]:
@@ -124,14 +161,18 @@ def _sha256(path: str, strip=None) -> str | None:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def manifest(cli, inputs, workdir: str, analyze_only=()) -> dict[str, list]:
-    """Run every invocation of ``inputs``, and the ``analyze`` invocation of
-    ``analyze_only``, through ``cli.main`` inside ``workdir``; paths are
+def manifest(cli, inputs, workdir: str, analyze_only=(), exhaustive=()) -> dict[str, list]:
+    """Run every invocation of ``inputs``, the ``analyze`` invocation of
+    ``analyze_only`` and a ``signed`` invocation with EXHAUSTIVE_FLAGS of
+    ``exhaustive`` through ``cli.main`` inside ``workdir``; paths are
     relative, so documents do not depend on it."""
     jobs = [(name, text, invocations(name)) for name, text in inputs]
     for name, text in analyze_only:
         runs = {run: argv for run, argv in invocations(name).items() if argv[0] == "analyze"}
         jobs.append((name, text, runs))
+    for name, text in exhaustive:
+        argv = ["signed", f"{name}.csv", *EXHAUSTIVE_FLAGS]
+        jobs.append((name, text, {f"{name}/signed-exhaustive": argv}))
     out = {}
     cwd = os.getcwd()
     os.chdir(workdir)
@@ -182,7 +223,8 @@ def main(argv=None) -> int:
     if not os.path.abspath(cli.__file__).startswith(os.path.abspath(args.src) + os.sep):
         parser.error(f"imported totpos from {cli.__file__}, not from {args.src}")
     with tempfile.TemporaryDirectory() as workdir:
-        result = manifest(cli, cases() + tied_cases(), workdir, analyze_only=large_cases())
+        result = manifest(cli, cases() + tied_cases() + cycle_cases(), workdir,
+                          analyze_only=large_cases(), exhaustive=exhaustive_cases())
     text = json.dumps(result, indent=1, sort_keys=True) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
