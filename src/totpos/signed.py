@@ -12,10 +12,11 @@ The exhaustive search fits the 2^(p-1) switched matrices as stacks: one
 max-product closure for the stack, one covariance descent in which every
 pair step is elementwise over the members that have not yet met the
 stopping rule, and one stacked log-determinant to rank them.  Only the
-winner (and any sign vector that ties with it) is fitted again through
-``fit``, which builds the certificate, gap and graph the result carries.
-Unbalanced inputs at n = 2p (2-vCPU Xeon, one BLAS thread) took 0.4-0.6 s
-at p = 10 and 3.2-5.9 s at p = 12, against 5.2-5.8 s and 22-48 s with one
+winner, and any sign vector within TIE_WINDOW of it, is fitted again
+through ``fit``, which builds the certificate, gap and graph the result
+carries.
+Unbalanced inputs at n = 2p (2-vCPU Xeon, one BLAS thread) took 0.45-0.51 s
+at p = 10 and 2.6-5.0 s at p = 12, against 4.7-6.2 s and 23-46 s with one
 ``fit`` per sign vector.
 """
 
@@ -49,7 +50,8 @@ SEARCH_CHUNK = 512
 
 # Relative distance from the best stacked likelihood within which sign
 # vectors are refitted and ranked by ``fit``: the stacked and the plain
-# fits of one matrix agree to about 1e-15.
+# fits of one matrix agree to about 1e-12 relative at worst, on members
+# that spend their sweep budget at n = 3.
 TIE_WINDOW = 1e-9
 
 

@@ -160,8 +160,8 @@ class TestWMatrix:
 
 
 class TestWClosureKernel:
-    """``w_matrix`` is Floyd-Warshall over (max, x); the Dijkstra closure it
-    replaced is the reference."""
+    """``w_matrix`` is Floyd-Warshall over (max, x); shortest paths on
+    -log R by Dijkstra are the reference."""
 
     @pytest.mark.parametrize("p", [1, 2, 200])
     def test_matches_dijkstra(self, p):
