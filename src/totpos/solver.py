@@ -14,27 +14,27 @@ and returns its L1 change.  The loop ``_descend`` owns the budget and
 stops when that change falls below tolerance * max(1, largest diagonal
 entry of the iterate).  A new sweep is one function and one ``_SWEEPS``
 entry.  Both sweeps increase the likelihood at every step and converge to
-the unique optimum, cycling over vertex pairs in lexicographic order with a
-closed-form exact maximization per pair:
+the unique optimum:
 
-* "k" updates the 2x2 block K_AA for A = {u, v}: with
-  L = K_AB K_BB^{-1} K_BA, the unconstrained pair optimum S_AA^{-1} is taken
-  when it keeps K_uv nonpositive (L_12 <= S_uv / (S_uu S_vv - S_uv^2)),
-  otherwise the constraint binds and the diagonal is adjusted to
+* "k" cycles over vertex pairs in lexicographic order and updates the 2x2
+  block K_AA for A = {u, v}: with L = K_AB K_BB^{-1} K_BA, the
+  unconstrained pair optimum S_AA^{-1} is taken when it keeps K_uv
+  nonpositive (L_12 <= S_uv / (S_uu S_vv - S_uv^2)), otherwise the
+  constraint binds and the diagonal is adjusted to
   (1 + sqrt(1 + 4 S_uu S_vv L_12^2)) / (2 S_uu) (resp. S_vv) with the
   off-diagonal pinned at -L_12;
-* "sigma" sets Sigma_uv = max(S_uv, L_12) with
-  L = Sigma_AB Sigma_BB^{-1} Sigma_BA, which zeroes K_uv unless the dual
-  bound binds.  The sweep runs row by row: the steps (u, v), v > u, move
-  only row u, so Sigma without row u stays fixed between them, and with
-  Q its inverse and x = Sigma[u, -u], L_12 = x_v - (Qx)_v / Q_vv.  Each row
-  makes one Cholesky of that block (LAPACK dpotrf, with dpotri for Q) and
-  then O(p) per pair; no K is kept, so no rounding carries over from row
-  to row.  A sweep costs p - 1 factorizations.  Per sigma fit at n = 2p
-  (median of seeded draws, 2-vCPU Xeon, one BLAS thread) this is 1.65x as
-  fast as a rank-2 update of a kept K per pair at p = 20, 2.0x at p = 40
-  and 1.8x at p = 80; at p = 5, with its four short rows, the descent
-  takes 10-20% longer.
+* "sigma" cycles over columns and maximizes log det Sigma exactly over
+  column j, Sigma_oo and Sigma_jj = 1 fixed (o the other vertices; the
+  block coordinate descent of Slawski & Hein, glasso's column update at
+  lambda = 0).  With x = Sigma_oj, log det Sigma = log det Sigma_oo +
+  log(1 - x' Sigma_oo^{-1} x), minimized over x >= r_oj at x = Sigma_oo
+  beta, beta = argmin over beta >= 0 of 1/2 beta' Sigma_oo beta - r_oj'
+  beta; at the optimum beta = -K_oj/K_jj, positive on the ML edges.  x is
+  written as max(r_oj, Sigma_oo beta), so every iterate is dual feasible.
+  On the p = 20, n = 40 inputs of perfbench's ``fit_mixed`` (2-vCPU Xeon,
+  one BLAS thread) a fit took 11 sweeps and 15 ms at the median, where
+  the pair step Sigma_uv = max(S_uv, L_12), L = Sigma_AB Sigma_BB^{-1}
+  Sigma_BA (``_update_pair_sigma``), took 52 sweeps and 41 ms.
 
 The covariance sweep starts at W.  The MLE has an M-matrix inverse, so it
 has the path-product property Sigma_ij >= Sigma_ik Sigma_kj, and it
@@ -42,17 +42,12 @@ dominates R; the product of the r's along any path is then at most
 Sigma_ij, so R <= W <= Sigma_hat entrywise.  W is thus dual feasible and
 sits just below the optimum, and it is the optimum when the block closed
 form applies: the carcass fit, and 40 of 40 seeded p = 6, n = 2 fits,
-converge in one sweep from it.  When ``pd_factorize`` refuses W the sweep
+converge in one sweep from it.  When ``pd_mask`` refuses W the sweep
 starts at the single-linkage matrix, which is positive definite and dual
 feasible whenever every correlation is below one.
 
-``_sigma_descend_stack`` runs the covariance descent on a stack of
-matrices, as the exhaustive sign search needs: the same start, pair steps,
-order and stopping rule per member, with Q_FF and (Qx)_F of each row read
-off the covariance of the row's later variables given its earlier ones,
-which one Cholesky step per row carries from row to row.  Its row u
-inverts one (p-1-u)x(p-1-u) block per member, where the row pass above
-factors a (p-1)x(p-1) one.
+The column sweep runs on a stack (m, p, p): ``fit`` runs a stack of one,
+the sign search its chunks of switched matrices (``_sigma_descend_stack``).
 
 The precision sweep starts at the identity and visits only the pairs of the
 paper's upper bound G+ on the ML graph: the r_uv that attain their best
@@ -66,16 +61,14 @@ so a wrong screen cannot pass.
 
 The precision sweep keeps one (p-2)x(p-2) LU solve per pair: K_BB and K_BA
 are gathered by flat indices that ``_pair_indices`` computes once per fit,
-and LAPACK's dgesv, the routine np.linalg.solve wraps, is called directly,
-without numpy's per-call overhead.  Those indices take O(|G+| p^2) memory:
-at n = 2p, 0.24 MB at p = 20 (82 pairs), 3.4 MB at p = 40 (283) and 65 MB
-at p = 80 (1303), so about 1 GB at p = 160 and 2.5 GB at p = 200.  Built
-per pair, they slowed eight p = 20 fits from about 0.3 s to 0.5 s (2-vCPU
-Xeon).  Keeping Sigma = K^{-1} beside K instead would take L as
-K_AA - (Sigma_AA)^{-1}, which cancels badly when K is large: on a p = 6,
-n = 2 input with a correlation within 1e-9 of one (K_ii near 5e8), such a
-sweep still moved K by 1e1 to 9e2 (L1) per sweep after 1000 sweeps, against
-a stopping threshold of 0.05, where the solve stops after 3 sweeps.
+and LAPACK's dgesv is called directly.  Those indices take O(|G+| p^2)
+memory: at n = 2p, 0.24 MB at p = 20 (82 pairs), 3.4 MB at p = 40 (283)
+and 65 MB at p = 80 (1303), about 1 GB at p = 160.  Keeping
+Sigma = K^{-1} beside K instead would take L as K_AA - (Sigma_AA)^{-1},
+which cancels badly when K is large: on a p = 6, n = 2 input with a
+correlation within 1e-9 of one (K_ii near 5e8), such a sweep still moved K
+by 1e1 to 9e2 (L1) per sweep after 1000 sweeps, against a stopping
+threshold of 0.05, where the solve stops after 3 sweeps.
 """
 
 from __future__ import annotations
@@ -85,8 +78,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dsymv
-from scipy.linalg.lapack import dgesv, dpotrf, dpotri
+from scipy.linalg.lapack import dgesv
 
 from .graphs import WeightedGraph
 from .matcore import (
@@ -108,6 +100,9 @@ EXIST_MARGIN = 1e-12
 
 # Tolerance at which fitted certificates are evaluated.
 CERT_TOL = 1e-6
+
+# Retries of a column step's guessed active set before the exact solve.
+GUESSES = 3
 
 class MleDoesNotExist(ValueError):
     """The existence pre-check failed for the given sample covariance."""
@@ -142,7 +137,8 @@ class FitConfig:
     def __post_init__(self):
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
-        if not isinstance(self.max_sweeps, (int, np.integer)) or self.max_sweeps < 1:
+        n = self.max_sweeps  # bool is an int, np.bool_ no np.integer
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
             raise ValueError("max_sweeps must be an integer of at least 1")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {', '.join(map(repr, ALGORITHMS))}")
@@ -243,36 +239,6 @@ def _update_pair_sigma(sig: np.ndarray, k: np.ndarray, s: np.ndarray, u: int, v:
     return abs(d)
 
 
-def _update_row_sigma(sig: np.ndarray, s: np.ndarray, u: int, rest: np.ndarray) -> float:
-    """The pair steps (u, u+1), ..., (u, p-1) in turn, as one pass over row u;
-    returns the absolute change, summed over the pairs.
-
-    ``rest`` lists the other p - 1 vertices in order.  The pass moves only
-    x = Sigma[u, rest], so Q = (Sigma_rest,rest)^{-1} stays fixed and
-    L_12 = x_v - (Qx)_v / Q_vv.  One Cholesky (LAPACK dpotrf) and dpotri
-    give the lower triangle of Q, which serves every pair: a move of x_v by
-    d adds d Q[F, v] to g = (Qx)_F, F = u+1..p-1, and the entries of g
-    before v, which that column does not hold, are not read again.
-    """
-    c, info = dpotrf(sig.take(rest, 0).take(rest, 1), lower=1)
-    if info:
-        raise np.linalg.LinAlgError("Sigma without row u is not positive definite")
-    q, _ = dpotri(c, lower=1, overwrite_c=1)
-    x = sig[u].take(rest)
-    g = dsymv(1.0, q, x, lower=1)[u:]
-    qf = q[u:, u:]
-    change = 0.0
-    for j, v in enumerate(range(u + 1, len(rest) + 1)):
-        suv = x.item(u + j)
-        new = max(s.item(u, v), suv - g.item(j) / qf.item(j, j))
-        d = new - suv
-        if d != 0.0:
-            sig[u, v] = sig[v, u] = new
-            g += d * qf[:, j]
-            change += abs(d)
-    return change
-
-
 def _update_pair_k(k: np.ndarray, s: np.ndarray, u: int, v: int, blocks: tuple) -> float:
     """Exact maximization over the (u, v) block of K; returns the L1 change.
 
@@ -312,85 +278,119 @@ def _update_pair_k(k: np.ndarray, s: np.ndarray, u: int, v: int, blocks: tuple) 
     return change
 
 
-def _sigma_sweep(r: SymMatrix, w: SymMatrix):
-    """Covariance sweep over every pair, row by row, from W if positive
-    definite, else from the single-linkage matrix."""
-    try:
-        pd_factorize(w)
-        sig = w.values.copy()
-    except NotPositiveDefinite:
-        sig = single_linkage(r).values.copy()
-    p = r.dim
-    rows = [(u, np.delete(np.arange(p), u)) for u in range(p - 1)]
-    # both triangles count toward the L1 metric
-    return sig, lambda: sum(2.0 * _update_row_sigma(sig, r.values, u, rest) for u, rest in rows)
-
-
-def _sweep_sigma_stack(sig: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """One covariance sweep, row by row, on every member of a stack
-    (m, p, p) at once; returns each member's absolute change, summed over
-    the pairs.
-
-    Row u needs the F = u+1..p-1 block of Q = (Sigma without row u)^{-1} and
-    g = (Qx)_F.  With B = 0..u-1, Q_FF is the inverse of C_FF, the
-    covariance of F given B, and g = Q_FF c_F, where c_F = C_Fu is the
-    covariance of F and u given B; a move of Sigma_uv by d moves c_v by d.
-    After the row, eliminating u from C (one Cholesky step, C_FF -
-    c_F c_F^T / C_uu) gives the C of the next row.  So row u makes one
-    stacked inverse, of size p - 1 - u, and its pair steps are elementwise
-    over the members.  C starts from Sigma at every sweep.  Raises
-    LinAlgError when some member's Sigma is not positive definite.
-    """
-    m, p, _ = sig.shape
-    c = sig.copy()
-    change = np.zeros(m)
-    for u in range(p):
-        # the pivots of this Cholesky are the C_uu
-        if not (c[:, 0, 0] > 0.0).all():
-            raise np.linalg.LinAlgError("Sigma is not positive definite")
-        if u == p - 1:
+def _nnls_gram(g: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """argmin over beta >= 0 of 1/2 beta' g beta - r' beta, g positive
+    definite: the Lawson-Hanson active-set method on the Gram form.  An
+    index is freed while its negative gradient exceeds rounding; a solve
+    that leaves a coefficient nonpositive steps back to the boundary."""
+    n = len(r)
+    free = np.zeros(n, dtype=bool)
+    beta = np.zeros(n)
+    for _ in range(3 * n):
+        grad = np.where(free, -np.inf, r - g @ beta)
+        t = int(grad.argmax())
+        if not grad[t] > 10.0 * n * np.finfo(float).eps:
             break
-        q = np.linalg.inv(c[:, 1:, 1:])
-        cf = c[:, 1:, 0].copy()
-        g = np.matmul(q, cf[:, :, None])[:, :, 0]
-        qd = q.diagonal(axis1=1, axis2=2)
-        for j, v in enumerate(range(u + 1, p)):
-            suv = sig[:, u, v]
-            new = np.maximum(s[:, u, v], suv - g[:, j] / qd[:, j])
-            d = new - suv
-            sig[:, u, v] = sig[:, v, u] = new
-            cf[:, j] += d
-            g += d[:, None] * q[:, :, j]
-            change += np.abs(d)
-        c = c[:, 1:, 1:] - cf[:, :, None] * (cf / c[:, :1, 0])[:, None, :]
+        free[t] = True
+        while True:
+            idx = np.flatnonzero(free)
+            s = np.zeros(n)
+            s[idx] = np.linalg.solve(g[np.ix_(idx, idx)], r[idx])
+            low = idx[s[idx] <= 0.0]
+            if not len(low):
+                break
+            ratio = beta[low] / (beta[low] - s[low])
+            beta += ratio.min() * (s - beta)
+            beta[low[ratio.argmin()]] = 0.0
+            free &= beta > 0.0
+            beta[~free] = 0.0
+        beta = s
+    return beta
+
+
+def _masked_step(g: np.ndarray, r: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """beta on the guessed active sets ``a`` of a stack of column problems
+    (g, r), by one solve of g masked to the set (identity rows elsewhere);
+    x = g beta; and whether the KKT system holds: beta >= 0, x >= r off a."""
+    masked = np.where(a[:, :, None] & a[:, None, :], g, np.eye(len(r[0]), dtype=bool))
+    beta = np.linalg.solve(masked, np.where(a, r, 0.0)[:, :, None])[:, :, 0]
+    x = np.matmul(g, beta[:, :, None])[:, :, 0]
+    return beta, x, ((beta >= 0.0) & (a | (x >= r))).all(axis=1)
+
+
+def _column_step(sig: np.ndarray, r: np.ndarray, active: np.ndarray, j: int, o: np.ndarray) -> np.ndarray:
+    """The step on column j, with other vertices ``o``, of every member of a
+    stack (m, p, p); returns each member's absolute change in the column.
+
+    Sigma_oj becomes max(r_oj, Sigma_oo beta), beta the column problem's
+    solution.  ``active[:, j, o]`` guesses where beta > 0; a member whose
+    guess is wrong drops the entries of negative beta, adds those of
+    x < r, and tries again, up to GUESSES times, then falls back to
+    ``_nnls_gram``.  The set beta > 0 is kept as the next guess.
+    """
+    g = sig[:, o[:, None], o]
+    rj = r[:, o, j]
+    a = active[:, j, o]
+    beta, x, ok = _masked_step(g, rj, a)
+    for _ in range(GUESSES):
+        if ok.all():
+            break
+        bad = np.flatnonzero(~ok)
+        a[bad] = np.where(a[bad], beta[bad] > 0.0, x[bad] < rj[bad])
+        beta[bad], x[bad], ok[bad] = _masked_step(g[bad], rj[bad], a[bad])
+    for i in np.flatnonzero(~ok):
+        beta[i] = _nnls_gram(g[i], rj[i])
+        x[i] = g[i] @ beta[i]
+    np.maximum(rj, x, out=x)
+    change = np.abs(x - sig[:, j, o]).sum(axis=1)
+    sig[:, o, j] = sig[:, j, o] = x
+    active[:, j, o] = beta > 0.0
     return change
+
+
+def _column_sweep(sig: np.ndarray, r: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """``_column_step`` on every column in turn, for every member of a stack
+    (m, p, p); returns each member's L1 change (both triangles).  Raises
+    LinAlgError when some member's Sigma is not positive definite."""
+    np.linalg.cholesky(sig)
+    p = sig.shape[1]
+    # row j lists the vertices other than j
+    others = np.arange(p - 1) + (np.arange(p - 1) >= np.arange(p)[:, None])
+    return 2.0 * sum(_column_step(sig, r, active, j, o) for j, o in enumerate(others))
+
+
+def _sigma_start(r: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The covariance descent's start on a stack (m, p, p) of correlation
+    matrices with closures W (W where ``pd_mask`` accepts it, else single
+    linkage), and each column's first active set, G+ (W > 0, |r - W| <= EC_SLACK)."""
+    sig = w.copy()
+    for i in np.flatnonzero(~pd_mask(w)):
+        sig[i] = single_linkage(SymMatrix(r[i])).values
+    return sig, (w > 0.0) & (np.abs(r - w) <= EC_SLACK)
+
+
+def _sigma_sweep(r: SymMatrix, w: SymMatrix):
+    """Covariance sweep: ``_column_sweep`` on a stack of one."""
+    sig, active = _sigma_start(r.values[None], w.values[None])
+    return sig[0], lambda: float(_column_sweep(sig, r.values[None], active)[0])
 
 
 def _sigma_descend_stack(r: np.ndarray, w: np.ndarray, cfg: FitConfig) -> tuple[np.ndarray, np.ndarray]:
     """The ``sigma`` descent of ``_descend`` on a stack (m, p, p) of
     correlation matrices, with their closures W; returns the iterates and
-    whether each member converged.
-
-    Each member starts at its W when ``pd_mask`` accepts it, else at its
-    single-linkage matrix, takes the pair steps of ``_sigma_sweep`` in the
-    same order (``_sweep_sigma_stack``), and leaves the stack when its
-    sweep meets the stopping rule of ``_descend``; the members left when
-    the budget is spent keep their last iterate and are reported
-    unconverged.
-    """
-    sig = w.copy()
-    for i in np.flatnonzero(~pd_mask(w)):
-        sig[i] = single_linkage(SymMatrix(r[i])).values
+    whether each member converged.  A member leaves the stack when its
+    sweep meets ``_descend``'s stopping rule; those left when the budget is
+    spent keep their last iterate."""
+    sig, guess = _sigma_start(r, w)
     converged = np.zeros(len(sig), dtype=bool)
     active, cur, s = np.arange(len(sig)), sig, r
     for _ in range(cfg.max_sweeps):
-        change = _sweep_sigma_stack(cur, s)
-        # both triangles count toward the L1 metric
-        done = 2.0 * change < cfg.tolerance * np.maximum(1.0, cur.diagonal(axis1=1, axis2=2).max(1))
+        change = _column_sweep(cur, s, guess)
+        done = change < cfg.tolerance * np.maximum(1.0, cur.diagonal(axis1=1, axis2=2).max(1))
         if done.any():
             sig[active[done]] = cur[done]
             converged[active[done]] = True
-            active, cur, s = active[~done], cur[~done], s[~done]
+            active, cur, s, guess = active[~done], cur[~done], s[~done], guess[~done]
             if not len(active):
                 break
     sig[active] = cur

@@ -2,6 +2,10 @@
 deterministic, so two manifests of the same tree are identical."""
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +13,7 @@ import numpy as np
 from totpos import cli
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "cli_parity.py"
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _load_tool():
@@ -67,3 +72,26 @@ def test_cycle_and_exhaustive_families(tmp_path):
     with open(tmp_path / "p07_n14_s1.csv") as fh:
         assert len(fh.read().split()) == 7
     assert all(code in (0, 3) for code, _, _ in runs.values())
+
+
+def test_blas_threads_pinned_before_numpy_is_imported():
+    # a fresh interpreter without the variables records them at the moment
+    # numpy is first looked up, then loads the tool
+    probe = f"""
+import importlib.util, json, os, sys
+
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            print(json.dumps({{v: os.environ.get(v) for v in {BLAS_ENV!r}}}))
+            sys.meta_path.remove(self)
+
+sys.meta_path.insert(0, Probe())
+spec = importlib.util.spec_from_file_location("cli_parity", {str(TOOL)!r})
+spec.loader.exec_module(importlib.util.module_from_spec(spec))
+"""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_ENV}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert json.loads(out.splitlines()[0]) == dict.fromkeys(BLAS_ENV, "1")
+    assert _load_tool().BLAS_ENV == BLAS_ENV

@@ -4,6 +4,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import dsymv
+from scipy.linalg.lapack import dpotrf, dpotri
+from scipy.optimize import nnls
 
 from totpos import (
     FitConfig,
@@ -36,13 +39,15 @@ from totpos.cli import main
 from totpos.ultra import max_product_closure
 from totpos.solver import (
     ALGORITHMS,
+    _column_step,
+    _column_sweep,
     _descend,
-    _sigma_descend_stack,
-    _sweep_sigma_stack,
+    _nnls_gram,
     _pair_indices,
+    _sigma_descend_stack,
+    _sigma_start,
     _update_pair_k,
     _update_pair_sigma,
-    _update_row_sigma,
 )
 from conftest import (
     CARCASS_CHAIN_EDGES,
@@ -79,6 +84,9 @@ class TestConfig:
             FitConfig(max_sweeps=0)
         with pytest.raises(ValueError, match="integer"):
             FitConfig(max_sweeps=2.5)
+        for flag in (True, np.bool_(True)):
+            with pytest.raises(ValueError, match="integer"):
+                FitConfig(max_sweeps=flag)
         with pytest.raises(ValueError, match=", ".join(f"'{a}'" for a in ALGORITHMS)):
             FitConfig(algorithm="newton")
 
@@ -215,9 +223,9 @@ class TestMonotonicity:
 
 
 def _reference_sigma_descend(r: SymMatrix, cfg: FitConfig):
-    """The covariance sweep with one direct (p-2)x(p-2) solve per pair, from
-    the same start: the max-product closure W when it is positive definite,
-    else the single-linkage matrix."""
+    """The pairwise covariance sweep with one direct (p-2)x(p-2) solve per
+    pair, from the same start: the max-product closure W when it is
+    positive definite, else the single-linkage matrix."""
     s = r.values
     p = r.dim
     w = w_matrix(r)
@@ -240,10 +248,38 @@ def _reference_sigma_descend(r: SymMatrix, cfg: FitConfig):
     return cur, cfg.max_sweeps, False
 
 
+def _update_row_sigma(sig: np.ndarray, s: np.ndarray, u: int, rest: np.ndarray) -> float:
+    """The pairwise reference for row u: the pair steps (u, u+1), ...,
+    (u, p-1) in turn; returns the absolute change, summed over the pairs.
+
+    ``rest`` lists the other p - 1 vertices in order.  The pass moves only
+    x = Sigma[u, rest], so Q = (Sigma_rest,rest)^{-1} stays fixed and
+    L_12 = x_v - (Qx)_v / Q_vv; a move of x_v by d adds d Q[F, v] to
+    g = (Qx)_F, F = u+1..p-1.
+    """
+    c, info = dpotrf(sig.take(rest, 0).take(rest, 1), lower=1)
+    if info:
+        raise np.linalg.LinAlgError("Sigma without row u is not positive definite")
+    q, _ = dpotri(c, lower=1, overwrite_c=1)
+    x = sig[u].take(rest)
+    g = dsymv(1.0, q, x, lower=1)[u:]
+    qf = q[u:, u:]
+    change = 0.0
+    for j, v in enumerate(range(u + 1, len(rest) + 1)):
+        suv = x.item(u + j)
+        new = max(s.item(u, v), suv - g.item(j) / qf.item(j, j))
+        d = new - suv
+        if d != 0.0:
+            sig[u, v] = sig[v, u] = new
+            g += d * qf[:, j]
+            change += abs(d)
+    return change
+
+
 class TestSharedState:
-    """The covariance sweep runs row by row: one Cholesky of Sigma without
-    row u serves the pair steps (u, u+1), ..., (u, p-1), which equal the
-    pair hook's, and no K is kept between rows."""
+    """The pairwise references: the pair hook keeps K the inverse, the row
+    pass equals the pair steps of its row, and the column sweep reaches the
+    optimum of the pair-by-pair sweep in no more sweeps."""
 
     def _inputs(self):
         rng = np.random.default_rng(38)
@@ -255,8 +291,9 @@ class TestSharedState:
         for r in self._inputs():
             sig, _, sweeps, converged = _descend(r, w_matrix(r), cfg)
             ref, ref_sweeps, ref_converged = _reference_sigma_descend(r, cfg)
-            assert (sweeps, converged) == (ref_sweeps, ref_converged)
-            assert np.abs(sig - ref).max() <= 1e-12
+            assert converged and ref_converged
+            assert sweeps <= ref_sweeps
+            assert np.abs(sig - ref).max() <= 1e-10
 
     def test_hooks_keep_k_the_inverse(self):
         r = random_correlation(np.random.default_rng(39), 8, n=40)
@@ -295,25 +332,114 @@ class TestSharedState:
         with pytest.raises(np.linalg.LinAlgError):
             _update_row_sigma(sig, np.eye(4), 0, np.array([1, 2, 3]))
 
-    def test_one_cholesky_per_row_and_no_inverse_or_solve(self, monkeypatch):
-        r = random_correlation(np.random.default_rng(40), 10)
-        w = w_matrix(r)
-        real_dpotrf = solver.dpotrf
-        shapes = []
 
-        def counting_dpotrf(a, **kwargs):
-            shapes.append(a.shape)
-            return real_dpotrf(a, **kwargs)
+def _column_qp(g: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
+    """A column problem (Sigma_oo, r_o) whose solution beta is known and
+    degenerate: zero on some entries, where x = Sigma_oo beta exceeds r,
+    and zero at one entry where x equals r exactly, a tie at the bound."""
+    n = len(g)
+    beta = np.where(np.arange(n) % 3 == 0, 0.0, rng.uniform(0.1, 0.6, n))
+    x = g @ beta
+    rhs = x - np.where(beta > 0.0, 0.0, rng.uniform(0.05, 0.3, n))
+    rhs[0] = x[0]
+    return rhs, beta
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the covariance sweep called np.linalg.inv or np.linalg.solve")
 
-        monkeypatch.setattr(solver, "dpotrf", counting_dpotrf)
-        monkeypatch.setattr(np.linalg, "inv", forbidden)
-        monkeypatch.setattr(np.linalg, "solve", forbidden)
-        _, _, sweeps, converged = _descend(r, w, FitConfig(algorithm="sigma"))
-        assert converged and sweeps > 1
-        assert shapes == [(9, 9)] * (9 * sweeps)
+class TestColumnStep:
+    """The covariance sweep maximizes log det Sigma over one column at a
+    time: its step solves the column's nonnegative quadratic program
+    exactly, from a guessed active set or by the Lawson-Hanson fallback."""
+
+    def _inputs(self):
+        rng = np.random.default_rng(61)
+        return [random_correlation(rng, p, n=n) for p, n in ((6, 2), (7, 3), (9, 5), (12, 24))]
+
+    def test_kkt_conditions(self):
+        for r in self._inputs():
+            p = r.dim
+            sig, active = _sigma_start(r.values[None], w_matrix(r).values[None])
+            for _ in range(3):
+                for j in range(p):
+                    o = np.delete(np.arange(p), j)
+                    _column_step(sig, r.values[None], active, j, o)
+                    x, rj = sig[0, o, j], r.values[o, j]
+                    beta = np.linalg.solve(sig[0][np.ix_(o, o)], x)
+                    assert (x >= rj).all()
+                    assert beta.min() >= -1e-12
+                    assert np.abs(beta * (x - rj)).max() <= 1e-12
+                    assert sig[0, j, j] == 1.0
+                    assert np.array_equal(sig[0, j], sig[0, :, j])
+
+    def test_log_det_never_falls_and_beats_a_row_pass(self):
+        gains = []
+        for r in self._inputs():
+            p = r.dim
+            sig, active = _sigma_start(r.values[None], w_matrix(r).values[None])
+            for _ in range(2):
+                for j in range(p):
+                    o = np.delete(np.arange(p), j)
+                    # the row pass of row 0 moves every entry of column j
+                    # once j is put first
+                    order = np.array([j, *o])
+                    row = sig[0][np.ix_(order, order)]
+                    _update_row_sigma(row, r.values[np.ix_(order, order)], 0, np.arange(1, p))
+                    before = np.linalg.slogdet(sig[0])[1]
+                    _column_step(sig, r.values[None], active, j, o)
+                    after = np.linalg.slogdet(sig[0])[1]
+                    assert after >= before - 1e-12
+                    assert after >= np.linalg.slogdet(row)[1] - 1e-12
+                    gains.append(after - np.linalg.slogdet(row)[1])
+        assert max(gains) > 1e-6
+
+    def test_fallback_matches_scipy_nnls(self):
+        rng = np.random.default_rng(62)
+        for n in (1, 4, 9, 15):
+            g = random_correlation(rng, n, n=2 * n + 3).values
+            rhs, beta = _column_qp(g, rng)
+            got = _nnls_gram(g, rhs)
+            # nnls on the factor g = L L': |L' beta - L^-1 r|^2 is the
+            # column objective up to a constant
+            lower = np.linalg.cholesky(g)
+            ref, _ = nnls(lower.T, np.linalg.solve(lower, rhs))
+            assert np.abs(got - beta).max() <= 1e-12
+            assert np.abs(got - ref).max() <= 1e-10
+            assert (got >= 0.0).all() and got[0] == 0.0
+        # unstructured problems, where a freed coefficient can turn
+        # negative and the method has to step back to the boundary
+        rng = np.random.default_rng(64)
+        for _ in range(40):
+            g = random_correlation(rng, 6, n=7).values
+            rhs = rng.uniform(-0.3, 1.0, 6)
+            lower = np.linalg.cholesky(g)
+            ref, _ = nnls(lower.T, np.linalg.solve(lower, rhs))
+            assert np.abs(_nnls_gram(g, rhs) - ref).max() <= 1e-10
+
+    @pytest.mark.parametrize("guesses", [0, 3])
+    def test_wrong_guess_gives_the_exact_step(self, monkeypatch, guesses):
+        real = solver._nnls_gram
+        calls = []
+        monkeypatch.setattr(solver, "GUESSES", guesses)
+        monkeypatch.setattr(solver, "_nnls_gram", lambda g, r: calls.append(1) or real(g, r))
+        rng = np.random.default_rng(63)
+        p = 10
+        sig = random_correlation(rng, p, n=3 * p).values
+        o = np.arange(1, p)
+        rhs, beta = _column_qp(sig[np.ix_(o, o)], rng)
+        r = np.eye(p)
+        r[o, 0] = r[0, o] = rhs
+        # the stack's members start from every guess that is wrong: the
+        # full set, the empty set, and the set with the tie and one support
+        # entry swapped
+        swapped = beta > 0.0
+        swapped[[0, 1]] = ~swapped[[0, 1]]
+        active = np.zeros((3, p, p), dtype=bool)
+        active[:, 0, o] = [np.ones(p - 1, bool), np.zeros(p - 1, bool), swapped]
+        stack = np.array([sig] * 3)
+        _column_step(stack, np.array([r] * 3), active, 0, o)
+        for member, guess in zip(stack, active):
+            assert np.abs(member[o, 0] - np.maximum(rhs, sig[np.ix_(o, o)] @ beta)).max() <= 1e-13
+            assert np.array_equal(guess[0, o], beta > 0.0)
+        assert len(calls) == (3 if guesses == 0 else 0)
 
 
 # A symmetric unit-diagonal matrix, not positive semidefinite, whose
@@ -410,23 +536,23 @@ def _reference_k_descend(r: SymMatrix, cfg: FitConfig):
 
 class TestStackedSigmaDescent:
     """The covariance descent on a stack of matrices takes each member's
-    pair steps of the row pass, in the same order, and retires each member
-    under ``_descend``'s stopping rule."""
+    column steps, as that member alone would, and retires each member under
+    ``_descend``'s stopping rule."""
 
     def _stack(self, p, ns, seed):
         rng = np.random.default_rng(seed)
         return np.array([random_correlation(rng, p, n=n).values for n in ns])
 
-    def test_sweep_equals_row_passes(self):
+    def test_stack_equals_members_alone(self):
         stack = self._stack(7, (2, 3, 8, 14, 14, 40), 45)
-        sig = max_product_closure(stack)
-        ref = sig.copy()
+        sig, active = _sigma_start(stack, max_product_closure(stack))
+        alone = [(sig[i : i + 1].copy(), active[i : i + 1].copy()) for i in range(len(stack))]
         for _ in range(3):
-            change = _sweep_sigma_stack(sig, stack)
-            for member, s, ch in zip(ref, stack, change):
-                rows = sum(_update_row_sigma(member, s, u, np.delete(np.arange(7), u)) for u in range(6))
-                assert abs(rows - ch) <= 1e-12
-            assert np.abs(sig - ref).max() <= 1e-12
+            change = _column_sweep(sig, stack, active)
+            for (member, act), s, ch in zip(alone, stack, change):
+                assert abs(_column_sweep(member, s[None], act)[0] - ch) <= 1e-12
+            assert np.abs(sig - np.concatenate([m for m, _ in alone])).max() <= 1e-12
+            assert np.array_equal(active, np.concatenate([a for _, a in alone]))
         assert change.max() > 1e-6
 
     def test_sweep_raises_on_indefinite_member(self):
@@ -434,7 +560,7 @@ class TestStackedSigmaDescent:
         stack[1, 2, 3] = stack[1, 3, 2] = 1.0
         stack[1, 1, 2] = stack[1, 2, 1] = -0.9
         with pytest.raises(np.linalg.LinAlgError):
-            _sweep_sigma_stack(stack.copy(), stack)
+            _column_sweep(stack.copy(), stack, np.ones(stack.shape, dtype=bool))
 
     @pytest.mark.parametrize("p, ns", [(6, (2, 3, 3, 12, 12, 30)), (9, (3, 18, 18, 18))])
     def test_matches_descend(self, p, ns):

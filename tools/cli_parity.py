@@ -17,7 +17,9 @@ every algorithm, ``signed`` and ``analyze``, all with ``--dot``.  Inputs at
 p = 100 and 200 (n = 2p, seeds 0 and 1) run ``analyze`` alone: there most
 of a document is matrices and edge lists.  Unbalanced inputs at p = 7 and
 8 (n = 3 and 2p, seeds 1 and 3) run ``signed`` alone, with the exhaustive
-search over 64 and 128 sign vectors.  That is 712 runs in all.
+search over 64 and 128 sign vectors.  That is 712 runs in all.  Documents
+depend on the BLAS thread count, so the tool pins OpenBLAS, OpenMP and MKL
+to one thread before numpy is imported, as ``perfbench/run.py`` does.
 
     python tools/cli_parity.py SRC --output manifest.json
     python tools/cli_parity.py --compare A.json B.json
@@ -40,7 +42,11 @@ import sys
 import tempfile
 import warnings
 
-import numpy as np
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in BLAS_ENV:
+    os.environ[_var] = "1"
+
+import numpy as np  # after the pin
 
 DIMS = (3, 4, 5, 6, 8, 10, 12, 16, 20)
 SEEDS = range(5)
