@@ -407,7 +407,7 @@ def _add_fit_options(parser: argparse.ArgumentParser) -> None:
                              "tol * max(1, largest diagonal entry of the iterate)")
     parser.add_argument("--max-sweeps", type=_positive_int, default=default.max_sweeps)
     parser.add_argument("--edge-threshold", type=_positive_float, default=default.edge_threshold,
-                        help="relative precision cutoff defining graph edges")
+                        help="partial-correlation cutoff defining graph edges")
     parser.add_argument("--output", help="write the result document here instead of stdout")
     parser.add_argument("--dot", help="write a tiered DOT rendering of the graphs here")
     parser.add_argument("--sigma-csv", help="write the fitted covariance as CSV here")

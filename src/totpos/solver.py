@@ -78,7 +78,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgesv
+from scipy.linalg.lapack import dgesv, dpotrf, dpotri, dpotrs
 
 from .graphs import WeightedGraph
 from .matcore import (
@@ -104,6 +104,10 @@ CERT_TOL = 1e-6
 # Retries of a column step's guessed active set before the exact solve.
 GUESSES = 3
 
+# Caps of one Newton finish: its steps, and the halvings of one step.
+NEWTON_STEPS = 12
+HALVINGS = 8
+
 class MleDoesNotExist(ValueError):
     """The existence pre-check failed for the given sample covariance."""
 
@@ -124,9 +128,9 @@ class FitConfig:
     """Solver configuration.
 
     algorithm "sigma" runs coordinate descent on the covariance, "k" on the
-    precision matrix.  edge_threshold is the relative cutoff under which
-    fitted precision entries are treated as exact zeros when reading off the
-    graph.
+    precision matrix.  edge_threshold is the cutoff on the fitted partial
+    correlations |K_ij| / sqrt(K_ii K_jj) under which precision entries are
+    treated as exact zeros when reading off the graph.
     """
 
     tolerance: float = 1e-10
@@ -370,23 +374,168 @@ def _sigma_start(r: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sigma_sweep(r: SymMatrix, w: SymMatrix):
-    """Covariance sweep: ``_column_sweep`` on a stack of one."""
+    """Covariance sweep: ``_column_sweep`` on a stack of one; its support is
+    where some column step left beta > 0."""
     sig, active = _sigma_start(r.values[None], w.values[None])
-    return sig[0], lambda: float(_column_sweep(sig, r.values[None], active)[0])
+    return (sig[0], lambda: float(_column_sweep(sig, r.values[None], active)[0]),
+            lambda: _beta_support(active)[0])
+
+
+def _beta_support(active: np.ndarray) -> np.ndarray:
+    """The symmetrized beta > 0 sets of a stack of column sweeps, without
+    the diagonal."""
+    sym = active | active.transpose(0, 2, 1)
+    sym[:, np.arange(active.shape[1]), np.arange(active.shape[1])] = False
+    return sym
+
+
+def _k_sweep(r: SymMatrix, w: SymMatrix):
+    """Precision sweep over the pairs of G+, from the identity; its support
+    is the nonzero off-diagonal entries of K."""
+    k = np.eye(r.dim)
+    pairs = _pair_indices(r.dim, grw_graph(r, w, EC_SLACK).edge_pairs())
+    off = ~np.eye(r.dim, dtype=bool)
+    return (k, lambda: sum(_update_pair_k(k, r.values, u, v, b) for u, v, b in pairs),
+            lambda: (k != 0.0) & off)
+
+
+def _cholesky_inverse(k: np.ndarray) -> np.ndarray | None:
+    """K^{-1} by one Cholesky factorization (LAPACK dpotrf, dpotri), or None
+    when K is not positive definite."""
+    c, info = dpotrf(k)
+    if info:
+        return None
+    inv, info = dpotri(c)  # upper triangle; dpotrf zeroed the lower one
+    if info:
+        return None
+    inv += inv.T
+    inv.flat[:: len(k) + 1] /= 2.0
+    return inv
+
+
+def _newton(r: np.ndarray, k: np.ndarray, support: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """Maximize log det K - tr(R K) over K supported on the diagonal and
+    ``support`` by damped Newton steps from ``k`` projected there; returns
+    (K, K^{-1}) when the result satisfies the constrained problem's whole
+    KKT system at ``tol``, else None.
+
+    The variables are K_ii and K_ij (i < j on the support); the gradient is
+    (Sigma - R)_ij, doubled off the diagonal, and the negative Hessian is
+    tr(Sigma E_a Sigma E_b) for the unit matrices E of the variables, solved
+    by Cholesky.  A step of 1 / (1 + lambda), lambda the Newton decrement,
+    keeps K positive definite (log det is self-concordant), and a full step
+    is taken once lambda <= 1/4; a step whose K fails its Cholesky
+    factorization is halved.  Steps stop when the gradient is below
+    tol / 1000 or a full step no longer halves it (rounding).  The KKT
+    system: Sigma = R on the diagonal and the support, K_ij <= 0 there
+    (partial-correlation scale), and Sigma_ij >= r_ij off it.
+    """
+    p = len(r)
+    on = support | np.eye(p, dtype=bool)
+    k = np.where(on, k, 0.0)
+    iu, ju = np.nonzero(np.triu(support))
+    i = np.concatenate([np.arange(p), iu])
+    j = np.concatenate([np.arange(p), ju])
+    # flat indices of the variables and of the Hessian's three gathers
+    at, back = i * p + j, j * p + i
+    ii, jj, ij = i[:, None] * p + i, j[:, None] * p + j, i[:, None] * p + j
+    w = np.where(i == j, 1.0, 2.0)
+    hw = np.outer(w, w) / 2.0
+    r_at = r.ravel().take(at)
+    sig = _cholesky_inverse(k)
+    if sig is None:
+        return None
+    last = np.inf
+    for _ in range(NEWTON_STEPS):
+        flat = sig.ravel()
+        resid = flat.take(at) - r_at
+        top = np.abs(resid).max()
+        if top <= tol * 1e-3 or top > last / 2.0:
+            break
+        cross = flat.take(ij)
+        c, info = dpotrf(hw * (flat.take(ii) * flat.take(jj) + cross * cross.T))
+        if info:
+            return None
+        g = w * resid
+        d, _ = dpotrs(c, g)
+        lam = math.sqrt(max(float(g @ d), 0.0))
+        step = np.zeros(p * p)
+        step[at] = step[back] = d
+        step = step.reshape(p, p)
+        t = 1.0 if lam <= 0.25 else 1.0 / (1.0 + lam)
+        for _ in range(HALVINGS):
+            new = k + t * step
+            new_sig = _cholesky_inverse(new)
+            if new_sig is not None:
+                break
+            t /= 2.0
+        else:
+            return None
+        k, sig = new, new_sig
+        last = top if t == 1.0 else np.inf
+    kd = k.diagonal()
+    ok = (np.abs(sig.ravel().take(at) - r_at).max() <= tol
+          and (k[iu, ju] / np.sqrt(kd[iu] * kd[ju])).max(initial=-np.inf) <= tol
+          and (sig - r)[~on].min(initial=np.inf) >= -tol)
+    return (k, sig) if ok else None
+
+
+# The coordinate sweeps ``FitConfig.algorithm`` can name: (r, w) -> (start,
+# sweep, support), each with whether its iterate is K (else Sigma).
+_SWEEPS = {"sigma": (_sigma_sweep, False), "k": (_k_sweep, True)}
+ALGORITHMS = tuple(_SWEEPS)
+
+
+class _Supports:
+    """When the members of a descent try the Newton finish: after a sweep
+    that leaves a member's support as the sweep before did, unless that
+    support was tried already."""
+
+    def __init__(self, m: int):
+        self.last = [None] * m
+        self.tried = [set() for _ in range(m)]
+
+    def due(self, member: int, support: np.ndarray) -> bool:
+        key = np.packbits(support).tobytes()
+        stable, self.last[member] = key == self.last[member], key
+        if not stable or key in self.tried[member]:
+            return False
+        self.tried[member].add(key)
+        return True
+
+
+def _finish(r: np.ndarray, cur: np.ndarray, iterate_is_k: bool, support: np.ndarray,
+            tol: float) -> np.ndarray | None:
+    """The Newton finish on ``support`` from a sweep's iterate (K, else
+    Sigma, whose inverse is the start); returns the optimum as the same kind
+    of iterate, or None when ``_newton`` rejects the support."""
+    k = cur if iterate_is_k else _cholesky_inverse(cur)
+    if k is None:
+        return None
+    out = _newton(r, k, support, tol)
+    return None if out is None else out[0 if iterate_is_k else 1]
 
 
 def _sigma_descend_stack(r: np.ndarray, w: np.ndarray, cfg: FitConfig) -> tuple[np.ndarray, np.ndarray]:
     """The ``sigma`` descent of ``_descend`` on a stack (m, p, p) of
     correlation matrices, with their closures W; returns the iterates and
     whether each member converged.  A member leaves the stack when its
-    sweep meets ``_descend``'s stopping rule; those left when the budget is
-    spent keep their last iterate."""
+    sweep meets ``_descend``'s stopping rule or its Newton finish is
+    accepted, which is tried member by member as ``_descend`` tries it;
+    those left when the budget is spent keep their last iterate."""
     sig, guess = _sigma_start(r, w)
     converged = np.zeros(len(sig), dtype=bool)
     active, cur, s = np.arange(len(sig)), sig, r
+    supports = _Supports(len(sig))
     for _ in range(cfg.max_sweeps):
         change = _column_sweep(cur, s, guess)
         done = change < cfg.tolerance * np.maximum(1.0, cur.diagonal(axis1=1, axis2=2).max(1))
+        masks = _beta_support(guess)
+        for i in np.flatnonzero(~done):
+            if supports.due(active[i], masks[i]):
+                out = _finish(s[i], cur[i], False, masks[i], cfg.tolerance)
+                if out is not None:
+                    cur[i], done[i] = out, True
         if done.any():
             sig[active[done]] = cur[done]
             converged[active[done]] = True
@@ -397,24 +546,13 @@ def _sigma_descend_stack(r: np.ndarray, w: np.ndarray, cfg: FitConfig) -> tuple[
     return sig, converged
 
 
-def _k_sweep(r: SymMatrix, w: SymMatrix):
-    """Precision sweep over the pairs of G+, from the identity."""
-    k = np.eye(r.dim)
-    pairs = _pair_indices(r.dim, grw_graph(r, w, EC_SLACK).edge_pairs())
-    return k, lambda: sum(_update_pair_k(k, r.values, u, v, b) for u, v, b in pairs)
-
-
-# The coordinate sweeps ``FitConfig.algorithm`` can name, each with whether
-# its iterate is K (else Sigma).
-_SWEEPS = {"sigma": (_sigma_sweep, False), "k": (_k_sweep, True)}
-ALGORITHMS = tuple(_SWEEPS)
-
-
 def _descend(r: SymMatrix, w: SymMatrix, cfg: FitConfig) -> tuple[np.ndarray, bool, int, bool]:
-    """Run the configured sweep on correlation scale until it stops or the
-    budget runs out; returns (iterate, iterate is K, sweeps, converged)."""
+    """Run the configured sweep on correlation scale until it stops, the
+    Newton finish is accepted, or the budget runs out; returns (iterate,
+    iterate is K, sweeps, converged)."""
     start, iterate_is_k = _SWEEPS[cfg.algorithm]
-    cur, sweep = start(r, w)
+    cur, sweep, support = start(r, w)
+    supports = _Supports(1)
     for sweeps in range(1, cfg.max_sweeps + 1):
         change = sweep()
         # scaled by the largest diagonal entry: a no-op for covariance
@@ -422,6 +560,11 @@ def _descend(r: SymMatrix, w: SymMatrix, cfg: FitConfig) -> tuple[np.ndarray, bo
         # noise grow like the reciprocal boundary distance
         if change < cfg.tolerance * max(1.0, float(cur.diagonal().max())):
             return cur, iterate_is_k, sweeps, True
+        mask = support()
+        if supports.due(0, mask):
+            done = _finish(r.values, cur, iterate_is_k, mask, cfg.tolerance)
+            if done is not None:
+                return done, iterate_is_k, sweeps, True
     return cur, iterate_is_k, cfg.max_sweeps, False
 
 
@@ -478,8 +621,10 @@ def _build_result(s, scale, sigma_r, k_r, sweeps, w, cfg) -> FitResult:
         cert = KktCertificate(math.inf, math.inf, -math.inf, math.inf, False)
         gap = math.inf
     magnitude = np.abs(k_r.values)
-    cutoff = cfg.edge_threshold * float(k_r.values.diagonal().max())
-    graph = WeightedGraph.from_mask(magnitude > cutoff, magnitude)
+    # partial-correlation scale: a cutoff scaled by the largest K_ii alone
+    # drops real edges between vertices of small K_ii on ill-conditioned fits
+    d = np.sqrt(k_r.values.diagonal())
+    graph = WeightedGraph.from_mask(magnitude > cfg.edge_threshold * np.outer(d, d), magnitude)
     ll = log_likelihood(k_hat, s)
     return FitResult(sigma_hat, k_hat, cert, sweeps, ll, gap, graph, w)
 

@@ -1,6 +1,7 @@
 """The parity gate in tools/cli_parity.py: command line output is
 deterministic, so two manifests of the same tree are identical."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -72,6 +73,44 @@ def test_cycle_and_exhaustive_families(tmp_path):
     with open(tmp_path / "p07_n14_s1.csv") as fh:
         assert len(fh.read().split()) == 7
     assert all(code in (0, 3) for code, _, _ in runs.values())
+
+
+def test_kept_documents_and_their_diff(tmp_path, capsys):
+    tool = _load_tool()
+    inputs = tool.cases(dims=(4,), seeds=(0,))[:1]
+    first, second = tmp_path / "a", tmp_path / "b"
+    first.mkdir()
+    second.mkdir()
+    runs = tool.manifest(cli, inputs, str(tmp_path), keep=str(first))
+    tool.manifest(cli, inputs, str(tmp_path), keep=str(second))
+    assert tool.kept_runs(str(first)) == set(runs) == {
+        "p04_n02_s0/analyze", "p04_n02_s0/fit-k", "p04_n02_s0/fit-sigma", "p04_n02_s0/signed",
+    }
+    # the kept text is the hashed text: the document without generated_at
+    for run, (_, digest, _) in runs.items():
+        text = (first / f"{run}.json").read_text(encoding="utf-8")
+        assert "generated_at" not in text
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+    assert tool.diff_documents(str(first), str(second)) == {}
+    assert tool.main(["--diff", str(first), str(second)]) == 0
+    assert capsys.readouterr().out == "4 identical, 0 differ\n"
+    # move one number by a relative 1e-9 and change one flag
+    path = second / "p04_n02_s0/fit-k.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["sigma_hat"][0][1] *= 1.0 + 1e-9
+    doc["converged"] = not doc["converged"]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    (second / "p04_n02_s0/analyze.json").unlink()
+    differ = tool.diff_documents(str(first), str(second))
+    assert sorted(differ) == ["p04_n02_s0/analyze", "p04_n02_s0/fit-k"]
+    keys, rel = differ["p04_n02_s0/fit-k"]
+    assert keys == ["converged", "sigma_hat"]
+    assert abs(rel - 1e-9) <= 1e-15
+    assert differ["p04_n02_s0/analyze"] == (["<missing>"], 0.0)
+    assert tool.main(["--diff", str(first), str(second)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "2 identical, 2 differ"
+    assert out[1] == "p04_n02_s0/fit-k: converged, sigma_hat; largest relative difference 1e-09"
 
 
 def test_blas_threads_pinned_before_numpy_is_imported():

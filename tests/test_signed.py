@@ -287,7 +287,8 @@ class TestStackedSearch:
 
     def test_spent_budget_makes_search_unconverged(self):
         r = random_correlation(np.random.default_rng(317), 6, n=12)
-        cfg = FitConfig(max_sweeps=2)
+        # one sweep: the Newton finish needs two with one support
+        cfg = FitConfig(max_sweeps=1)
         result = _assert_matches_serial(r, cfg)
         assert not result.converged
         # the winner itself converged: a losing sign vector spent its budget

@@ -574,6 +574,27 @@ class TestStackedSigmaDescent:
             assert np.abs(it - ref).max() <= 1e-12
         assert converged.any()
 
+    def test_newton_finish_as_members_alone(self, monkeypatch):
+        stack = self._stack(8, (3, 8, 16, 16, 16, 40), 49)
+        accepted = []
+        real = solver._newton
+
+        def spy(*args):
+            out = real(*args)
+            accepted.append(out is not None)
+            return out
+
+        monkeypatch.setattr(solver, "_newton", spy)
+        cfg = FitConfig()
+        sig, converged = _sigma_descend_stack(stack, max_product_closure(stack), cfg)
+        stacked, accepted[:] = list(accepted), []
+        for member, it, ok in zip(stack, sig, converged):
+            r = SymMatrix(member)
+            ref, _, _, ref_ok = _descend(r, w_matrix(r), cfg)
+            assert ok and ref_ok
+            assert np.abs(it - ref).max() <= 1e-12
+        assert sorted(stacked) == sorted(accepted) and sum(stacked) >= 4
+
     def test_single_linkage_start_where_closure_is_indefinite(self, monkeypatch):
         stack = np.array([INDEFINITE_CLOSURE_R, *self._stack(6, (12, 12), 48)])
         calls = []
@@ -676,6 +697,144 @@ class TestScreenedPrecisionSweep:
         doc = json.loads(capsys.readouterr().out)
         assert doc["converged"] is True
         assert doc["certificate"]["passed"] is False
+
+
+class TestNewtonFinish:
+    """After a sweep that leaves the support as the sweep before did, the
+    driver maximizes the likelihood over K supported there by Newton steps,
+    and stops when the result meets the whole KKT system."""
+
+    def _inputs(self):
+        rng = np.random.default_rng(60)
+        return [random_correlation(rng, 20, n=40), random_correlation(rng, 8, n=16),
+                random_correlation(rng, 12, n=2)]
+
+    def _spy(self, monkeypatch, edit=None):
+        """Record (r, support, tol, result) of every finish; ``edit`` may
+        change the support of the first one."""
+        calls = []
+        real = solver._newton
+
+        def spy(r, k, support, tol):
+            if edit is not None and not calls:
+                support = edit(support.copy())
+            out = real(r, k, support, tol)
+            calls.append((r, support, tol, out))
+            return out
+
+        monkeypatch.setattr(solver, "_newton", spy)
+        return calls
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_accepted_finish_meets_the_kkt_system(self, monkeypatch, algorithm):
+        calls = self._spy(monkeypatch)
+        for r in self._inputs():
+            calls.clear()
+            res = fit(r, FitConfig(algorithm=algorithm))
+            assert calls[-1][3] is not None
+            assert all(out is None for *_, out in calls[:-1])
+            rr, support, tol, (k, sig) = calls[-1]
+            assert tol == FitConfig().tolerance
+            on = support | np.eye(r.dim, dtype=bool)
+            d = np.sqrt(k.diagonal())
+            assert np.abs(sig - rr)[on].max() <= tol
+            assert (k / np.outer(d, d))[support].max(initial=-1.0) <= tol
+            assert (sig - rr)[~on].min() >= -tol
+            assert (k[~on] == 0.0).all()
+            assert res.certificate.passed and kkt_certificate(r, res.sigma_hat).passed
+            assert res.ml_graph.edge_pairs() <= {(i, j) for i, j in zip(*np.nonzero(np.triu(support)))}
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("wrong", ["extra", "missing"])
+    def test_support_with_one_wrong_edge_is_rejected(self, monkeypatch, algorithm, wrong):
+        r = random_correlation(np.random.default_rng(61), 10, n=20)
+        cfg = FitConfig(algorithm=algorithm)
+        ref = fit(r, cfg)
+        edges = ref.ml_graph.edge_pairs()
+        if wrong == "extra":  # the pair farthest above its sample value
+            margin = np.triu(ref.sigma_hat.values - r.values, 1)
+            u, v = np.unravel_index(margin.argmax(), margin.shape)
+            assert (u, v) not in edges
+        else:  # the strongest edge
+            u, v = max(edges, key=lambda e: abs(ref.k_hat.values[e]))
+
+        def edit(support):
+            assert support[u, v] == (wrong == "missing")
+            support[u, v] = support[v, u] = wrong == "extra"
+            return support
+
+        calls = self._spy(monkeypatch, edit)
+        res = fit(r, cfg)
+        assert calls[0][3] is None
+        # the same support is not tried again; the sweeps reach the optimum
+        assert len(calls) == 1
+        assert res.sweeps > ref.sweeps
+        assert res.certificate.passed
+        assert np.abs(res.sigma_hat.values - ref.sigma_hat.values).max() <= 1e-9
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_one_attempt_per_distinct_stable_support(self, monkeypatch, algorithm):
+        r = random_correlation(np.random.default_rng(62), 12, n=24)
+        cfg = FitConfig(algorithm=algorithm)
+        # the support after every sweep but the last, from the sweep alone
+        start, _ = solver._SWEEPS[algorithm]
+        cur, sweep, support = start(r, w_matrix(r))
+        seen = []
+        while sweep() >= cfg.tolerance * max(1.0, float(cur.diagonal().max())):
+            seen.append(support().copy())
+        stable = [b for a, b in zip(seen, seen[1:]) if np.array_equal(a, b)]
+        distinct = []
+        for b in stable:
+            if not any(np.array_equal(b, e) for e in distinct):
+                distinct.append(b)
+        assert len(stable) > len(distinct) >= 1
+        tried = []
+
+        def reject(r, k, support, tol):
+            tried.append(support.copy())
+
+        monkeypatch.setattr(solver, "_newton", reject)
+        res = fit(r, cfg)
+        assert res.sweeps == len(seen) + 1
+        assert len(tried) == len(distinct)
+        assert all(np.array_equal(a, b) for a, b in zip(tried, distinct))
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_budget_counts_the_sweeps(self, monkeypatch, algorithm):
+        r = random_correlation(np.random.default_rng(63), 20, n=40)
+        calls = self._spy(monkeypatch)
+        sweeps = fit(r, FitConfig(algorithm=algorithm)).sweeps
+        assert calls[-1][3] is not None and sweeps >= 2
+        # the finish that ended the fit runs after its last sweep
+        assert fit(r, FitConfig(algorithm=algorithm, max_sweeps=sweeps)).sweeps == sweeps
+        for budget in (1, sweeps - 1):
+            calls.clear()
+            with pytest.raises(MaxSweepsExceeded) as err:
+                fit(r, FitConfig(algorithm=algorithm, max_sweeps=budget))
+            assert err.value.result.sweeps == budget
+            assert all(out is None for *_, out in calls)
+            # one sweep leaves no earlier support to compare with
+            assert budget > 1 or calls == []
+
+    def test_steps_are_capped_and_an_indefinite_start_is_rejected(self, monkeypatch):
+        r = random_correlation(np.random.default_rng(64), 12, n=24)
+        res = fit(r, FitConfig(algorithm="k"))
+        support = res.k_hat.values != 0.0
+        np.fill_diagonal(support, False)
+        rv = r.values
+        assert solver._newton(rv, -np.eye(12), support, 1e-10) is None
+        # from the identity the optimum on the fit's own support takes
+        # several steps; one step is not enough, and a cap of one stops there
+        steps = []
+        real = solver.dpotrs
+        monkeypatch.setattr(solver, "dpotrs", lambda *a: steps.append(1) or real(*a))
+        k, _ = solver._newton(rv, np.eye(12), support, 1e-10)
+        assert np.abs(k - res.k_hat.values).max() <= 1e-10 * np.abs(k).max()
+        assert 3 <= len(steps) <= solver.NEWTON_STEPS
+        steps.clear()
+        monkeypatch.setattr(solver, "NEWTON_STEPS", 1)
+        assert solver._newton(rv, np.eye(12), support, 1e-10) is None
+        assert len(steps) == 1
 
 
 class TestEquivariance:

@@ -21,6 +21,7 @@ from totpos import (
     mwsf_containment,
     pd_factorize,
     threshold_k,
+    to_correlation,
     tiered_dot,
     tree_mle,
     w_matrix,
@@ -261,6 +262,28 @@ class TestContainment:
         r = SymMatrix(np.array([[1.0, 0.4], [0.4, 1.0]]))
         contains, missing = mwsf_containment(r, fit(r))
         assert contains and missing == []
+
+    @staticmethod
+    def _two_observations(rng, p):
+        """Sample covariance of two draws from a Gaussian whose precision is
+        a sparse M-matrix (about three neighbours per vertex)."""
+        mask = np.triu(rng.random((p, p)) < 3.0 / p, 1)
+        a = np.where(mask, rng.uniform(0.2, 1.0, (p, p)), 0.0)
+        a = a + a.T
+        k = np.diag(a.sum(axis=1) + rng.uniform(1.0, 2.0, p)) - a
+        x = rng.standard_normal((2, p)) @ np.linalg.cholesky(np.linalg.inv(k)).T
+        return SymMatrix(x.T @ x / 2)
+
+    def test_ill_conditioned_two_observation_fits(self):
+        # K_ii spans orders of magnitude at n = 2; edges are read off on the
+        # partial-correlation scale, so none of the forest is cut away
+        for p in (6, 8, 10, 12, 16, 20):
+            rng = np.random.default_rng([p, 2, 7])
+            for _ in range(20):
+                s = self._two_observations(rng, p)
+                res = fit(s, FitConfig(algorithm="k"))
+                contains, missing = mwsf_containment(to_correlation(s)[0], res)
+                assert contains and missing == []
 
 
 class TestThresholdK:

@@ -21,12 +21,17 @@ search over 64 and 128 sign vectors.  That is 712 runs in all.  Documents
 depend on the BLAS thread count, so the tool pins OpenBLAS, OpenMP and MKL
 to one thread before numpy is imported, as ``perfbench/run.py`` does.
 
-    python tools/cli_parity.py SRC --output manifest.json
+    python tools/cli_parity.py SRC --output manifest.json --keep DIR
     python tools/cli_parity.py --compare A.json B.json
+    python tools/cli_parity.py --diff DIR_A DIR_B
 
 SRC is the ``src`` directory whose ``totpos`` package is run.  Two trees
 behave the same when their manifests are equal: ``--compare`` lists the
-runs that differ and exits 1 when any do.
+runs that differ and exits 1 when any do.  ``--keep`` also saves each run's
+document, without its ``generated_at`` line, as DIR/<run>.json; ``--diff``
+reads two such directories and reports, for each run whose document
+differs, the top-level keys that differ and the largest relative
+difference between numbers at the same place, and exits 1 when any do.
 """
 
 from __future__ import annotations
@@ -158,20 +163,28 @@ def invocations(name: str) -> dict[str, list[str]]:
 
 
 def _sha256(path: str, strip=None) -> str | None:
-    if not os.path.exists(path):
+    text = _read(path)
+    if text is None:
         return None
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     if strip is not None:
         text = strip.sub("", text, count=1)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def manifest(cli, inputs, workdir: str, analyze_only=(), exhaustive=()) -> dict[str, list]:
+def _read(path: str) -> str | None:
+    if not os.path.exists(path):
+        return None
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def manifest(cli, inputs, workdir: str, analyze_only=(), exhaustive=(), keep=None) -> dict[str, list]:
     """Run every invocation of ``inputs``, the ``analyze`` invocation of
     ``analyze_only`` and a ``signed`` invocation with EXHAUSTIVE_FLAGS of
     ``exhaustive`` through ``cli.main`` inside ``workdir``; paths are
-    relative, so documents do not depend on it."""
+    relative, so documents do not depend on it.  With ``keep``, each
+    document is saved there as <run>.json, without ``generated_at``."""
+    keep = keep and os.path.abspath(keep)
     jobs = [(name, text, invocations(name)) for name, text in inputs]
     for name, text in analyze_only:
         runs = {run: argv for run, argv in invocations(name).items() if argv[0] == "analyze"}
@@ -198,6 +211,12 @@ def manifest(cli, inputs, workdir: str, analyze_only=(), exhaustive=()) -> dict[
                     except Exception as exc:  # recorded, so that the gate compares it
                         code = f"raised {type(exc).__name__}"
                 out[run] = [code, _sha256(doc, GENERATED_AT), _sha256(dot)]
+                text = _read(doc)
+                if keep and text is not None:
+                    path = os.path.join(keep, f"{run}.json")
+                    os.makedirs(os.path.dirname(path), exist_ok=True)
+                    with open(path, "w", encoding="utf-8") as fh:
+                        fh.write(GENERATED_AT.sub("", text, count=1))
     finally:
         os.chdir(cwd)
     return out
@@ -207,12 +226,62 @@ def compare(a: dict, b: dict) -> list[str]:
     return sorted(run for run in a.keys() | b.keys() if a.get(run) != b.get(run))
 
 
+def _largest_relative(a, b) -> float:
+    """The largest |x - y| / max(|x|, |y|) over the numbers at the same place
+    of two JSON values; 0 where none differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return max((_largest_relative(a[k], b[k]) for k in a.keys() & b.keys()), default=0.0)
+    if isinstance(a, list) and isinstance(b, list):
+        return max((_largest_relative(x, y) for x, y in zip(a, b)), default=0.0)
+    numbers = (int, float)
+    if (isinstance(a, numbers) and isinstance(b, numbers) and not isinstance(a, bool)
+            and not isinstance(b, bool) and a != b):
+        return abs(a - b) / max(abs(a), abs(b))
+    return 0.0
+
+
+def kept_runs(root: str) -> set[str]:
+    """The runs whose documents a ``--keep`` directory holds."""
+    return {os.path.relpath(os.path.join(d, f), root)[: -len(".json")]
+            for d, _, files in os.walk(root) for f in files if f.endswith(".json")}
+
+
+def diff_documents(dir_a: str, dir_b: str) -> dict[str, tuple[list[str], float]]:
+    """For each run whose kept document differs between two ``--keep``
+    directories: the top-level keys that differ (a key present on one side
+    only counts) and the largest relative numeric difference.  A document
+    present on one side only is reported with the key "<missing>"."""
+    out = {}
+    for run in sorted(kept_runs(dir_a) | kept_runs(dir_b)):
+        a, b = (_read(os.path.join(root, f"{run}.json")) for root in (dir_a, dir_b))
+        if a == b:
+            continue
+        if a is None or b is None:
+            out[run] = (["<missing>"], 0.0)
+            continue
+        da, db = json.loads(a), json.loads(b)
+        absent = object()
+        keys = sorted(k for k in da.keys() | db.keys() if da.get(k, absent) != db.get(k, absent))
+        out[run] = (keys, _largest_relative(da, db))
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src", nargs="?", help="src directory holding the totpos package")
     parser.add_argument("--output", help="write the manifest here instead of stdout")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two manifests")
+    parser.add_argument("--keep", metavar="DIR", help="also save each run's document in DIR")
+    parser.add_argument("--diff", nargs=2, metavar=("A", "B"),
+                        help="compare the documents of two --keep directories")
     args = parser.parse_args(argv)
+    if args.diff:
+        differ = diff_documents(*args.diff)
+        for run, (keys, rel) in differ.items():
+            print(f"{run}: {', '.join(keys)}; largest relative difference {rel:.3g}")
+        total = len(kept_runs(args.diff[0]) | kept_runs(args.diff[1]))
+        print(f"{total - len(differ)} identical, {len(differ)} differ")
+        return 1 if differ else 0
     if args.compare:
         with open(args.compare[0]) as fa, open(args.compare[1]) as fb:
             a, b = json.load(fa), json.load(fb)
@@ -222,7 +291,7 @@ def main(argv=None) -> int:
         print(f"{len(a.keys() | b.keys()) - len(differ)} identical, {len(differ)} differ")
         return 1 if differ else 0
     if not args.src:
-        parser.error("give a src directory or --compare")
+        parser.error("give a src directory, --compare or --diff")
     sys.path.insert(0, os.path.abspath(args.src))
     from totpos import cli
 
@@ -230,7 +299,8 @@ def main(argv=None) -> int:
         parser.error(f"imported totpos from {cli.__file__}, not from {args.src}")
     with tempfile.TemporaryDirectory() as workdir:
         result = manifest(cli, cases() + tied_cases() + cycle_cases(), workdir,
-                          analyze_only=large_cases(), exhaustive=exhaustive_cases())
+                          analyze_only=large_cases(), exhaustive=exhaustive_cases(),
+                          keep=args.keep)
     text = json.dumps(result, indent=1, sort_keys=True) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
