@@ -94,23 +94,30 @@ def test_kept_documents_and_their_diff(tmp_path, capsys):
     assert tool.diff_documents(str(first), str(second)) == {}
     assert tool.main(["--diff", str(first), str(second)]) == 0
     assert capsys.readouterr().out == "4 identical, 0 differ\n"
-    # move one number by a relative 1e-9 and change one flag
+    # move the largest entry of one matrix by a relative 1e-9 and one entry
+    # of another by 1e-12 of its largest, drop one key and flip one flag
     path = second / "p04_n02_s0/fit-k.json"
     doc = json.loads(path.read_text(encoding="utf-8"))
-    doc["sigma_hat"][0][1] *= 1.0 + 1e-9
+    sigma = np.array(doc["sigma_hat"])
+    top = np.unravel_index(np.abs(sigma).argmax(), sigma.shape)
+    doc["sigma_hat"][top[0]][top[1]] *= 1.0 + 1e-9
+    size = np.abs(doc["k_hat"]).max()
+    doc["k_hat"][0][1] = doc["k_hat"][0][1] + 1e-12 * size
     doc["converged"] = not doc["converged"]
+    del doc["sweeps"]
     path.write_text(json.dumps(doc), encoding="utf-8")
     (second / "p04_n02_s0/analyze.json").unlink()
     differ = tool.diff_documents(str(first), str(second))
     assert sorted(differ) == ["p04_n02_s0/analyze", "p04_n02_s0/fit-k"]
-    keys, rel = differ["p04_n02_s0/fit-k"]
-    assert keys == ["converged", "sigma_hat"]
-    assert abs(rel - 1e-9) <= 1e-15
-    assert differ["p04_n02_s0/analyze"] == (["<missing>"], 0.0)
+    keys, rel, where = differ["p04_n02_s0/fit-k"]
+    assert keys == ["converged", "k_hat", "sigma_hat", "sweeps"]
+    assert abs(rel - 1e-9) <= 1e-15 and where == "sigma_hat"
+    assert differ["p04_n02_s0/analyze"] == (["<missing>"], 0.0, None)
     assert tool.main(["--diff", str(first), str(second)]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[-1] == "2 identical, 2 differ"
-    assert out[1] == "p04_n02_s0/fit-k: converged, sigma_hat; largest relative difference 1e-09"
+    assert out[1] == ("p04_n02_s0/fit-k: converged, k_hat, sigma_hat, sweeps; "
+                      "largest relative difference 1e-09 (sigma_hat)")
 
 
 def test_blas_threads_pinned_before_numpy_is_imported():

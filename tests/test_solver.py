@@ -816,6 +816,59 @@ class TestNewtonFinish:
             # one sweep leaves no earlier support to compare with
             assert budget > 1 or calls == []
 
+    # r_12 = r_13 = 0.5 and r_23 = 0: the optimum has edges 12 and 13 only,
+    # with Sigma_23 = 0.25 > r_23
+    THREE = np.array([[1.0, 0.5, 0.5], [0.5, 1.0, 0.0], [0.5, 0.0, 1.0]])
+
+    def _support(self, *pairs):
+        support = np.zeros((3, 3), dtype=bool)
+        for u, v in pairs:
+            support[u, v] = support[v, u] = True
+        return support
+
+    def test_each_kkt_condition_rejects_on_its_own(self):
+        r = self.THREE
+        k, sig = solver._newton(r, np.eye(3), self._support((0, 1), (0, 2)), 1e-10)
+        assert abs(sig[1, 2] - 0.25) <= 1e-12 and k[1, 2] == 0.0
+        # edge 23 added: Sigma = R and K = R^{-1} with K_23 > 0; nothing is
+        # off the support, so the sign alone rejects it
+        assert np.linalg.inv(r)[1, 2] > 0.0
+        assert solver._newton(r, np.eye(3), self._support((0, 1), (0, 2), (1, 2)), 1e-10) is None
+        # edge 13 missing: Sigma_13 = 0 < r_13, no edge has the wrong sign
+        assert solver._newton(r, np.eye(3), self._support((0, 1)), 1e-10) is None
+
+    def test_unconverged_gradient_rejects(self, monkeypatch):
+        r = SymMatrix(np.linalg.inv(np.array([[2.0, -0.5, -0.5], [-0.5, 2.0, -0.5], [-0.5, -0.5, 2.0]])))
+        r = to_correlation(r)[0].values
+        full = self._support((0, 1), (0, 2), (1, 2))
+        k, _ = solver._newton(r, np.eye(3), full, 1e-10)
+        assert np.abs(k - np.linalg.inv(r)).max() <= 1e-12
+        # after one step from the identity K is an M-matrix and nothing is
+        # off the support, so only the gradient tells that it is not yet
+        # the optimum
+        factored = []
+        real = solver._cholesky_inverse
+        monkeypatch.setattr(solver, "_cholesky_inverse", lambda k: factored.append(k) or real(k))
+        monkeypatch.setattr(solver, "NEWTON_STEPS", 1)
+        assert solver._newton(r, np.eye(3), full, 1e-10) is None
+        last = factored[-1]
+        assert len(factored) == 2 and (last[~np.eye(3, dtype=bool)] < 0.0).all()
+
+    def test_stops_at_the_rounding_floor(self, monkeypatch):
+        # an ill-conditioned n = 2 fit (K_ii near 3e3): the gradient stalls
+        # above tol / 1000, and the steps stop there, short of the cap
+        r = random_correlation(np.random.default_rng(71), 20, n=2)
+        steps = []
+        real = solver.dpotrs
+        monkeypatch.setattr(solver, "dpotrs", lambda *a: steps.append(1) or real(*a))
+        calls = self._spy(monkeypatch)
+        res = fit(r, FitConfig(algorithm="k"))
+        [(rr, support, tol, (k, sig))] = calls
+        on = support | np.eye(r.dim, dtype=bool)
+        assert tol / 1000 < np.abs(sig - rr)[on].max() <= tol
+        assert len(steps) < solver.NEWTON_STEPS
+        assert res.sweeps == 2
+
     def test_steps_are_capped_and_an_indefinite_start_is_rejected(self, monkeypatch):
         r = random_correlation(np.random.default_rng(64), 12, n=24)
         res = fit(r, FitConfig(algorithm="k"))

@@ -30,8 +30,9 @@ behave the same when their manifests are equal: ``--compare`` lists the
 runs that differ and exits 1 when any do.  ``--keep`` also saves each run's
 document, without its ``generated_at`` line, as DIR/<run>.json; ``--diff``
 reads two such directories and reports, for each run whose document
-differs, the top-level keys that differ and the largest relative
-difference between numbers at the same place, and exits 1 when any do.
+differs, the top-level keys that differ and the largest difference between
+numbers at the same place, relative to the largest magnitude under the same
+key, and exits 1 when any do.
 """
 
 from __future__ import annotations
@@ -226,18 +227,19 @@ def compare(a: dict, b: dict) -> list[str]:
     return sorted(run for run in a.keys() | b.keys() if a.get(run) != b.get(run))
 
 
-def _largest_relative(a, b) -> float:
-    """The largest |x - y| / max(|x|, |y|) over the numbers at the same place
-    of two JSON values; 0 where none differ."""
+def _spread(a, b) -> tuple[float, float]:
+    """The largest |x - y| over the numbers at the same place of two JSON
+    values, and the largest |x| or |y| among them."""
     if isinstance(a, dict) and isinstance(b, dict):
-        return max((_largest_relative(a[k], b[k]) for k in a.keys() & b.keys()), default=0.0)
-    if isinstance(a, list) and isinstance(b, list):
-        return max((_largest_relative(x, y) for x, y in zip(a, b)), default=0.0)
-    numbers = (int, float)
-    if (isinstance(a, numbers) and isinstance(b, numbers) and not isinstance(a, bool)
-            and not isinstance(b, bool) and a != b):
-        return abs(a - b) / max(abs(a), abs(b))
-    return 0.0
+        pairs = [(a[k], b[k]) for k in a.keys() & b.keys()]
+    elif isinstance(a, list) and isinstance(b, list):
+        pairs = list(zip(a, b))
+    elif all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b)):
+        return abs(a - b), max(abs(a), abs(b))
+    else:
+        return 0.0, 0.0
+    spreads = [_spread(x, y) for x, y in pairs]
+    return max((d for d, _ in spreads), default=0.0), max((m for _, m in spreads), default=0.0)
 
 
 def kept_runs(root: str) -> set[str]:
@@ -246,10 +248,12 @@ def kept_runs(root: str) -> set[str]:
             for d, _, files in os.walk(root) for f in files if f.endswith(".json")}
 
 
-def diff_documents(dir_a: str, dir_b: str) -> dict[str, tuple[list[str], float]]:
+def diff_documents(dir_a: str, dir_b: str) -> dict[str, tuple[list[str], float, str | None]]:
     """For each run whose kept document differs between two ``--keep``
     directories: the top-level keys that differ (a key present on one side
-    only counts) and the largest relative numeric difference.  A document
+    only counts), the largest relative numeric difference and the key where
+    it is.  A difference is relative to the largest magnitude under its
+    top-level key, so that entries near zero do not dominate.  A document
     present on one side only is reported with the key "<missing>"."""
     out = {}
     for run in sorted(kept_runs(dir_a) | kept_runs(dir_b)):
@@ -257,12 +261,17 @@ def diff_documents(dir_a: str, dir_b: str) -> dict[str, tuple[list[str], float]]
         if a == b:
             continue
         if a is None or b is None:
-            out[run] = (["<missing>"], 0.0)
+            out[run] = (["<missing>"], 0.0, None)
             continue
         da, db = json.loads(a), json.loads(b)
         absent = object()
         keys = sorted(k for k in da.keys() | db.keys() if da.get(k, absent) != db.get(k, absent))
-        out[run] = (keys, _largest_relative(da, db))
+        rel, where = 0.0, None
+        for key in keys:
+            delta, size = _spread(da.get(key), db.get(key))
+            if delta and delta / size > rel:
+                rel, where = delta / size, key
+        out[run] = (keys, rel, where)
     return out
 
 
@@ -277,8 +286,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.diff:
         differ = diff_documents(*args.diff)
-        for run, (keys, rel) in differ.items():
-            print(f"{run}: {', '.join(keys)}; largest relative difference {rel:.3g}")
+        for run, (keys, rel, where) in differ.items():
+            print(f"{run}: {', '.join(keys)}; largest relative difference {rel:.3g}"
+                  + (f" ({where})" if where else ""))
         total = len(kept_runs(args.diff[0]) | kept_runs(args.diff[1]))
         print(f"{total - len(differ)} identical, {len(differ)} differ")
         return 1 if differ else 0
