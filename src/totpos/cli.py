@@ -404,7 +404,8 @@ def _add_fit_options(parser: argparse.ArgumentParser) -> None:
                         help="coordinate sweep: on the covariance or on the precision")
     parser.add_argument("--tol", type=_positive_float, default=default.tolerance,
                         help="stop when a sweep's L1 change (correlation scale) is below "
-                             "tol * max(1, largest diagonal entry of the iterate)")
+                             "tol * max(1, largest diagonal entry of the iterate), or when "
+                             "a Newton solve on the sweep's support meets the KKT system at tol")
     parser.add_argument("--max-sweeps", type=_positive_int, default=default.max_sweeps)
     parser.add_argument("--edge-threshold", type=_positive_float, default=default.edge_threshold,
                         help="partial-correlation cutoff defining graph edges")

@@ -462,24 +462,26 @@ def _newton(r: np.ndarray, k: np.ndarray, support: np.ndarray, tol: float) -> tu
     iu, ju = np.nonzero(np.triu(support))
     i = np.concatenate([np.arange(p), iu])
     j = np.concatenate([np.arange(p), ju])
-    # flat indices of the variables and of the Hessian's three gathers
-    at, back = i * p + j, j * p + i
-    ii, jj, ij = i[:, None] * p + i, j[:, None] * p + j, i[:, None] * p + j
+    at, back = i * p + j, j * p + i  # flat indices of K_ij and K_ji
     w = np.where(i == j, 1.0, 2.0)
-    hw = np.outer(w, w) / 2.0
     r_at = r.ravel().take(at)
     sig = _cholesky_inverse(k)
     if sig is None:
         return None
     last = np.inf
     for _ in range(NEWTON_STEPS):
-        flat = sig.ravel()
-        resid = flat.take(at) - r_at
+        resid = sig.ravel().take(at) - r_at
         top = np.abs(resid).max()
         if top <= tol * 1e-3 or top > last / 2.0:
             break
-        cross = flat.take(ij)
-        c, info = dpotrf(hw * (flat.take(ii) * flat.take(jj) + cross * cross.T))
+        rows_i, rows_j = sig.take(i, axis=0), sig.take(j, axis=0)
+        h = rows_i.take(i, axis=1)
+        h *= rows_j.take(j, axis=1)
+        cross = rows_i.take(j, axis=1)
+        h += cross * cross.T
+        h *= w[:, None]
+        h *= w / 2.0
+        c, info = dpotrf(h.T, overwrite_a=True)  # symmetric: factored in place
         if info:
             return None
         g = w * resid
