@@ -54,9 +54,10 @@ support, K_ij <= 0 there (partial-correlation scale) and Sigma_ij >= r_ij
 off it.  Then the fit stops as converged, and ``sweeps`` counts the sweeps
 run; otherwise sweeping goes on, so the sweeps stay the globally
 convergent path.  On the 128 ``fit_mixed`` inputs of seed 301 (2-vCPU
-Xeon, one BLAS thread, best of three) "sigma" fits took 3 sweeps (at
-most 5) and 5.8 ms at the median, against 11 (17) and 12.5 ms without the
-finish; "k" fits 6 (11) and 7.9 ms, against 27 (39) and 21 ms.  Where the
+Xeon, one BLAS thread, best of three, two rounds) "sigma" fits took 3
+sweeps (at most 5) and 5.4-5.5 ms at the median, against 11 (17) and
+12.2-12.3 ms without the finish; "k" fits 6 (11) and 7.1-9.2 ms, against
+27 (39) and 20-22 ms.  Where the
 Cholesky inverse of an ill-conditioned K is about as noisy as the
 tolerance (K_ii of 1e5 and more at n = 2), the finish can be rejected, and
 the sweeps decide.
@@ -415,16 +416,6 @@ def _beta_support(active: np.ndarray) -> np.ndarray:
     return sym
 
 
-def _k_sweep(r: SymMatrix, w: SymMatrix):
-    """Precision sweep over the pairs of G+, from the identity; its support
-    is the nonzero off-diagonal entries of K."""
-    k = np.eye(r.dim)
-    pairs = _pair_indices(r.dim, grw_graph(r, w, EC_SLACK).edge_pairs())
-    off = ~np.eye(r.dim, dtype=bool)
-    return (k, lambda: sum(_update_pair_k(k, r.values, u, v, b) for u, v, b in pairs),
-            lambda: (k != 0.0) & off)
-
-
 def _cholesky_inverse(k: np.ndarray) -> np.ndarray | None:
     """K^{-1} by one Cholesky factorization (LAPACK dpotrf, dpotri), or None
     when K is not positive definite."""
@@ -508,12 +499,6 @@ def _newton(r: np.ndarray, k: np.ndarray, support: np.ndarray, tol: float) -> tu
     return (k, sig) if ok else None
 
 
-# The coordinate sweeps ``FitConfig.algorithm`` can name: (r, w) -> (start,
-# sweep, support), each with whether its iterate is K (else Sigma).
-_SWEEPS = {"sigma": (_sigma_sweep, False), "k": (_k_sweep, True)}
-ALGORITHMS = tuple(_SWEEPS)
-
-
 class _Supports:
     """When the members of a descent try the Newton finish: after a sweep
     that leaves a member's support as the sweep before did, unless that
@@ -572,6 +557,22 @@ def _sigma_descend_stack(r: np.ndarray, w: np.ndarray, cfg: FitConfig) -> tuple[
                 break
     sig[active] = cur
     return sig, converged
+
+
+def _k_sweep(r: SymMatrix, w: SymMatrix):
+    """Precision sweep over the pairs of G+, from the identity; its support
+    is the nonzero off-diagonal entries of K."""
+    k = np.eye(r.dim)
+    pairs = _pair_indices(r.dim, grw_graph(r, w, EC_SLACK).edge_pairs())
+    off = ~np.eye(r.dim, dtype=bool)
+    return (k, lambda: sum(_update_pair_k(k, r.values, u, v, b) for u, v, b in pairs),
+            lambda: (k != 0.0) & off)
+
+
+# The coordinate sweeps ``FitConfig.algorithm`` can name: (r, w) -> (start,
+# sweep, support), each with whether its iterate is K (else Sigma).
+_SWEEPS = {"sigma": (_sigma_sweep, False), "k": (_k_sweep, True)}
+ALGORITHMS = tuple(_SWEEPS)
 
 
 def _descend(r: SymMatrix, w: SymMatrix, cfg: FitConfig) -> tuple[np.ndarray, bool, int, bool]:
