@@ -163,20 +163,15 @@ def invocations(name: str) -> dict[str, list[str]]:
     return runs
 
 
-def _sha256(path: str, strip=None) -> str | None:
-    text = _read(path)
-    if text is None:
-        return None
-    if strip is not None:
-        text = strip.sub("", text, count=1)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def _read(path: str) -> str | None:
     if not os.path.exists(path):
         return None
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def _sha256(text: str | None) -> str | None:
+    return None if text is None else hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def manifest(cli, inputs, workdir: str, analyze_only=(), exhaustive=(), keep=None) -> dict[str, list]:
@@ -211,13 +206,15 @@ def manifest(cli, inputs, workdir: str, analyze_only=(), exhaustive=(), keep=Non
                         code = cli.main([*argv, "--output", doc, "--dot", dot])
                     except Exception as exc:  # recorded, so that the gate compares it
                         code = f"raised {type(exc).__name__}"
-                out[run] = [code, _sha256(doc, GENERATED_AT), _sha256(dot)]
                 text = _read(doc)
+                if text is not None:
+                    text = GENERATED_AT.sub("", text, count=1)
+                out[run] = [code, _sha256(text), _sha256(_read(dot))]
                 if keep and text is not None:
                     path = os.path.join(keep, f"{run}.json")
                     os.makedirs(os.path.dirname(path), exist_ok=True)
                     with open(path, "w", encoding="utf-8") as fh:
-                        fh.write(GENERATED_AT.sub("", text, count=1))
+                        fh.write(text)
     finally:
         os.chdir(cwd)
     return out
