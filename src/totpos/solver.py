@@ -43,7 +43,7 @@ inputs after 2-3 sweeps, against 11 for "sigma" and 26 for "k".  Once the
 ML graph is known, the MLE is the smooth Gaussian graphical-model problem on
 that graph, which Newton's method solves in a few steps (QUIC's "identify
 the free set, then take Newton steps").  So after a sweep that does not
-stop the descent, the driver reads the support; when it equals the
+meet the stopping rule, ``_descend`` reads the support; when it equals the
 previous sweep's and was never tried, ``_newton`` maximizes
 log det K - tr(R K) over K supported on the diagonal and that support,
 from the current K (for "sigma", Sigma^{-1} projected onto the support),

@@ -701,8 +701,8 @@ class TestScreenedPrecisionSweep:
 
 class TestNewtonFinish:
     """After a sweep that leaves the support as the sweep before did, the
-    driver maximizes the likelihood over K supported there by Newton steps,
-    and stops when the result meets the whole KKT system."""
+    descent maximizes the likelihood over K supported there by Newton
+    steps, and stops when the result meets the whole KKT system."""
 
     def _inputs(self):
         rng = np.random.default_rng(60)
