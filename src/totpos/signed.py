@@ -9,11 +9,14 @@ beyond that the spanning-forest assignment is used as a heuristic and
 flagged as such.
 
 The exhaustive search fits the 2^(p-1) switched matrices as stacks: one
-max-product closure, one covariance descent whose column steps each make
-one solve for the members that have not yet met the stopping rule, and
-one stacked log-determinant to rank them.  Only the winner, and any sign
-vector within TIE_WINDOW of it, is fitted again through ``fit``, which
-builds the certificate, gap and graph the result carries.  Unbalanced
+max-product closure, one descent of the configured sweep through the
+driver that ``fit`` runs on a stack of one (``solver._descend``), and one
+stacked log-determinant to rank them.  The covariance sweep's column steps
+each make one solve for the members that have not yet met the stopping
+rule; the precision sweep runs its pair steps member by member.  Only the
+winner, and any sign vector within TIE_WINDOW of it, is fitted again
+through ``fit``, which builds the certificate, gap and graph the result
+carries.  With the covariance sweep, unbalanced
 inputs at n = 2p (2-vCPU Xeon, one BLAS thread) took 0.08-0.19 s at
 p = 10 and 0.9-1.4 s at p = 12, against 0.28-0.76 s and 2.9-4.6 s with
 stacked pair steps (4.7-6.2 s and 23-46 s with one ``fit`` per sign vector,
@@ -36,7 +39,6 @@ from .solver import (
     MleDoesNotExist,
     _descend,
     _fit_best,
-    _sigma_descend_stack,
     exists_mle,
 )
 from .ultra import max_product_closure
@@ -155,7 +157,7 @@ def is_balanced(r: SymMatrix) -> tuple[bool, list[int] | None]:
 def _anchored_signs(p: int) -> np.ndarray:
     """Every anchored sign vector of length p, one per row, first sign +1,
     the rest in ``itertools.product((1, -1), ...)`` order."""
-    rest = np.array(list(product((1.0, -1.0), repeat=p - 1))).reshape(-1, p - 1)
+    rest = np.array(list(product((1.0, -1.0), repeat=p - 1))).reshape(2 ** (p - 1), p - 1)
     return np.hstack([np.ones((len(rest), 1)), rest])
 
 
@@ -163,19 +165,13 @@ def _stack_likelihoods(stack: np.ndarray, cfg: FitConfig) -> tuple[np.ndarray, b
     """log det K - tr(R K) at the fitted K of every correlation matrix of a
     stack, and whether every descent converged.
 
-    The covariance sweep runs on the whole stack; the precision sweep, whose
-    pairs differ from member to member and whose iterate is K, runs member
-    by member.  Neither builds the certificate, gap or graph that a full
-    fit adds.
+    The configured sweep runs on the whole stack through ``_descend``, the
+    driver that ``fit`` runs on a stack of one, so each member takes the
+    steps it would take alone.  No certificate, gap or graph is built, as a
+    full fit adds them.
     """
-    w = max_product_closure(stack)
-    if cfg.algorithm == "sigma":
-        sig, done = _sigma_descend_stack(stack, w, cfg)
-        k = np.linalg.inv(sig)
-    else:
-        runs = [_descend(SymMatrix(a), SymMatrix(b), cfg) for a, b in zip(stack, w)]
-        k = np.array([it for it, *_ in runs])
-        done = np.array([ok for *_, ok in runs])
+    it, iterate_is_k, _, done = _descend(stack, max_product_closure(stack), cfg)
+    k = it if iterate_is_k else np.linalg.inv(it)
     ll = np.linalg.slogdet(k)[1] - np.einsum("mij,mij->m", stack, k)
     return ll, bool(done.all())
 

@@ -7,16 +7,18 @@ off the diagonal.  Everything runs on the correlation matrix R (the
 estimator is equivariant under diagonal rescaling), so tolerances are
 dimensionless; results are rescaled on the way out.
 
-``fit`` builds the max-product closure W = ``w_matrix(R)`` once and runs the
-sweep that ``FitConfig.algorithm`` names in ``_SWEEPS``: a function of R and
-W that returns the start iterate, a callable that runs one sweep in place
-and returns its L1 change, and a callable that returns the iterate's
-current support (the off-diagonal pairs it treats as edges).  The loop
-``_descend`` owns the budget and stops when that change falls below
-tolerance * max(1, largest diagonal entry of the iterate), or when the
-Newton finish below is accepted.  A new sweep is one function and one
-``_SWEEPS`` entry.  Both sweeps increase the likelihood at every step and
-converge to the unique optimum, but only at a linear rate:
+One loop, ``_descend``, runs the sweep that ``FitConfig.algorithm`` names
+in ``_SWEEPS`` on a stack (m, p, p) of matrices R with their max-product
+closures W: ``fit`` builds W = ``w_matrix(R)`` once and runs a stack of one,
+the sign search its chunks of switched matrices.  A ``_SWEEPS`` entry is a
+function of R and W that returns the start iterates, a per-member state,
+a callable that runs one sweep in place and returns each member's L1
+change, and a callable that returns each member's support (the
+off-diagonal pairs it treats as edges).  A member leaves the stack when
+its change falls below tolerance * max(1, largest diagonal entry of its
+iterate), or when the Newton finish below is accepted.  Both sweeps
+increase the likelihood at every step and converge to the unique optimum,
+but only at a linear rate:
 
 * "k" cycles over vertex pairs in lexicographic order and updates the 2x2
   block K_AA for A = {u, v}: with L = K_AB K_BB^{-1} K_BA, the
@@ -43,8 +45,8 @@ inputs after 2-3 sweeps, against 11 for "sigma" and 26 for "k".  Once the
 ML graph is known, the MLE is the smooth Gaussian graphical-model problem on
 that graph, which Newton's method solves in a few steps (QUIC's "identify
 the free set, then take Newton steps").  So after a sweep that does not
-meet the stopping rule, ``_descend`` reads the support; when it equals the
-previous sweep's and was never tried, ``_newton`` maximizes
+meet the stopping rule, ``_descend`` reads each member's support; when it
+equals the previous sweep's and was never tried, ``_newton`` maximizes
 log det K - tr(R K) over K supported on the diagonal and that support,
 from the current K (for "sigma", Sigma^{-1} projected onto the support),
 by damped Newton steps with Cholesky solves and capped steps.  The result
@@ -72,14 +74,11 @@ converge in one sweep from it.  When ``pd_mask`` refuses W the sweep
 starts at the single-linkage matrix, which is positive definite and dual
 feasible whenever every correlation is below one.
 
-The column sweep runs on a stack (m, p, p): ``fit`` runs a stack of one,
-the sign search its chunks of switched matrices (``_sigma_descend_stack``),
-which tries the Newton finish member by member as ``_descend`` does.
-
 The precision sweep starts at the identity and visits only the pairs of the
 paper's upper bound G+ on the ML graph: the r_uv that attain their best
-path product W_uv > 0 (``grw_graph`` at EC_SLACK, as in
-``ml_graph_upper_bound``).  The MLE has K_uv = 0 off G+, so it also solves
+path product W_uv > 0, within EC_SLACK (``_g_plus``, the mask of
+``ml_graph_upper_bound``); the covariance sweep guesses its first active
+sets there.  The MLE has K_uv = 0 off G+, so it also solves
 the problem restricted to K supported on G+; that problem is strictly
 concave, and a pair update writes only its own three entries, so the sweep
 stays on G+ and converges to the same K.  About 40% of the pairs are in G+
@@ -87,10 +86,11 @@ at n = 2p, and about p at n = 2.  The certificate still checks every pair,
 so a wrong screen cannot pass.
 
 The precision sweep keeps one (p-2)x(p-2) LU solve per pair: K_BB and K_BA
-are gathered by flat indices that ``_pair_indices`` computes once per fit,
-and LAPACK's dgesv is called directly.  Those indices take O(|G+| p^2)
-memory: at n = 2p, 0.24 MB at p = 20 (82 pairs), 3.4 MB at p = 40 (283)
-and 65 MB at p = 80 (1303), about 1 GB at p = 160.  Keeping
+are gathered by flat indices that ``_pair_indices`` computes once per pair
+of the stack, and LAPACK's dgesv is called directly, member by member.
+Those indices take O(|G+| p^2) memory: at n = 2p, 0.24 MB at p = 20 (82
+pairs), 3.4 MB at p = 40 (283) and 65 MB at p = 80 (1303), about 1 GB at
+p = 160.  Keeping
 Sigma = K^{-1} beside K instead would take L as K_AA - (Sigma_AA)^{-1},
 which cancels badly when K is large: on a p = 6, n = 2 input with a
 correlation within 1e-9 of one (K_ii near 5e8), such a sweep still moved K
@@ -118,7 +118,7 @@ from .matcore import (
     rescale_solution,
     to_correlation,
 )
-from .ultra import EC_SLACK, grw_graph, single_linkage, w_matrix
+from .ultra import EC_SLACK, single_linkage, w_matrix
 
 # Existence margin: inputs with a normalized off-diagonal entry within this
 # relative distance of one are rejected, the likelihood being unbounded or
@@ -390,22 +390,29 @@ def _column_sweep(sig: np.ndarray, r: np.ndarray, active: np.ndarray) -> np.ndar
     return 2.0 * sum(_column_step(sig, r, active, j, o) for j, o in enumerate(others))
 
 
+def _g_plus(r: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The paper's upper bound G+ on the ML graph of every member of a stack
+    (m, p, p), as a mask with the diagonal: the r_uv that attain their best
+    path product W_uv > 0, within EC_SLACK."""
+    return (w > 0.0) & (np.abs(r - w) <= EC_SLACK)
+
+
 def _sigma_start(r: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The covariance descent's start on a stack (m, p, p) of correlation
     matrices with closures W (W where ``pd_mask`` accepts it, else single
-    linkage), and each column's first active set, G+ (W > 0, |r - W| <= EC_SLACK)."""
+    linkage), and each column's first active set, G+."""
     sig = w.copy()
     for i in np.flatnonzero(~pd_mask(w)):
         sig[i] = single_linkage(SymMatrix(r[i])).values
-    return sig, (w > 0.0) & (np.abs(r - w) <= EC_SLACK)
+    return sig, _g_plus(r, w)
 
 
-def _sigma_sweep(r: SymMatrix, w: SymMatrix):
-    """Covariance sweep: ``_column_sweep`` on a stack of one; its support is
-    where some column step left beta > 0."""
-    sig, active = _sigma_start(r.values[None], w.values[None])
-    return (sig[0], lambda: float(_column_sweep(sig, r.values[None], active)[0]),
-            lambda: _beta_support(active)[0])
+def _sigma_sweep(r: np.ndarray, w: np.ndarray):
+    """Covariance sweep: ``_column_sweep`` from ``_sigma_start``, its state
+    the column steps' active sets; a member's support is where some column
+    step left beta > 0."""
+    sig, active = _sigma_start(r, w)
+    return sig, active, _column_sweep, lambda sig, active: _beta_support(active)
 
 
 def _beta_support(active: np.ndarray) -> np.ndarray:
@@ -499,24 +506,6 @@ def _newton(r: np.ndarray, k: np.ndarray, support: np.ndarray, tol: float) -> tu
     return (k, sig) if ok else None
 
 
-class _Supports:
-    """When the members of a descent try the Newton finish: after a sweep
-    that leaves a member's support as the sweep before did, unless that
-    support was tried already."""
-
-    def __init__(self, m: int):
-        self.last = [None] * m
-        self.tried = [set() for _ in range(m)]
-
-    def due(self, member: int, support: np.ndarray) -> bool:
-        key = np.packbits(support).tobytes()
-        stable, self.last[member] = key == self.last[member], key
-        if not stable or key in self.tried[member]:
-            return False
-        self.tried[member].add(key)
-        return True
-
-
 def _finish(r: np.ndarray, cur: np.ndarray, iterate_is_k: bool, support: np.ndarray,
             tol: float) -> np.ndarray | None:
     """The Newton finish on ``support`` from a sweep's iterate (K, else
@@ -529,81 +518,81 @@ def _finish(r: np.ndarray, cur: np.ndarray, iterate_is_k: bool, support: np.ndar
     return None if out is None else out[0 if iterate_is_k else 1]
 
 
-def _sigma_descend_stack(r: np.ndarray, w: np.ndarray, cfg: FitConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The ``sigma`` descent of ``_descend`` on a stack (m, p, p) of
-    correlation matrices, with their closures W; returns the iterates and
-    whether each member converged.  A member leaves the stack when its
-    sweep meets ``_descend``'s stopping rule or its Newton finish is
-    accepted, which is tried member by member as ``_descend`` tries it;
-    those left when the budget is spent keep their last iterate."""
-    sig, guess = _sigma_start(r, w)
-    converged = np.zeros(len(sig), dtype=bool)
-    active, cur, s = np.arange(len(sig)), sig, r
-    supports = _Supports(len(sig))
-    for _ in range(cfg.max_sweeps):
-        change = _column_sweep(cur, s, guess)
-        done = change < cfg.tolerance * np.maximum(1.0, cur.diagonal(axis1=1, axis2=2).max(1))
-        masks = _beta_support(guess)
-        for i in np.flatnonzero(~done):
-            if supports.due(active[i], masks[i]):
-                out = _finish(s[i], cur[i], False, masks[i], cfg.tolerance)
-                if out is not None:
-                    cur[i], done[i] = out, True
-        if done.any():
-            sig[active[done]] = cur[done]
-            converged[active[done]] = True
-            active, cur, s, guess = active[~done], cur[~done], s[~done], guess[~done]
-            if not len(active):
-                break
-    sig[active] = cur
-    return sig, converged
+def _k_sweep(r: np.ndarray, w: np.ndarray):
+    """Precision sweep over the pairs of G+, from the identity, its state
+    each member's place in the stack; a member's support is the nonzero
+    off-diagonal entries of its K.  A pair's flat indices depend only on
+    (p, u, v), so the members that visit a pair share them."""
+    p = r.shape[1]
+    gplus = np.triu(_g_plus(r, w), 1)
+    blocks = {(u, v): b for u, v, b in _pair_indices(p, np.argwhere(gplus.any(0)).tolist())}
+    pairs = [[(u, v, blocks[u, v]) for u, v in np.argwhere(g).tolist()] for g in gplus]
+
+    def sweep(k, r, places):
+        return np.array([sum(_update_pair_k(km, rm, u, v, b) for u, v, b in pairs[i])
+                         for km, rm, i in zip(k, r, places)])
+
+    off = ~np.eye(p, dtype=bool)
+    k = np.broadcast_to(np.eye(p), r.shape).copy()
+    return k, np.arange(len(r)), sweep, lambda k, _: (k != 0.0) & off
 
 
-def _k_sweep(r: SymMatrix, w: SymMatrix):
-    """Precision sweep over the pairs of G+, from the identity; its support
-    is the nonzero off-diagonal entries of K."""
-    k = np.eye(r.dim)
-    pairs = _pair_indices(r.dim, grw_graph(r, w, EC_SLACK).edge_pairs())
-    off = ~np.eye(r.dim, dtype=bool)
-    return (k, lambda: sum(_update_pair_k(k, r.values, u, v, b) for u, v, b in pairs),
-            lambda: (k != 0.0) & off)
-
-
-# The coordinate sweeps ``FitConfig.algorithm`` can name: (r, w) -> (start,
-# sweep, support), each with whether its iterate is K (else Sigma).
+# The coordinate sweeps ``FitConfig.algorithm`` can name: (r, w) -> (iterates,
+# state, sweep(iterates, r, state), support(iterates, state)), each with
+# whether its iterate is K (else Sigma).
 _SWEEPS = {"sigma": (_sigma_sweep, False), "k": (_k_sweep, True)}
 ALGORITHMS = tuple(_SWEEPS)
 
 
-def _descend(r: SymMatrix, w: SymMatrix, cfg: FitConfig) -> tuple[np.ndarray, bool, int, bool]:
-    """Run the configured sweep on correlation scale until it stops, the
-    Newton finish is accepted, or the budget runs out; returns (iterate,
-    iterate is K, sweeps, converged)."""
+def _descend(r: np.ndarray, w: np.ndarray, cfg: FitConfig) -> tuple[np.ndarray, bool, np.ndarray, np.ndarray]:
+    """Run the configured sweep on a stack (m, p, p) of correlation matrices
+    with their closures W; returns (iterates, iterates are K, sweeps,
+    converged), one entry per member.  A member leaves the stack when its
+    sweep meets the stopping rule or its Newton finish is accepted, which is
+    tried member by member; those left when the budget runs out keep their
+    last iterate."""
     start, iterate_is_k = _SWEEPS[cfg.algorithm]
-    cur, sweep, support = start(r, w)
-    supports = _Supports(1)
-    for sweeps in range(1, cfg.max_sweeps + 1):
-        change = sweep()
+    out, state, sweep, support = start(r, w)
+    sweeps = np.full(len(out), cfg.max_sweeps)
+    converged = np.zeros(len(out), dtype=bool)
+    members, cur, s = np.arange(len(out)), out, r
+    # a member tries the finish after a sweep that leaves its support as the
+    # sweep before did, unless that support was tried already
+    last, tried = [None] * len(out), [set() for _ in out]
+    for n in range(1, cfg.max_sweeps + 1):
+        change = sweep(cur, s, state)
         # scaled by the largest diagonal entry: a no-op for covariance
         # iterates, needed for precision iterates, whose entries and rounding
         # noise grow like the reciprocal boundary distance
-        if change < cfg.tolerance * max(1.0, float(cur.diagonal().max())):
-            return cur, iterate_is_k, sweeps, True
-        mask = support()
-        if supports.due(0, mask):
-            done = _finish(r.values, cur, iterate_is_k, mask, cfg.tolerance)
-            if done is not None:
-                return done, iterate_is_k, sweeps, True
-    return cur, iterate_is_k, cfg.max_sweeps, False
+        done = change < cfg.tolerance * np.maximum(1.0, cur.diagonal(axis1=1, axis2=2).max(1))
+        masks = support(cur, state)
+        for i in np.flatnonzero(~done):
+            key, j = np.packbits(masks[i]).tobytes(), members[i]
+            if key == last[j] and key not in tried[j]:
+                tried[j].add(key)
+                finished = _finish(s[i], cur[i], iterate_is_k, masks[i], cfg.tolerance)
+                if finished is not None:
+                    cur[i], done[i] = finished, True
+            last[j] = key
+        if done.any():
+            out[members[done]] = cur[done]
+            sweeps[members[done]] = n
+            converged[members[done]] = True
+            members, cur, s, state = members[~done], cur[~done], s[~done], state[~done]
+            if not len(members):
+                break
+    out[members] = cur
+    return out, iterate_is_k, sweeps, converged
 
 
 def fit(s: SymMatrix, cfg: FitConfig | None = None) -> FitResult:
     """Compute the constrained MLE pair (Sigma_hat, K_hat) for a sample covariance.
 
     Normalizes to correlation scale, builds W once, runs the configured sweep
-    until its L1 change (both triangles) falls below tolerance * max(1,
-    largest diagonal entry of the iterate), rescales back, and attaches a
-    certificate evaluated at CERT_TOL.
+    (``_descend`` on a stack of one) until its L1 change (both triangles)
+    falls below tolerance * max(1, largest diagonal entry of the iterate) or
+    the Newton finish on the support it identified is accepted, rescales
+    back, and attaches a certificate evaluated at CERT_TOL.
 
     Raises:
         MleDoesNotExist: the existence pre-check failed.
@@ -617,11 +606,11 @@ def fit(s: SymMatrix, cfg: FitConfig | None = None) -> FitResult:
         )
     r, scale = to_correlation(s)
     w = w_matrix(r)
-    iterate, iterate_is_k, sweeps, converged = _descend(r, w, cfg)
-    it = SymMatrix(iterate, labels=s.labels)
+    iterates, iterate_is_k, sweeps, converged = _descend(r.values[None], w.values[None], cfg)
+    it = SymMatrix(iterates[0], labels=s.labels)
     sigma_r, k_r = (inverse_pd(it), it) if iterate_is_k else (it, inverse_pd(it))
-    result = _build_result(s, scale, sigma_r, k_r, sweeps, w, cfg)
-    if not converged:
+    result = _build_result(s, scale, sigma_r, k_r, int(sweeps[0]), w, cfg)
+    if not converged[0]:
         raise MaxSweepsExceeded(result)
     return result
 

@@ -68,7 +68,7 @@ def test_cycle_and_exhaustive_families(tmp_path):
     runs = tool.manifest(cli, cycles[:1], str(tmp_path), exhaustive=exhaustive[2:3])
     assert sorted(runs) == [
         "c05_s0/analyze", "c05_s0/fit-k", "c05_s0/fit-sigma", "c05_s0/signed",
-        "p07_n14_s1/signed-exhaustive",
+        "p07_n14_s1/signed-exhaustive", "p07_n14_s1/signed-exhaustive-k",
     ]
     with open(tmp_path / "p07_n14_s1.csv") as fh:
         assert len(fh.read().split()) == 7

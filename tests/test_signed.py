@@ -22,7 +22,7 @@ from totpos import (
 )
 from totpos import signed
 from totpos.cli import main, write_matrix_csv
-from totpos.solver import _fit_best
+from totpos.solver import ALGORITHMS, _fit_best
 from conftest import UNBALANCED_R, random_correlation, random_m_matrix
 
 
@@ -288,11 +288,20 @@ class TestStackedSearch:
     def test_spent_budget_makes_search_unconverged(self):
         r = random_correlation(np.random.default_rng(317), 6, n=12)
         # one sweep: the Newton finish needs two with one support
-        cfg = FitConfig(max_sweeps=1)
-        result = _assert_matches_serial(r, cfg)
-        assert not result.converged
-        # the winner itself converged: a losing sign vector spent its budget
-        assert _fit_best(apply_signs(r, result.signs), cfg)[1]
+        for algorithm in ALGORITHMS:
+            cfg = FitConfig(algorithm=algorithm, max_sweeps=1)
+            result = _assert_matches_serial(r, cfg)
+            assert not result.converged
+            # the covariance winner itself converged from W, so a losing sign
+            # vector spent its budget; a precision fit needs two sweeps
+            assert _fit_best(apply_signs(r, result.signs), cfg)[1] == (algorithm == "sigma")
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_single_variable(self, algorithm):
+        # one anchored sign vector, (1,), which has no entries to flip
+        result = exhaustive_sign_search(SymMatrix(np.eye(1)), FitConfig(algorithm=algorithm))
+        assert (result.signs.signs, result.converged) == ((1,), True)
+        assert result.switched_likelihoods == {(1,): -1.0}
 
     def test_switched_matrix_without_mle_raises(self, tmp_path):
         r = np.eye(4)

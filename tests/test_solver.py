@@ -14,7 +14,6 @@ from totpos import (
     MleDoesNotExist,
     NotPositiveDefinite,
     SymMatrix,
-    WeightedGraph,
     block_closed_form,
     duality_gap,
     exists_mle,
@@ -44,7 +43,6 @@ from totpos.solver import (
     _descend,
     _nnls_gram,
     _pair_indices,
-    _sigma_descend_stack,
     _sigma_start,
     _update_pair_k,
     _update_pair_sigma,
@@ -55,6 +53,13 @@ from conftest import (
     CARCASS_MLE_2DP,
     random_correlation,
 )
+
+
+def _descend_alone(r: SymMatrix, cfg: FitConfig):
+    """``_descend`` on a stack of one, as ``fit`` runs it: (iterate, sweeps,
+    converged)."""
+    it, _, sweeps, converged = _descend(r.values[None], w_matrix(r).values[None], cfg)
+    return it[0], sweeps[0], converged[0]
 
 
 class TestExistsMle:
@@ -289,7 +294,7 @@ class TestSharedState:
     def test_matches_direct_solve_sweep(self):
         cfg = FitConfig(algorithm="sigma", max_sweeps=1000)
         for r in self._inputs():
-            sig, _, sweeps, converged = _descend(r, w_matrix(r), cfg)
+            sig, sweeps, converged = _descend_alone(r, cfg)
             ref, ref_sweeps, ref_converged = _reference_sigma_descend(r, cfg)
             assert converged and ref_converged
             assert sweeps <= ref_sweeps
@@ -535,46 +540,67 @@ def _reference_k_descend(r: SymMatrix, cfg: FitConfig):
 
 
 class TestStackedSigmaDescent:
-    """The covariance descent on a stack of matrices takes each member's
-    column steps, as that member alone would, and retires each member under
-    ``_descend``'s stopping rule."""
-
-    def _stack(self, p, ns, seed):
-        rng = np.random.default_rng(seed)
-        return np.array([random_correlation(rng, p, n=n).values for n in ns])
-
-    def test_stack_equals_members_alone(self):
-        stack = self._stack(7, (2, 3, 8, 14, 14, 40), 45)
-        sig, active = _sigma_start(stack, max_product_closure(stack))
-        alone = [(sig[i : i + 1].copy(), active[i : i + 1].copy()) for i in range(len(stack))]
-        for _ in range(3):
-            change = _column_sweep(sig, stack, active)
-            for (member, act), s, ch in zip(alone, stack, change):
-                assert abs(_column_sweep(member, s[None], act)[0] - ch) <= 1e-12
-            assert np.abs(sig - np.concatenate([m for m, _ in alone])).max() <= 1e-12
-            assert np.array_equal(active, np.concatenate([a for _, a in alone]))
-        assert change.max() > 1e-6
+    """The column sweep on a stack needs every member positive definite."""
 
     def test_sweep_raises_on_indefinite_member(self):
-        stack = self._stack(4, (9, 9), 46)
+        stack = TestStackedDescent()._stack(4, (9, 9), 46)
         stack[1, 2, 3] = stack[1, 3, 2] = 1.0
         stack[1, 1, 2] = stack[1, 2, 1] = -0.9
         with pytest.raises(np.linalg.LinAlgError):
             _column_sweep(stack.copy(), stack, np.ones(stack.shape, dtype=bool))
 
-    @pytest.mark.parametrize("p, ns", [(6, (2, 3, 3, 12, 12, 30)), (9, (3, 18, 18, 18))])
-    def test_matches_descend(self, p, ns):
-        stack = self._stack(p, ns, 47 + p)
-        cfg = FitConfig(max_sweeps=60)
-        sig, converged = _sigma_descend_stack(stack, max_product_closure(stack), cfg)
-        for member, it, ok in zip(stack, sig, converged):
-            r = SymMatrix(member)
-            ref, _, _, ref_ok = _descend(r, w_matrix(r), cfg)
-            assert ok == ref_ok
-            assert np.abs(it - ref).max() <= 1e-12
-        assert converged.any()
 
-    def test_newton_finish_as_members_alone(self, monkeypatch):
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+class TestStackedDescent:
+    """The descent on a stack of matrices takes each member's steps, as that
+    member alone would, and retires each member under the stopping rule or
+    an accepted Newton finish, at the sweep where it alone would stop."""
+
+    def _stack(self, p, ns, seed):
+        rng = np.random.default_rng(seed)
+        return np.array([random_correlation(rng, p, n=n).values for n in ns])
+
+    def _assert_members_alone(self, stack, cfg, out):
+        """The stacked ``_descend`` output equals each member's own run."""
+        it, _, sweeps, converged = out
+        for member, x, n, ok in zip(stack, it, sweeps, converged):
+            ref, ref_n, ref_ok = _descend_alone(SymMatrix(member), cfg)
+            assert (n, ok) == (ref_n, ref_ok)
+            assert np.abs(x - ref).max() <= 1e-12
+
+    def test_stack_equals_members_alone(self, algorithm):
+        stack = self._stack(7, (2, 3, 8, 14, 14, 40), 45)
+        w = max_product_closure(stack)
+        start, _ = solver._SWEEPS[algorithm]
+        cur, state, sweep, support = start(stack, w)
+        alone = [start(s[None], x[None]) for s, x in zip(stack, w)]
+        for _ in range(3):
+            change = sweep(cur, stack, state)
+            for (m_cur, m_state, m_sweep, _), s, ch in zip(alone, stack, change):
+                assert abs(m_sweep(m_cur, s[None], m_state)[0] - ch) <= 1e-12
+            assert np.abs(cur - np.concatenate([a[0] for a in alone])).max() <= 1e-12
+            if algorithm == "sigma":  # the column steps' active sets
+                assert np.array_equal(state, np.concatenate([a[1] for a in alone]))
+            assert np.array_equal(support(cur, state), np.concatenate([a[3](a[0], a[1]) for a in alone]))
+        assert change.max() > 1e-6
+
+    # members that leave at different sweeps under both sweeps; at p = 6,
+    # n = 2, 3 and 12 every precision fit takes two
+    @pytest.mark.parametrize("p, ns", [(9, (3, 18, 18, 18)), (10, (2, 3, 3, 20))])
+    def test_matches_descend(self, algorithm, p, ns):
+        stack = self._stack(p, ns, 47 + p)
+        w = max_product_closure(stack)
+        cfg = FitConfig(algorithm=algorithm, max_sweeps=60)
+        out = _descend(stack, w, cfg)
+        self._assert_members_alone(stack, cfg, out)
+        assert out[3].all() and len(set(out[2])) > 1
+        # a budget one below the slowest member's sweeps leaves it in the stack
+        cfg = FitConfig(algorithm=algorithm, max_sweeps=int(out[2].max()) - 1)
+        short = _descend(stack, w, cfg)
+        self._assert_members_alone(stack, cfg, short)
+        assert short[3].any() and not short[3].all()
+
+    def test_newton_finish_as_members_alone(self, monkeypatch, algorithm):
         stack = self._stack(8, (3, 8, 16, 16, 16, 40), 49)
         accepted = []
         real = solver._newton
@@ -585,29 +611,26 @@ class TestStackedSigmaDescent:
             return out
 
         monkeypatch.setattr(solver, "_newton", spy)
-        cfg = FitConfig()
-        sig, converged = _sigma_descend_stack(stack, max_product_closure(stack), cfg)
+        cfg = FitConfig(algorithm=algorithm)
+        out = _descend(stack, max_product_closure(stack), cfg)
         stacked, accepted[:] = list(accepted), []
-        for member, it, ok in zip(stack, sig, converged):
-            r = SymMatrix(member)
-            ref, _, _, ref_ok = _descend(r, w_matrix(r), cfg)
-            assert ok and ref_ok
-            assert np.abs(it - ref).max() <= 1e-12
+        self._assert_members_alone(stack, cfg, out)
+        assert out[3].all()
         assert sorted(stacked) == sorted(accepted) and sum(stacked) >= 4
 
-    def test_single_linkage_start_where_closure_is_indefinite(self, monkeypatch):
+    def test_single_linkage_start_where_closure_is_indefinite(self, monkeypatch, algorithm):
         stack = np.array([INDEFINITE_CLOSURE_R, *self._stack(6, (12, 12), 48)])
         calls = []
         real = solver.single_linkage
         monkeypatch.setattr(solver, "single_linkage", lambda r: calls.append(r) or real(r))
-        cfg = FitConfig(max_sweeps=300)
-        sig, converged = _sigma_descend_stack(stack, max_product_closure(stack), cfg)
-        assert len(calls) == 1 and np.array_equal(calls[0].values, INDEFINITE_CLOSURE_R)
-        for member, it, ok in zip(stack, sig, converged):
-            r = SymMatrix(member)
-            ref, _, _, ref_ok = _descend(r, w_matrix(r), cfg)
-            assert ok == ref_ok
-            assert np.abs(it - ref).max() <= 1e-12
+        cfg = FitConfig(algorithm=algorithm, max_sweeps=300)
+        out = _descend(stack, max_product_closure(stack), cfg)
+        # only the covariance sweep starts at W, or at single linkage
+        if algorithm == "sigma":
+            assert len(calls) == 1 and np.array_equal(calls[0].values, INDEFINITE_CLOSURE_R)
+        else:
+            assert calls == []
+        self._assert_members_alone(stack, cfg, out)
 
 
 class TestScreenedPrecisionSweep:
@@ -621,7 +644,7 @@ class TestScreenedPrecisionSweep:
     def test_matches_full_sweep(self):
         cfg = FitConfig(algorithm="k")
         for r in self._inputs():
-            k, _, _, converged = _descend(r, w_matrix(r), cfg)
+            k, _, converged = _descend_alone(r, cfg)
             ref, _, ref_converged = _reference_k_descend(r, cfg)
             assert converged and ref_converged
             assert np.abs(k - ref).max() <= 1e-10 * np.abs(ref).max()
@@ -684,11 +707,15 @@ class TestScreenedPrecisionSweep:
         bound = ml_graph_upper_bound(carcass)
         dropped = min(CARCASS_ML_EDGES)
         assert dropped in bound.edge_pairs()
-        narrowed = WeightedGraph(
-            carcass.dim, tuple(e for e in bound.edges if (e[0], e[1]) != dropped)
-        )
-        # the precision sweep reads G+ as the equality graph of W at EC_SLACK
-        monkeypatch.setattr(solver, "grw_graph", lambda r, w, tol: narrowed)
+        real = solver._g_plus
+
+        def narrowed(r, w):
+            gplus = real(r, w)
+            gplus[:, dropped[0], dropped[1]] = gplus[:, dropped[1], dropped[0]] = False
+            return gplus
+
+        # the precision sweep reads G+ as the mask of W's equalities at EC_SLACK
+        monkeypatch.setattr(solver, "_g_plus", narrowed)
         res = fit(carcass, FitConfig(algorithm="k"))
         assert not res.certificate.passed
         path = tmp_path / "carcass.csv"
@@ -778,10 +805,11 @@ class TestNewtonFinish:
         cfg = FitConfig(algorithm=algorithm)
         # the support after every sweep but the last, from the sweep alone
         start, _ = solver._SWEEPS[algorithm]
-        cur, sweep, support = start(r, w_matrix(r))
+        stack = r.values[None]
+        cur, state, sweep, support = start(stack, w_matrix(r).values[None])
         seen = []
-        while sweep() >= cfg.tolerance * max(1.0, float(cur.diagonal().max())):
-            seen.append(support().copy())
+        while sweep(cur, stack, state)[0] >= cfg.tolerance * max(1.0, float(cur[0].diagonal().max())):
+            seen.append(support(cur, state)[0].copy())
         stable = [b for a, b in zip(seen, seen[1:]) if np.array_equal(a, b)]
         distinct = []
         for b in stable:

@@ -17,7 +17,8 @@ every algorithm, ``signed`` and ``analyze``, all with ``--dot``.  Inputs at
 p = 100 and 200 (n = 2p, seeds 0 and 1) run ``analyze`` alone: there most
 of a document is matrices and edge lists.  Unbalanced inputs at p = 7 and
 8 (n = 3 and 2p, seeds 1 and 3) run ``signed`` alone, with the exhaustive
-search over 64 and 128 sign vectors.  That is 712 runs in all.  Documents
+search over 64 and 128 sign vectors, once with the default algorithm and
+once with ``--algorithm k``.  That is 720 runs in all.  Documents
 depend on the BLAS thread count, so the tool pins OpenBLAS, OpenMP and MKL
 to one thread before numpy is imported, as ``perfbench/run.py`` does.
 
@@ -176,9 +177,10 @@ def _sha256(text: str | None) -> str | None:
 
 def manifest(cli, inputs, workdir: str, analyze_only=(), exhaustive=(), keep=None) -> dict[str, list]:
     """Run every invocation of ``inputs``, the ``analyze`` invocation of
-    ``analyze_only`` and a ``signed`` invocation with EXHAUSTIVE_FLAGS of
-    ``exhaustive`` through ``cli.main`` inside ``workdir``; paths are
-    relative, so documents do not depend on it.  With ``keep``, each
+    ``analyze_only`` and the ``signed`` invocations with EXHAUSTIVE_FLAGS of
+    ``exhaustive`` (default algorithm, then ``k``) through ``cli.main``
+    inside ``workdir``; paths are relative, so documents do not depend on
+    it.  With ``keep``, each
     document is saved there as <run>.json, without ``generated_at``."""
     keep = keep and os.path.abspath(keep)
     jobs = [(name, text, invocations(name)) for name, text in inputs]
@@ -187,7 +189,8 @@ def manifest(cli, inputs, workdir: str, analyze_only=(), exhaustive=(), keep=Non
         jobs.append((name, text, runs))
     for name, text in exhaustive:
         argv = ["signed", f"{name}.csv", *EXHAUSTIVE_FLAGS]
-        jobs.append((name, text, {f"{name}/signed-exhaustive": argv}))
+        jobs.append((name, text, {f"{name}/signed-exhaustive": argv,
+                                  f"{name}/signed-exhaustive-k": [*argv, "--algorithm", "k"]}))
     out = {}
     cwd = os.getcwd()
     os.chdir(workdir)
