@@ -451,10 +451,8 @@ class TestSignedCommand:
         ref = fit(self._switched(doc, r), FitConfig(algorithm="k"))
         assert np.abs(np.array(doc["sigma_hat"]) - ref.sigma_hat.values).max() <= 1e-6
 
-    def test_two_observations_match_oracle(self, tmp_path):
-        # p = 4, n = 2: the oracle answers in about a second here, against
-        # minutes at p = 5
-        r = random_correlation(np.random.default_rng(70), 4, n=2)
+    def _matches_oracle_at_two_observations(self, tmp_path, p, seed):
+        r = random_correlation(np.random.default_rng(seed), p, n=2)
         path, out = str(tmp_path / "r.csv"), tmp_path / "o.json"
         write_matrix_csv(r, path)
         assert main(["signed", path, "--output", str(out)]) == 0
@@ -462,6 +460,16 @@ class TestSignedCommand:
         assert doc["method"] == "exhaustive_exact"
         ref = active_set_oracle(self._switched(doc, r))
         assert np.abs(np.array(doc["sigma_hat"]) - ref.sigma.values).max() <= 1e-6
+
+    def test_two_observations_match_oracle(self, tmp_path):
+        # p = 4, n = 2: the oracle answers in tens of milliseconds
+        self._matches_oracle_at_two_observations(tmp_path, 4, 70)
+
+    def test_two_observations_match_oracle_at_five(self, tmp_path):
+        # p = 5, n = 2: 636 of the 1024 candidate sets have a singular clique
+        # block, so the oracle runs Newton on few of them and answers in
+        # under a second
+        self._matches_oracle_at_two_observations(tmp_path, 5, 51)
 
     def test_all_positive_is_balanced(self, tmp_path, capsys):
         path = tmp_path / "r.csv"

@@ -10,7 +10,7 @@ from totpos import (
     fit,
     FitConfig,
 )
-from totpos.oracle import NEWTON_TOL, _restricted_mle, _restricted_mles
+from totpos.oracle import NEWTON_TOL, _candidate_mles, _plan, _restricted_mle, _restricted_mles
 from conftest import CARCASS_LABELS, CARCASS_R, random_correlation
 
 # The tenth p = 4, n = 2 draw of random_correlation(default_rng(5), ., n=2),
@@ -158,6 +158,44 @@ class TestRestrictedSolve:
                 assert (k is None) == (ref is None), subset
                 if ref is not None:
                     assert np.abs(k - ref).max() <= 1e-12
+
+
+class TestChordalClosedForm:
+    def test_counts_labelled_chordal_graphs(self):
+        # OEIS A058862
+        assert [len(_plan(p).chordal) for p in range(1, 6)] == [1, 2, 8, 61, 822]
+
+    @pytest.mark.parametrize("p", [4, 5])
+    def test_empty_and_complete_sets(self, p):
+        r = random_correlation(np.random.default_rng(75), p).values
+        plan = _plan(p)
+        assert plan.supports[0] == () and len(plan.supports[-1]) == p * (p - 1) // 2
+        ks, singular = _candidate_mles(r)
+        assert not singular.any()
+        assert np.abs(ks[0] - np.eye(p)).max() <= 1e-12
+        assert np.abs(ks[-1] - np.linalg.inv(r)).max() <= 1e-12
+
+    @pytest.mark.parametrize("p", [4, 5])
+    def test_matches_newton_on_chordal_sets(self, p):
+        r = random_correlation(np.random.default_rng(76), p, n=p + 3).values
+        plan = _plan(p)
+        ks, _ = _candidate_mles(r)
+        sizes = plan.on_set[plan.chordal].sum(axis=1)
+        for size in np.unique(sizes):
+            at = plan.chordal[sizes == size]
+            for c, k in zip(at, _restricted_mles(r, [plan.supports[c] for c in at])):
+                assert k is not None, plan.supports[c]
+                assert np.abs(ks[c] - k).max() <= 1e-10, plan.supports[c]
+
+    def test_no_maximum_pattern_at_two_observations(self):
+        # every support: a failed clique block, the closed form or Newton
+        # finds no maximum exactly where the one-at-a-time reference fails
+        ks, singular = _candidate_mles(DIVERGENT_SUPPORT_R)
+        plan = _plan(4)
+        assert singular.sum() == 23
+        for c, support in enumerate(plan.supports):
+            ref = _reference_restricted_mle(DIVERGENT_SUPPORT_R, support)
+            assert np.isnan(ks[c, 0, 0]) == (ref is None), support
 
 
 class TestAgainstSolver:
