@@ -179,10 +179,6 @@ def _sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
-def _edge_list(graph) -> list[list]:
-    return [[i, j, w] for i, j, w in graph.edges]
-
-
 def _input_block(path: str, s: SymMatrix) -> dict:
     return {
         "path": path,
@@ -210,9 +206,9 @@ def _closures(r: SymMatrix, w: SymMatrix, grw_tol: float) -> _Closures:
 
 def _graphs_block(c: _Closures) -> dict:
     return {
-        "mwsf": _edge_list(c.forest),
-        "ec": _edge_list(c.envelope),
-        "grw": _edge_list(c.equality),
+        "mwsf": c.forest.edges,
+        "ec": c.envelope.edges,
+        "grw": c.equality.edges,
     }
 
 
@@ -229,7 +225,7 @@ def _fit_doc(path, s, closures, result: FitResult, cfg, mode, converged) -> dict
         "certificate": asdict(result.certificate),
         "sigma_hat": result.sigma_hat.values.tolist(),
         "k_hat": result.k_hat.values.tolist(),
-        "ml_graph": _edge_list(result.ml_graph),
+        "ml_graph": result.ml_graph.edges,
         "graphs": _graphs_block(closures),
     }
 
@@ -244,7 +240,9 @@ def cmd_fit(path: str, cfg: FitConfig, grw_tol: float = GRW_TOL):
     # the path-product equality graph generically coincides with the fitted
     # graph when the closed form applies, but only generically; surface any
     # disagreement instead of assuming it away
-    doc["grw_matches_ml_graph"] = closures.equality.edge_pairs() == result.ml_graph.edge_pairs()
+    equality, fitted = closures.equality, result.ml_graph
+    same_rows = np.array_equal(equality.rows, fitted.rows)
+    doc["grw_matches_ml_graph"] = same_rows and np.array_equal(equality.cols, fitted.cols)
     code = 0 if (converged and result.certificate.passed) else 3
     return doc, code, (closures, result.ml_graph)
 

@@ -1,25 +1,26 @@
 """Weighted undirected graphs on variable indices.
 
-The graphs read off a matrix (positive part, excess correlation,
-path-product equality, fitted precision) all come from one constructor,
-``WeightedGraph.from_mask``, and are valid by construction: only edges a
-caller passes to ``WeightedGraph(dim, edges)`` are checked.  Holds maximum
-weight spanning forests of the positive-part graph, Kruskal's forest for
-weight descending then pair ascending.  A forest is its edges:
-construction walks each tree once from its smallest vertex, which rejects
-cycles and derives the component labels and the rooted (parent, child)
-order.  The path folds read that order, one numpy row update per edge (the
-tree-structured closed-form estimate is the product fold, single linkage
-the minimum fold).  Also exact maximum cliques at desk scale, and one DOT
-writer for plain and tiered export.
+A graph is three read-only arrays sorted by pair: the edges' rows and
+columns (row < column) and their weights.  The graphs read off a matrix
+(positive part, excess correlation, path-product equality, fitted
+precision) all come from ``WeightedGraph.from_mask``, which keeps the
+arrays the mask gives, valid by construction: only edges a caller passes
+to ``WeightedGraph(dim, edges)`` are checked.  The (i, j, weight) tuples
+and the neighbour lists are built from the arrays on first use.  Holds maximum weight spanning forests of the
+positive-part graph, Kruskal's forest for weight descending then pair
+ascending.  Construction of a forest walks each tree once from its
+smallest vertex, which rejects cycles and derives the component labels and
+the rooted (parent, child) order.  The path folds read that order, one
+numpy row update per edge (the tree-structured closed-form estimate is the
+product fold, single linkage the minimum fold).  Also exact maximum
+cliques at desk scale, and one DOT writer for plain and tiered export.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -30,13 +31,13 @@ from .matcore import SymMatrix, require_unit_diagonal
 Edge = tuple[int, int, float]
 
 
-def _check_edges(dim: int, edges) -> tuple[Edge, ...]:
-    """Edges as (int, int, float), sorted by pair; raises ValueError at the
-    first edge, in input order, that is out of range, not ordered i < j, or
-    a pair already given."""
+def _check_edges(dim: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and weights of the edges, sorted by pair; raises
+    ValueError at the first edge, in input order, that is out of range, not
+    ordered i < j, or a pair already given."""
     edges = tuple(edges)
     if not edges:
-        return ()
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0)
     if set(map(len, edges)) != {3}:
         raise ValueError("an edge is a triple (i, j, weight)")
     i, j, w = np.fromiter(chain.from_iterable(edges), float, 3 * len(edges)).reshape(-1, 3).T
@@ -52,21 +53,62 @@ def _check_edges(dim: int, edges) -> tuple[Edge, ...]:
         if bad[k]:
             raise ValueError(f"bad edge ({a}, {b}) for dimension {dim}")
         raise ValueError(f"duplicate edge ({a}, {b})")
-    return tuple(zip(si.astype(np.int64).tolist(), sj.astype(np.int64).tolist(), w[order].tolist()))
+    return si.astype(np.int64), sj.astype(np.int64), w[order]
 
 
-@dataclass(frozen=True)
 class WeightedGraph:
-    """Undirected graph on vertices 0..dim-1 with weighted edges (i < j)."""
+    """Undirected graph on vertices 0..dim-1 with weighted edges (i < j).
 
-    dim: int
-    edges: tuple[Edge, ...]
+    Immutable.  Its state is ``dim`` and three read-only arrays sorted by
+    pair: ``rows`` and ``cols`` (rows < cols, int64) and ``weights``
+    (float64).  ``edges`` holds the same edges as (i, j, weight) tuples of
+    Python numbers, built on first use.  Two graphs are equal when they
+    are of one class and have equal ``dim`` and ``edges``, and hash as
+    ``(dim, edges)``.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "edges", _check_edges(self.dim, self.edges))
+    def __init__(self, dim: int, edges):
+        self._adopt(dim, *_check_edges(dim, edges))
 
-    @staticmethod
-    def from_mask(mask: np.ndarray, weights: np.ndarray) -> WeightedGraph:
+    @classmethod
+    def _derived(cls, dim: int, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray):
+        """Graph on index arrays that are valid by construction (in range,
+        rows < cols, unique, sorted by pair), as a mask or a sorted key set
+        gives them."""
+        graph = cls.__new__(cls)
+        graph._adopt(dim, rows, cols, weights)
+        return graph
+
+    def _adopt(self, dim: int, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray):
+        for arr in (rows, cols, weights):
+            arr.flags.writeable = False
+        self.__dict__.update(dim=dim, rows=rows, cols=cols, weights=weights)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: graphs are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: graphs are immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # weights compare as floats, like the tuples: NaN unequal, -0.0 == 0.0
+        return self is other or (
+            self.dim == other.dim
+            and np.array_equal(self.rows, other.rows)
+            and np.array_equal(self.cols, other.cols)
+            and np.array_equal(self.weights, other.weights)
+        )
+
+    def __hash__(self):
+        return hash((self.dim, self.edges))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(dim={self.dim!r}, edges={self.edges!r})"
+
+    @classmethod
+    def from_mask(cls, mask: np.ndarray, weights: np.ndarray):
         """Edge (i, j, weights[i, j]) for every i < j where ``mask`` holds.
 
         Only the strict upper triangle of the square ``mask`` is read
@@ -76,49 +118,45 @@ class WeightedGraph:
         if len(shape) != 2 or shape[0] != shape[1] or np.shape(weights) != shape:
             raise ValueError(f"mask {shape} and weights {np.shape(weights)}: need one square shape")
         i, j = np.nonzero(np.triu(mask, 1))
-        return _derived_graph(len(mask), i, j, np.asarray(weights, dtype=float)[i, j])
+        return cls._derived(len(mask), i, j, np.asarray(weights, dtype=float)[i, j])
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as (i, j, weight) tuples, sorted by pair."""
+        return tuple(zip(self.rows.tolist(), self.cols.tolist(), self.weights.tolist()))
 
     def edge_pairs(self) -> frozenset[tuple[int, int]]:
-        return frozenset((i, j) for i, j, _ in self.edges)
+        return frozenset(zip(self.rows.tolist(), self.cols.tolist()))
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Neighbours of each vertex, in edge order."""
+        """Neighbours of each vertex, in edge order (so ascending)."""
         adj: list[list[int]] = [[] for _ in range(self.dim)]
-        for i, j, _ in self.edges:
+        for i, j in zip(self.rows.tolist(), self.cols.tolist()):
             adj[i].append(j)
             adj[j].append(i)
         return tuple(map(tuple, adj))
 
 
-def _derived_graph(dim: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> WeightedGraph:
-    """Graph on index arrays that are valid by construction (in range, i < j,
-    unique, sorted by pair), as a mask or a sorted key set gives them."""
-    graph = object.__new__(WeightedGraph)
-    graph.__dict__.update(dim=dim, edges=tuple(zip(i.tolist(), j.tolist(), w.tolist())))
-    return graph
-
-
-@dataclass(frozen=True)
 class WeightedForest(WeightedGraph):
     """Acyclic edge set, rooted once at construction.
 
     One walk of each tree from its smallest vertex, in ascending order of
-    roots, rejects a cycle and derives two fields: ``component_label``, with
-    components numbered by their smallest vertex, and ``order``, the
+    roots, rejects a cycle and derives two attributes: ``component_label``,
+    with components numbered by their smallest vertex, and ``order``, the
     (parent, child) pair of every edge, tree by tree, each child after its
     parent.
     """
 
-    component_label: tuple[int, ...] = field(init=False)
-    order: tuple[tuple[int, int], ...] = field(init=False)
+    component_label: tuple[int, ...]
+    order: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        super().__post_init__()
-        labels = [-1] * self.dim
+    def _adopt(self, dim: int, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray):
+        super()._adopt(dim, rows, cols, weights)
+        labels = [-1] * dim
         order = []
         n_comp = 0
-        for root in range(self.dim):
+        for root in range(dim):
             if labels[root] >= 0:
                 continue
             labels[root] = n_comp
@@ -128,8 +166,7 @@ class WeightedForest(WeightedGraph):
                 labels[v] = n_comp
                 order.append((u, v))
             n_comp += 1
-        object.__setattr__(self, "component_label", tuple(labels))
-        object.__setattr__(self, "order", tuple(order))
+        self.__dict__.update(component_label=tuple(labels), order=tuple(order))
 
     def walk(self, root: int) -> Iterator[tuple[int, int]]:
         """Depth-first walk of the tree holding ``root``.
@@ -245,7 +282,7 @@ def to_dot(graph: WeightedGraph, labels=None, style=None) -> str:
     """
     if labels is not None and len(labels) != graph.dim:
         raise ValueError("label count does not match graph dimension")
-    if style is not None and len(style) != len(graph.edges):
+    if style is not None and len(style) != len(graph.rows):
         raise ValueError("style count does not match edge count")
     names = [
         str(x).replace("\\", "\\\\").replace('"', '\\"')
@@ -253,10 +290,12 @@ def to_dot(graph: WeightedGraph, labels=None, style=None) -> str:
     ]
     lines = ["graph G {"]
     lines.extend(f'  "{name}";' for name in names)
-    if graph.edges:
-        i, j, w = zip(*graph.edges)
-        extra = style if style is not None else [""] * len(w)
-        cells = zip(map(names.__getitem__, i), map(names.__getitem__, j), w, extra)
-        lines.extend(map('  "%s" -- "%s" [weight="%.6f"%s];'.__mod__, cells))
+    cells = zip(
+        map(names.__getitem__, graph.rows.tolist()),
+        map(names.__getitem__, graph.cols.tolist()),
+        graph.weights.tolist(),
+        style if style is not None else repeat(""),
+    )
+    lines.extend(map('  "%s" -- "%s" [weight="%.6f"%s];'.__mod__, cells))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -11,11 +11,12 @@ envelope ``ml_graph_upper_bound`` that screens the solver's precision sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import depth_first_order
 
-from .graphs import WeightedForest, WeightedGraph, _derived_graph, mwsf, to_dot
+from .graphs import WeightedForest, WeightedGraph, mwsf, to_dot
 from .matcore import (
     SymMatrix,
     NotPositiveDefinite,
@@ -36,8 +37,10 @@ class BlockReport:
 
     ``blocks`` lists the vertex sets of the biconnected components plus
     singletons for isolated vertices; when the graph is a block graph these
-    are exactly its maximal cliques.  ``offending_component`` is the first
-    non-complete component otherwise.
+    are exactly its maximal cliques.  They are sorted by smallest vertex,
+    and blocks that share their smallest vertex come in the order a
+    depth-first search finishes them (``_biconnected_components``).
+    ``offending_component`` is the first non-complete component otherwise.
     """
 
     is_block_graph: bool
@@ -52,67 +55,83 @@ class NotApplicable:
     reason: str
 
 
-def _biconnected_components(adj) -> list[frozenset[int]]:
-    """Vertex sets of the biconnected components (iterative lowpoint DFS).
+def _biconnected_components(graph: WeightedGraph) -> list[frozenset[int]]:
+    """Vertex sets of the biconnected components, in post-order of their
+    heads, tree by tree.
 
-    ``adj`` lists each vertex's neighbours, as ``WeightedGraph.neighbors``.
+    One ``depth_first_order`` per component, from its smallest vertex, on
+    the symmetric adjacency matrix, whose rows hold ``graph.neighbors``
+    (ascending): the walk takes the first unvisited neighbour, as a
+    recursive DFS over them does.  A child v whose lowpoint does not climb
+    above its parent u heads a block: u and the part of v's subtree not
+    under a deeper head.  A block is complete when its head finishes, at
+    post-order place preorder - depth + subtree size - 1.
     """
-    dim = len(adj)
-    disc = [0] * dim  # 0 means unvisited
-    low = [0] * dim
-    comps: list[frozenset[int]] = []
-    timer = 1
+    dim = graph.dim
+    # a stable sort by vertex keeps each row ascending: the partners i < v
+    # of the edges (i, v) first, then the partners j > v of (v, j)
+    src = np.concatenate((graph.cols, graph.rows))
+    degree = np.bincount(src, minlength=dim)
+    indptr = np.concatenate(([0], np.cumsum(degree)))
+    nbrs = np.concatenate((graph.rows, graph.cols))[np.argsort(src, kind="stable")]
+    adj = csr_matrix((np.ones(len(nbrs)), nbrs, indptr), shape=(dim, dim))
+    parent = np.full(dim, -1)
+    seen = degree == 0
+    walks = []
     for root in range(dim):
-        if disc[root]:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        stack: list[tuple[int, int, int]] = [(root, -1, 0)]  # (vertex, parent, next child slot)
-        estack: list[tuple[int, int]] = []
-        while stack:
-            v, parent, ptr = stack[-1]
-            if ptr < len(adj[v]):
-                stack[-1] = (v, parent, ptr + 1)
-                w = adj[v][ptr]
-                if w == parent:
-                    continue
-                if not disc[w]:
-                    estack.append((v, w))
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, v, 0))
-                elif disc[w] < disc[v]:
-                    estack.append((v, w))
-                    low[v] = min(low[v], disc[w])
-                continue
-            stack.pop()
-            if not stack:
-                continue
-            u = stack[-1][0]
+        if not seen[root]:
+            nodes, pred = depth_first_order(adj, root, directed=True, return_predecessors=True)
+            seen[nodes] = True
+            parent[nodes[1:]] = pred[nodes[1:]]
+            walks.append(nodes)
+    if not walks:
+        return []
+    pre = np.concatenate(walks)
+    disc = np.zeros(dim, dtype=np.int64)
+    disc[pre] = np.arange(len(pre))
+    # lowpoint: the earliest vertex reached by an edge other than the one
+    # to the parent, folded up from the children in reverse preorder
+    vertex = np.repeat(np.arange(dim), degree)
+    back = nbrs != parent[vertex]
+    low = disc.copy()
+    np.minimum.at(low, vertex[back], disc[nbrs[back]])
+    pre, up, low = pre.tolist(), parent.tolist(), low.tolist()
+    size = [1] * dim
+    for v in reversed(pre):
+        u = up[v]
+        if u >= 0:
             low[u] = min(low[u], low[v])
-            if low[v] >= disc[u]:
-                comp: set[int] = set()
-                while estack and estack[-1] != (u, v):
-                    a, b = estack.pop()
-                    comp.update((a, b))
-                if estack:
-                    a, b = estack.pop()
-                    comp.update((a, b))
-                if comp:
-                    comps.append(frozenset(comp))
-    return comps
+            size[u] += size[v]
+    disc = disc.tolist()
+    head = [-1] * dim
+    depth = [0] * dim
+    members: dict[int, list[int]] = {}
+    for v in pre:
+        u = up[v]
+        if u >= 0:
+            depth[v] = depth[u] + 1
+            head[v] = v if low[v] >= disc[u] else head[u]
+            members.setdefault(head[v], [u]).append(v)
+    finish = {h: disc[h] - depth[h] + size[h] - 1 for h in members}
+    return [frozenset(members[h]) for h in sorted(members, key=finish.__getitem__)]
 
 
 def is_block_graph(graph: WeightedGraph) -> BlockReport:
-    """Decompose into biconnected components and require each to be complete."""
-    comps = _biconnected_components(graph.neighbors)
-    covered = set().union(*comps) if comps else set()
+    """Decompose into biconnected components and require each to be complete.
+
+    Each block, in the order of ``BlockReport.blocks``, is complete when its
+    submatrix of the boolean adjacency matrix (diagonal set) is all true.
+    """
+    comps = _biconnected_components(graph)
+    covered = set().union(*comps)
     blocks = comps + [frozenset({v}) for v in range(graph.dim) if v not in covered]
     blocks.sort(key=min)
-    pair_set = graph.edge_pairs()
+    adjacent = np.eye(graph.dim, dtype=bool)
+    adjacent[graph.rows, graph.cols] = adjacent[graph.cols, graph.rows] = True
     offending = None
     for comp in blocks:
-        if not all(pair in pair_set for pair in combinations(sorted(comp), 2)):
+        members = list(comp)
+        if not adjacent[np.ix_(members, members)].all():
             offending = comp
             break
     return BlockReport(offending is None, tuple(blocks), offending)
@@ -148,8 +167,9 @@ def mwsf_containment(r: SymMatrix, result: FitResult) -> tuple[bool, list[tuple[
     """Whether every spanning-forest edge shows up in the fitted graph."""
     if r.dim != result.ml_graph.dim:
         raise ValueError("dimension mismatch")
-    fitted = result.ml_graph.edge_pairs()
-    missing = [(i, j) for i, j, _ in mwsf(r).edges if (i, j) not in fitted]
+    forest, fitted = mwsf(r), result.ml_graph
+    gone = ~np.isin(forest.rows * r.dim + forest.cols, fitted.rows * r.dim + fitted.cols)
+    missing = list(zip(forest.rows[gone].tolist(), forest.cols[gone].tolist()))
     return (not missing, missing)
 
 
@@ -164,8 +184,7 @@ def threshold_k(k: SymMatrix, graph: WeightedGraph) -> SymMatrix:
     if not is_m_matrix(k, tol=GRW_TOL * float(k.values.diagonal().max())):
         raise InputNotMMatrix("threshold_k requires an M-matrix input")
     keep = np.eye(k.dim, dtype=bool)
-    for i, j in graph.edge_pairs():
-        keep[i, j] = keep[j, i] = True
+    keep[graph.rows, graph.cols] = keep[graph.cols, graph.rows] = True
     vals = k.values.copy()
     vals[~keep] = 0.0
     return SymMatrix(vals, labels=k.labels)
@@ -188,9 +207,7 @@ def tiered_dot(
         raise ValueError("dimension mismatch")
 
     def keyed(graph):
-        count = len(graph.edges)
-        cols = np.fromiter(chain.from_iterable(graph.edges), float, 3 * count).reshape(count, 3)
-        return cols[:, 0].astype(np.int64) * dim + cols[:, 1].astype(np.int64), cols[:, 2]
+        return graph.rows * dim + graph.cols, graph.weights
 
     (fk, fw), (ek, ew), (mk, mw) = map(keyed, (forest, envelope, middle))
     # the first occurrence of a pair gives its weight: forest and envelope
@@ -201,5 +218,5 @@ def tiered_dot(
     tier[np.isin(union, mk)] = 1
     tier[np.isin(union, fk)] = 0
     styles = (", color=red, penwidth=2.5", ", color=blue", ", color=gray, penwidth=0.5")
-    union_graph = _derived_graph(dim, union // dim, union % dim, weights)
+    union_graph = WeightedGraph._derived(dim, union // dim, union % dim, weights)
     return to_dot(union_graph, labels=labels, style=list(map(styles.__getitem__, tier.tolist())))

@@ -125,17 +125,20 @@ def max_product_closure(vals: np.ndarray) -> np.ndarray:
     vertices of every matrix in a stack of shape (..., p, p).
 
     Floyd-Warshall over the (max, x) semiring on the positive part, with
-    one broadcast update of the whole stack per pivot vertex.  Entries off
-    the diagonal must lie below one (not checked here).  A product of
-    factors below one rounds to at most each factor, so an entry that no
-    path beats, as on every spanning-forest edge, comes back bit for bit.
-    Zero across components, one on the diagonal.
+    one broadcast update of the whole stack per pivot vertex, through one
+    reused buffer.  Entries off the diagonal must lie below one (not
+    checked here).  A product of factors below one rounds to at most each
+    factor, so an entry that no path beats, as on every spanning-forest
+    edge, comes back bit for bit.  Zero across components, one on the
+    diagonal.
     """
     p = vals.shape[-1]
     w = np.maximum(vals, 0.0)
     w[..., range(p), range(p)] = 1.0
+    buf = np.empty_like(w)
     for k in range(p):
-        np.maximum(w, w[..., :, k, None] * w[..., None, k, :], out=w)
+        np.multiply(w[..., :, k, None], w[..., None, k, :], out=buf)
+        np.maximum(w, buf, out=w)
     return w
 
 

@@ -8,6 +8,7 @@ from totpos import (
     max_clique,
     mwsf,
     pd_factorize,
+    tiered_dot,
     to_dot,
     tree_mle,
 )
@@ -153,6 +154,83 @@ class TestFromMask:
             assert type(g) is WeightedGraph
             assert g == checked
             assert g.neighbors == checked.neighbors
+
+
+class TestMaskAndTripleGraphsAgree:
+    """A graph from a mask keeps the index arrays of the mask; a graph from
+    triples keeps the arrays that validation builds.  Every view of two
+    such graphs of the same edges agrees."""
+
+    @staticmethod
+    def _pairs(rng):
+        """(from_mask graph, graph of the same triples in shuffled order),
+        empty and complete masks included."""
+        for p in (1, 2, 5, 9, 16):
+            for density in (0.0, 0.3, 0.7, 1.0):
+                mask = rng.random((p, p)) < density
+                weights = rng.standard_normal((p, p))
+                triples = [(i, j, float(weights[i, j]))
+                           for i in range(p) for j in range(i + 1, p) if mask[i, j]]
+                rng.shuffle(triples)
+                yield WeightedGraph.from_mask(mask, weights), WeightedGraph(p, triples)
+
+    def test_equality_and_hash_before_edges_are_read(self):
+        rng = np.random.default_rng(20)
+        for k, (a, b) in enumerate(self._pairs(rng)):
+            assert "edges" not in vars(a) and "edges" not in vars(b)
+            if k % 2:
+                assert hash(a) == hash(b) and a == b
+            else:
+                assert a == b and hash(a) == hash(b)
+            assert hash(a) == hash((a.dim, a.edges))
+
+    def test_views_agree(self):
+        rng = np.random.default_rng(21)
+        for a, b in self._pairs(rng):
+            assert a.edges == b.edges
+            assert a.edge_pairs() == b.edge_pairs()
+            assert a.neighbors == b.neighbors
+            assert to_dot(a) == to_dot(b)
+            forest = mwsf(random_correlation(rng, a.dim))
+            assert tiered_dot(forest, a, a) == tiered_dot(forest, b, b)
+            assert tiered_dot(forest, b, forest) == tiered_dot(forest, a, forest)
+
+    def test_forest_rooting_agrees(self):
+        rng = np.random.default_rng(22)
+        for p in (1, 2, 5, 9, 16, 40):
+            for _ in range(6):
+                edges = random_forest(rng, p).edges
+                mask, weights = np.zeros((p, p), dtype=bool), rng.standard_normal((p, p))
+                triples = []
+                for i, j, _ in edges:
+                    mask[i, j] = True
+                    triples.append((i, j, float(weights[i, j])))
+                rng.shuffle(triples)
+                a, b = WeightedForest.from_mask(mask, weights), WeightedForest(p, triples)
+                assert type(a) is WeightedForest
+                assert a == b and hash(a) == hash(b)
+                assert a.component_label == b.component_label
+                assert a.order == b.order
+
+    def test_equality_compares_like_the_tuples(self):
+        g = WeightedGraph(3, ((0, 1, 0.5), (1, 2, 0.25)))
+        assert g != WeightedGraph(3, ((0, 1, 0.5), (1, 2, 0.125)))
+        assert g != WeightedGraph(4, ((0, 1, 0.5), (1, 2, 0.25)))
+        assert g != WeightedGraph(3, ((0, 1, 0.5),))
+        assert g != WeightedForest(3, g.edges)
+        assert WeightedGraph(2, ((0, 1, 0.0),)) == WeightedGraph(2, ((0, 1, -0.0),))
+        nan = WeightedGraph(2, ((0, 1, float("nan")),))
+        assert nan == nan and nan != WeightedGraph(2, ((0, 1, float("nan")),))
+
+    def test_immutable(self):
+        g = WeightedGraph.from_mask(np.ones((3, 3), dtype=bool), np.ones((3, 3)))
+        with pytest.raises(AttributeError):
+            g.dim = 4
+        with pytest.raises(AttributeError):
+            del g.rows
+        with pytest.raises(ValueError):
+            g.weights[0] = 2.0
+        assert g.edges == ((0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0))
 
 
 class TestPositivePartGraph:

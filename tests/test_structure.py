@@ -1,4 +1,7 @@
+import dataclasses
+import importlib.util
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +29,7 @@ from totpos import (
     tree_mle,
     w_matrix,
 )
-from totpos.structure import _biconnected_components
+from totpos.structure import BlockReport, _biconnected_components
 from totpos.ultra import EC_SLACK, GRW_TOL
 from conftest import (
     CARCASS_ML_EDGES,
@@ -192,9 +195,172 @@ class TestBlockGraph:
                 if rng.random() < 0.35
             ]
             graph = WeightedGraph(p, tuple((i, j, 1.0) for i, j in pairs))
-            got = set(_biconnected_components(graph.neighbors))
+            got = set(_biconnected_components(graph))
             want = brute_biconnected(p, pairs)
             assert got == want, (p, sorted(pairs))
+
+
+def _reference_biconnected_components(adj) -> list[frozenset[int]]:
+    """Vertex sets of the biconnected components (iterative lowpoint DFS),
+    in the order a block completes.
+
+    ``adj`` lists each vertex's neighbours, as ``WeightedGraph.neighbors``.
+    """
+    dim = len(adj)
+    disc = [0] * dim  # 0 means unvisited
+    low = [0] * dim
+    comps: list[frozenset[int]] = []
+    timer = 1
+    for root in range(dim):
+        if disc[root]:
+            continue
+        disc[root] = low[root] = timer
+        timer += 1
+        stack: list[tuple[int, int, int]] = [(root, -1, 0)]  # (vertex, parent, next child slot)
+        estack: list[tuple[int, int]] = []
+        while stack:
+            v, parent, ptr = stack[-1]
+            if ptr < len(adj[v]):
+                stack[-1] = (v, parent, ptr + 1)
+                w = adj[v][ptr]
+                if w == parent:
+                    continue
+                if not disc[w]:
+                    estack.append((v, w))
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    stack.append((w, v, 0))
+                elif disc[w] < disc[v]:
+                    estack.append((v, w))
+                    low[v] = min(low[v], disc[w])
+                continue
+            stack.pop()
+            if not stack:
+                continue
+            u = stack[-1][0]
+            low[u] = min(low[u], low[v])
+            if low[v] >= disc[u]:
+                comp: set[int] = set()
+                while estack and estack[-1] != (u, v):
+                    a, b = estack.pop()
+                    comp.update((a, b))
+                if estack:
+                    a, b = estack.pop()
+                    comp.update((a, b))
+                if comp:
+                    comps.append(frozenset(comp))
+    return comps
+
+
+def _reference_block_report(graph) -> BlockReport:
+    """Block report over the lowpoint DFS, completeness by pair lookup."""
+    comps = _reference_biconnected_components(graph.neighbors)
+    covered = set().union(*comps) if comps else set()
+    blocks = comps + [frozenset({v}) for v in range(graph.dim) if v not in covered]
+    blocks.sort(key=min)
+    pair_set = graph.edge_pairs()
+    offending = None
+    for comp in blocks:
+        if not all(pair in pair_set for pair in combinations(sorted(comp), 2)):
+            offending = comp
+            break
+    return BlockReport(offending is None, tuple(blocks), offending)
+
+
+def _relabeled(rng, p, pairs):
+    """Graph on ``pairs`` with its vertices shuffled."""
+    perm = rng.permutation(p).tolist()
+    edges = {(min(perm[i], perm[j]), max(perm[i], perm[j])) for i, j in pairs}
+    return WeightedGraph(p, tuple((i, j, 1.0) for i, j in edges))
+
+
+def _tree_with_chords(rng, p):
+    pairs = {(int(rng.integers(v)), v) for v in range(1, p)}
+    for _ in range(int(rng.integers(0, 4))):
+        i, j = sorted(rng.choice(p, size=2, replace=False).tolist())
+        pairs.add((i, j))
+    return _relabeled(rng, p, pairs)
+
+
+def _clique_chain(rng, p):
+    """Cliques glued at cut vertices: each new clique shares one vertex with
+    the graph so far, so several cliques can meet at one vertex."""
+    pairs, size = set(), 1
+    while size < p:
+        k = min(int(rng.integers(1, 5)), p - size)
+        members = [int(rng.integers(size))] + list(range(size, size + k))
+        pairs.update(combinations(members, 2))
+        size += k
+    return _relabeled(rng, p, pairs)
+
+
+def _components(rng, p):
+    """Random graphs on three vertex ranges, with isolated vertices left."""
+    cuts = np.sort(rng.choice(np.arange(1, p), size=2, replace=False)).tolist()
+    pairs = set()
+    for lo, hi in zip([0, *cuts], [*cuts, p]):
+        density = rng.uniform(0.1, 0.8)
+        pairs.update((i, j) for i in range(lo, hi) for j in range(i + 1, hi)
+                     if rng.random() < density)
+    return _relabeled(rng, p, pairs)
+
+
+def _random_graph(rng, p):
+    density = rng.uniform(0.0, 0.7)
+    return _relabeled(rng, p, {(i, j) for i, j in combinations(range(p), 2)
+                               if rng.random() < density})
+
+
+def _load_parity_tool():
+    tool = Path(__file__).resolve().parent.parent / "tools" / "cli_parity.py"
+    spec = importlib.util.spec_from_file_location("cli_parity", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBlockDecompositionMatchesTarjan:
+    """The DFS-order decomposition against the lowpoint DFS it replaced:
+    equal blocks, in equal order, and equal block reports."""
+
+    @staticmethod
+    def _assert_same(graph):
+        got = _biconnected_components(graph)
+        want = _reference_biconnected_components(graph.neighbors)
+        assert set(got) == set(want)
+        assert got == want
+        assert is_block_graph(graph) == _reference_block_report(graph)
+
+    @pytest.mark.parametrize("family", [_tree_with_chords, _clique_chain, _components, _random_graph])
+    def test_seeded_graphs(self, family):
+        rng = np.random.default_rng([19, len(family.__name__)])
+        for p in range(3, 19):
+            for _ in range(12):
+                self._assert_same(family(rng, p))
+
+    def test_small_and_empty_graphs(self):
+        for p in range(4):
+            self._assert_same(WeightedGraph(p, ()))
+        self._assert_same(WeightedGraph(2, ((0, 1, 1.0),)))
+        self._assert_same(WeightedGraph(5, ((1, 3, 1.0),)))
+
+    def test_block_order_breaks_ties_by_finishing(self):
+        # {1, 2} and {1, 3} share their smallest vertex; the DFS from 0 runs
+        # 0, 3, 1, 2 and finishes the block headed at 2 before the one at 1
+        g = WeightedGraph(4, ((0, 3, 1.0), (1, 2, 1.0), (1, 3, 1.0)))
+        assert is_block_graph(g).blocks == (
+            frozenset({0, 3}), frozenset({1, 2}), frozenset({1, 3})
+        )
+        self._assert_same(g)
+
+    def test_parity_tool_large_inputs(self):
+        tool = _load_parity_tool()
+        for p in tool.LARGE_DIMS:
+            for seed in tool.LARGE_SEEDS:
+                r, _ = to_correlation(SymMatrix(tool.sample_covariance(p, 2 * p, seed)))
+                w = w_matrix(r)
+                self._assert_same(grw_graph(r, w))
+                self._assert_same(grw_graph(r, w, EC_SLACK))
 
 
 class TestBlockClosedForm:
@@ -258,6 +424,19 @@ class TestContainment:
         assert not contains
         assert missing == [(1, 4)]
 
+    def test_missing_edges_match_pair_loop(self):
+        rng = np.random.default_rng(48)
+        for p in (2, 5, 8):
+            for _ in range(5):
+                r = random_correlation(rng, p)
+                res = fit(r)
+                # a fitted graph cut down at random, so that forest edges go missing
+                kept = res.ml_graph.edges[::2]
+                res = dataclasses.replace(res, ml_graph=WeightedGraph(p, kept))
+                fitted = {(i, j) for i, j, _ in kept}
+                want = [(i, j) for i, j, _ in mwsf(r).edges if (i, j) not in fitted]
+                assert mwsf_containment(r, res) == (not want, want)
+
     def test_two_variable_positive(self):
         r = SymMatrix(np.array([[1.0, 0.4], [0.4, 1.0]]))
         contains, missing = mwsf_containment(r, fit(r))
@@ -314,6 +493,16 @@ class TestThresholdK:
             out = threshold_k(k, g)
             pd_factorize(out)
             assert is_m_matrix(out, tol=0.0)
+
+    def test_keeps_exactly_the_graph_entries(self):
+        rng = np.random.default_rng(47)
+        for p in (1, 3, 6, 9):
+            k = random_m_matrix(rng, p)
+            g = WeightedGraph.from_mask(rng.random((p, p)) < 0.4, np.ones((p, p)))
+            want = np.diag(k.values.diagonal())
+            for i, j in g.edge_pairs():
+                want[i, j], want[j, i] = k.values[i, j], k.values[j, i]
+            assert np.array_equal(threshold_k(k, g).values, want)
 
     def test_rejects_non_m_input(self):
         k = SymMatrix(np.array([[1.0, 0.2], [0.2, 1.0]]))
