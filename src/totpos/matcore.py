@@ -5,16 +5,16 @@ small dense symmetric matrices, so this module provides the shared value type
 plus factorization, inversion, correlation normalization, and the M-matrix
 predicate.  All tolerances are relative to the diagonal
 scale of the input so that results are invariant under rescaling of the
-variables.
+variables.  Every positive-definiteness test, log determinant and inverse
+is one LAPACK dpotrf factorization under the pivot rule of ``cholesky``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotri
 
 # Pivot acceptance threshold for the factorization, relative to the largest
 # diagonal entry of the input.
@@ -100,55 +100,59 @@ def require_unit_diagonal(m: SymMatrix) -> None:
         )
 
 
-def pd_factorize(m: SymMatrix) -> PdFactor:
-    """Factor a positive definite matrix as L @ L.T with L lower triangular.
+def cholesky(a: np.ndarray) -> np.ndarray:
+    """Upper triangular U with U.T @ U = a, by LAPACK dpotrf on the upper
+    triangle of a symmetric array.
 
     Raises:
-        NotPositiveDefinite: when a pivot is at most PIVOT_RTOL times the
-            largest diagonal entry; the exception carries the pivot index.
+        NotPositiveDefinite: when a pivot (a squared diagonal entry of U) is
+            not above PIVOT_RTOL times the largest diagonal entry of ``a``,
+            NaN included; the exception carries the first such pivot's index.
     """
-    a = m.values
-    p = m.dim
-    tol = PIVOT_RTOL * float(a.diagonal().max())
-    lower = np.zeros((p, p))
-    for j in range(p):
-        pivot = a[j, j] - lower[j, :j] @ lower[j, :j]
-        if pivot <= tol:
-            raise NotPositiveDefinite(j)
-        lower[j, j] = math.sqrt(pivot)
-        if j + 1 < p:
-            lower[j + 1 :, j] = (a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / lower[j, j]
-    log_det = 2.0 * float(np.log(lower.diagonal()).sum())
-    return PdFactor(lower, log_det)
+    u, info = dpotrf(a)
+    tol = PIVOT_RTOL * a.diagonal().max()
+    # U's diagonal is nonnegative or NaN, and its min is NaN when any entry is
+    if info == 0 and u.diagonal().min() ** 2 > tol:
+        return u
+    ok = u.diagonal() ** 2 > tol
+    # dpotrf stops at the first pivot that is not positive (info, 1-based)
+    # and leaves it and the rest unfactored
+    if info > 0:
+        ok[info - 1 :] = False
+    raise NotPositiveDefinite(int(np.argmin(ok)))
+
+
+def inverse(a: np.ndarray) -> np.ndarray:
+    """a^{-1} from ``cholesky`` and LAPACK dpotri, exactly symmetric;
+    raises NotPositiveDefinite as ``cholesky`` does."""
+    inv, _ = dpotri(cholesky(a))  # upper triangle; dpotrf zeroed the lower one
+    inv += inv.T
+    inv.flat[:: len(a) + 1] /= 2.0
+    return inv
+
+
+def pd_factorize(m: SymMatrix) -> PdFactor:
+    """Factor a positive definite matrix as L @ L.T with L lower triangular
+    (``cholesky``'s factor transposed); raises NotPositiveDefinite as
+    ``cholesky`` does."""
+    upper = cholesky(m.values)
+    return PdFactor(upper.T, 2.0 * float(np.log(upper.diagonal()).sum()))
 
 
 def pd_mask(stack: np.ndarray) -> np.ndarray:
-    """Which matrices of a stack of shape (m, p, p) ``pd_factorize`` accepts.
-
-    One Cholesky of the whole stack under the same pivot rule, a pivot at
-    most PIVOT_RTOL times the member's largest diagonal entry failing it; a
-    failed member carries on with unit pivots so that the others finish.
-    """
-    m, p, _ = stack.shape
-    tol = PIVOT_RTOL * stack.diagonal(axis1=1, axis2=2).max(axis=1)
-    lower = np.zeros_like(stack)
-    ok = np.ones(m, dtype=bool)
-    for j in range(p):
-        row = lower[:, j, :j]
-        pivot = stack[:, j, j] - np.einsum("mi,mi->m", row, row)
-        ok &= pivot > tol
-        lower[:, j, j] = root = np.sqrt(np.where(ok, pivot, 1.0))
-        below = stack[:, j + 1 :, j] - np.einsum("mki,mi->mk", lower[:, j + 1 :, :j], row)
-        lower[:, j + 1 :, j] = below / root[:, None]
+    """Which matrices of a stack of shape (m, p, p) ``cholesky`` accepts."""
+    ok = np.ones(len(stack), dtype=bool)
+    for i, a in enumerate(stack):
+        try:
+            cholesky(a)
+        except NotPositiveDefinite:
+            ok[i] = False
     return ok
 
 
 def inverse_pd(m: SymMatrix) -> SymMatrix:
-    """Invert a positive definite matrix via its triangular factor."""
-    fac = pd_factorize(m)
-    linv = solve_triangular(fac.factor, np.eye(m.dim), lower=True)
-    inv = linv.T @ linv
-    return SymMatrix((inv + inv.T) / 2.0, labels=m.labels)
+    """Invert a positive definite matrix (``inverse``)."""
+    return SymMatrix(inverse(m.values), labels=m.labels)
 
 
 def to_correlation(s: SymMatrix) -> tuple[SymMatrix, np.ndarray]:

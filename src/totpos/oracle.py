@@ -10,10 +10,11 @@ used.
 A candidate's restricted problem is solved in one of three ways:
 
 * **No maximum.** When a clique of the candidate graph has a correlation
-  block that fails the pivot test of ``matcore.pd_mask`` (a pivot at most
-  1e-12 times the diagonal), no positive definite covariance matches the
-  sample on it, so there is no maximum.  At n = 2 every three-vertex block
-  is singular, so this settles most candidates without an iteration.
+  block that fails the pivot test of ``matcore.cholesky`` (through
+  ``pd_mask``: a pivot not above 1e-12 times the largest diagonal entry),
+  no positive definite covariance matches the sample on it, so there is no
+  maximum.  At n = 2 every three-vertex block is singular, so this settles
+  most candidates without an iteration.
 * **Closed form on chordal graphs.** Removing simplicial vertices v in
   turn, with F_v = {v} + N_v and N_v the neighbours of v among the vertices
   left, gives K = sum_v ([R_{F_v}^-1]^0 - [R_{N_v}^-1]^0) (Lauritzen 1996,

@@ -105,12 +105,13 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgesv, dpotrf, dpotri, dpotrs
+from scipy.linalg.lapack import dgesv, dpotrf, dpotrs
 
 from .graphs import WeightedGraph
 from .matcore import (
     SymMatrix,
     NotPositiveDefinite,
+    inverse,
     inverse_pd,
     log_likelihood,
     pd_factorize,
@@ -423,20 +424,6 @@ def _beta_support(active: np.ndarray) -> np.ndarray:
     return sym
 
 
-def _cholesky_inverse(k: np.ndarray) -> np.ndarray | None:
-    """K^{-1} by one Cholesky factorization (LAPACK dpotrf, dpotri), or None
-    when K is not positive definite."""
-    c, info = dpotrf(k)
-    if info:
-        return None
-    inv, info = dpotri(c)  # upper triangle; dpotrf zeroed the lower one
-    if info:
-        return None
-    inv += inv.T
-    inv.flat[:: len(k) + 1] /= 2.0
-    return inv
-
-
 def _newton(r: np.ndarray, k: np.ndarray, support: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray] | None:
     """Maximize log det K - tr(R K) over K supported on the diagonal and
     ``support`` by damped Newton steps from ``k`` projected there; returns
@@ -448,8 +435,8 @@ def _newton(r: np.ndarray, k: np.ndarray, support: np.ndarray, tol: float) -> tu
     tr(Sigma E_a Sigma E_b) for the unit matrices E of the variables, solved
     by Cholesky.  A step of 1 / (1 + lambda), lambda the Newton decrement,
     keeps K positive definite (log det is self-concordant), and a full step
-    is taken once lambda <= 1/4; a step whose K fails its Cholesky
-    factorization is halved.  Steps stop when the gradient is below
+    is taken once lambda <= 1/4; a step whose K fails the pivot test of
+    ``matcore.cholesky`` is halved.  Steps stop when the gradient is below
     tol / 1000 or a full step no longer halves it (rounding).  The KKT
     system: Sigma = R on the diagonal and the support, K_ij <= 0 there
     (partial-correlation scale), and Sigma_ij >= r_ij off it.
@@ -463,8 +450,9 @@ def _newton(r: np.ndarray, k: np.ndarray, support: np.ndarray, tol: float) -> tu
     at, back = i * p + j, j * p + i  # flat indices of K_ij and K_ji
     w = np.where(i == j, 1.0, 2.0)
     r_at = r.ravel().take(at)
-    sig = _cholesky_inverse(k)
-    if sig is None:
+    try:
+        sig = inverse(k)
+    except NotPositiveDefinite:
         return None
     last = np.inf
     for _ in range(NEWTON_STEPS):
@@ -491,13 +479,14 @@ def _newton(r: np.ndarray, k: np.ndarray, support: np.ndarray, tol: float) -> tu
         t = 1.0 if lam <= 0.25 else 1.0 / (1.0 + lam)
         for _ in range(HALVINGS):
             new = k + t * step
-            new_sig = _cholesky_inverse(new)
-            if new_sig is not None:
+            try:
+                sig = inverse(new)
                 break
-            t /= 2.0
+            except NotPositiveDefinite:
+                t /= 2.0
         else:
             return None
-        k, sig = new, new_sig
+        k = new
         last = top if t == 1.0 else np.inf
     kd = k.diagonal()
     ok = (np.abs(sig.ravel().take(at) - r_at).max() <= tol
@@ -511,8 +500,9 @@ def _finish(r: np.ndarray, cur: np.ndarray, iterate_is_k: bool, support: np.ndar
     """The Newton finish on ``support`` from a sweep's iterate (K, else
     Sigma, whose inverse is the start); returns the optimum as the same kind
     of iterate, or None when ``_newton`` rejects the support."""
-    k = cur if iterate_is_k else _cholesky_inverse(cur)
-    if k is None:
+    try:
+        k = cur if iterate_is_k else inverse(cur)
+    except NotPositiveDefinite:
         return None
     out = _newton(r, k, support, tol)
     return None if out is None else out[0 if iterate_is_k else 1]

@@ -93,7 +93,7 @@ def test_kept_documents_and_their_diff(tmp_path, capsys):
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
     assert tool.diff_documents(str(first), str(second)) == {}
     assert tool.main(["--diff", str(first), str(second)]) == 0
-    assert capsys.readouterr().out == "4 identical, 0 differ\n"
+    assert capsys.readouterr().out == "4 identical, 0 differ\n0 with a different verdict\n"
     # move the largest entry of one matrix by a relative 1e-9 and one entry
     # of another by 1e-12 of its largest, drop one key and flip one flag
     path = second / "p04_n02_s0/fit-k.json"
@@ -107,17 +107,27 @@ def test_kept_documents_and_their_diff(tmp_path, capsys):
     del doc["sweeps"]
     path.write_text(json.dumps(doc), encoding="utf-8")
     (second / "p04_n02_s0/analyze.json").unlink()
+    # and flip the certificate's verdict alone in another document
+    path = second / "p04_n02_s0/signed.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["certificate"]["passed"] = not doc["certificate"]["passed"]
+    path.write_text(json.dumps(doc), encoding="utf-8")
     differ = tool.diff_documents(str(first), str(second))
-    assert sorted(differ) == ["p04_n02_s0/analyze", "p04_n02_s0/fit-k"]
-    keys, rel, where = differ["p04_n02_s0/fit-k"]
+    assert sorted(differ) == ["p04_n02_s0/analyze", "p04_n02_s0/fit-k", "p04_n02_s0/signed"]
+    keys, rel, where, flips = differ["p04_n02_s0/fit-k"]
     assert keys == ["converged", "k_hat", "sigma_hat", "sweeps"]
     assert abs(rel - 1e-9) <= 1e-15 and where == "sigma_hat"
-    assert differ["p04_n02_s0/analyze"] == (["<missing>"], 0.0, None)
+    assert flips == ["converged", "sweeps"]
+    assert differ["p04_n02_s0/analyze"] == (["<missing>"], 0.0, None, [])
+    assert differ["p04_n02_s0/signed"] == (["certificate"], 0.0, None, ["certificate.passed"])
     assert tool.main(["--diff", str(first), str(second)]) == 1
     out = capsys.readouterr().out.splitlines()
-    assert out[-1] == "2 identical, 2 differ"
+    assert out[-2] == "1 identical, 3 differ"
     assert out[1] == ("p04_n02_s0/fit-k: converged, k_hat, sigma_hat, sweeps; "
                       "largest relative difference 1e-09 (sigma_hat)")
+    # the last line names the runs whose verdict differs, and where
+    assert out[-1] == ("2 with a different verdict: p04_n02_s0/fit-k (converged, sweeps); "
+                       "p04_n02_s0/signed (certificate.passed)")
 
 
 def test_blas_threads_pinned_before_numpy_is_imported():

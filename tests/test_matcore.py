@@ -18,6 +18,49 @@ from totpos.matcore import PIVOT_RTOL, pd_mask
 from conftest import STAR_K, random_pd
 
 
+def _reference_pd_factorize(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """The Python Cholesky loop that ``pd_factorize`` ran before it called
+    LAPACK: (L, log det) with L @ L.T = a, raising NotPositiveDefinite at the
+    first pivot at most PIVOT_RTOL times the largest diagonal entry."""
+    p = len(a)
+    tol = PIVOT_RTOL * float(a.diagonal().max())
+    lower = np.zeros((p, p))
+    for j in range(p):
+        pivot = a[j, j] - lower[j, :j] @ lower[j, :j]
+        if pivot <= tol:
+            raise NotPositiveDefinite(j)
+        lower[j, j] = math.sqrt(pivot)
+        if j + 1 < p:
+            lower[j + 1 :, j] = (a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / lower[j, j]
+    return lower, 2.0 * float(np.log(lower.diagonal()).sum())
+
+
+def _reference_verdict(a: np.ndarray):
+    """(L, log det) from the reference loop, or the failing pivot index."""
+    try:
+        return _reference_pd_factorize(a)
+    except NotPositiveDefinite as err:
+        return err.pivot_index
+
+
+def _kernel_inputs(rng, p: int) -> list[np.ndarray]:
+    """Positive definite matrices, rank-deficient sample covariances (n < p)
+    and indefinite matrices, all of dimension p."""
+    members = [random_pd(rng, p).values for _ in range(2)]
+    x = rng.standard_normal((2 * p, p))
+    members.append(x.T @ x / (2 * p))
+    for n in sorted({1, p // 2, p - 1}):
+        x = rng.standard_normal((n, p))
+        members.append(x.T @ x / n)
+    # one, two and p // 2 negative eigenvalues among positive ones
+    for negative in (1, 2, p // 2):
+        q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        eig = rng.uniform(0.1, 10.0, size=p)
+        eig[:negative] = -rng.uniform(0.1, 1.0, size=negative)
+        members.append(q @ np.diag(eig) @ q.T)
+    return [(a + a.T) / 2.0 for a in members]
+
+
 class TestSymMatrix:
     def test_symmetrizes_and_freezes(self):
         m = SymMatrix(np.array([[1.0, 0.5], [0.5 + 1e-12, 1.0]]))
@@ -190,3 +233,60 @@ class TestStackedPdMask:
             except NotPositiveDefinite:
                 expected.append(False)
         assert mask.tolist() == expected == [True] * 4 + [False, False, True, False]
+
+
+class TestKernelMatchesReferenceLoop:
+    """``pd_factorize`` and ``pd_mask`` (LAPACK dpotrf under the pivot rule)
+    against the Python loop they replaced."""
+
+    @pytest.mark.parametrize("p", [5, 40, 130, 300])
+    def test_verdict_pivot_factor_and_log_det(self, p):
+        rng = np.random.default_rng([92, p])
+        outcomes = []
+        for a in _kernel_inputs(rng, p):
+            expected = _reference_verdict(a)
+            try:
+                fac = pd_factorize(SymMatrix(a))
+            except NotPositiveDefinite as err:
+                assert err.pivot_index == expected
+                outcomes.append("fail")
+                continue
+            lower, log_det = expected
+            assert np.abs(fac.factor - lower).max() <= 1e-12 * np.abs(lower).max()
+            assert fac.log_det == pytest.approx(log_det, rel=1e-12, abs=1e-12)
+            outcomes.append("pass")
+        assert outcomes.count("pass") == 3
+
+    def test_rank_deficient_fails_at_its_rank(self):
+        # at p = 300 the failing pivot lies past dpotrf's first block, so its
+        # index is read from a partial factor
+        rng = np.random.default_rng(93)
+        for n in (70, 150, 299):
+            x = rng.standard_normal((n, 300))
+            with pytest.raises(NotPositiveDefinite) as err:
+                pd_factorize(SymMatrix(x.T @ x / n))
+            assert err.value.pivot_index == n
+
+    @pytest.mark.parametrize("p", [5, 40])
+    def test_stacked_mask_member_by_member(self, p):
+        rng = np.random.default_rng([94, p])
+        stack = np.array(_kernel_inputs(rng, p) + _kernel_inputs(rng, p))
+        expected = [not isinstance(_reference_verdict(a), int) for a in stack]
+        assert pd_mask(stack).tolist() == expected
+        assert sum(expected) == 6
+
+
+class TestNotANumber:
+    """A NaN entry fails the pivot test on every path."""
+
+    @pytest.mark.parametrize("at", [(1, 1), (0, 2)])
+    def test_every_path_rejects(self, at):
+        a = np.array([[2.0, -0.5, -0.2], [-0.5, 2.0, -0.3], [-0.2, -0.3, 2.0]])
+        a[at] = a[at[::-1]] = np.nan
+        m = SymMatrix(a)
+        with pytest.raises(NotPositiveDefinite):
+            pd_factorize(m)
+        with pytest.raises(NotPositiveDefinite):
+            inverse_pd(m)
+        assert pd_mask(a[None]).tolist() == [False]
+        assert not is_m_matrix(m)

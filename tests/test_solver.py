@@ -875,8 +875,8 @@ class TestNewtonFinish:
         # off the support, so only the gradient tells that it is not yet
         # the optimum
         factored = []
-        real = solver._cholesky_inverse
-        monkeypatch.setattr(solver, "_cholesky_inverse", lambda k: factored.append(k) or real(k))
+        real = solver.inverse
+        monkeypatch.setattr(solver, "inverse", lambda k: factored.append(k) or real(k))
         monkeypatch.setattr(solver, "NEWTON_STEPS", 1)
         assert solver._newton(r, np.eye(3), full, 1e-10) is None
         last = factored[-1]

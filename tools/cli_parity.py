@@ -33,7 +33,8 @@ document, without its ``generated_at`` line, as DIR/<run>.json; ``--diff``
 reads two such directories and reports, for each run whose document
 differs, the top-level keys that differ and the largest difference between
 numbers at the same place, relative to the largest magnitude under the same
-key, and exits 1 when any do.
+key, and exits 1 when any do.  Its last line names the runs whose verdict
+differs: ``certificate.passed``, ``converged`` or ``sweeps``.
 """
 
 from __future__ import annotations
@@ -75,6 +76,8 @@ SIGNED_FLAGS = (*FIT_FLAGS, "--exhaustive-limit", "6")
 # the exhaustive family runs the sign search on 64 and 128 sign vectors
 EXHAUSTIVE_FLAGS = (*FIT_FLAGS, "--exhaustive-limit", "8")
 GENERATED_AT = re.compile(r'^  "generated_at": .*\n', flags=re.M)
+# the places in a document that hold a fit's verdict
+VERDICTS = (("certificate", "passed"), ("converged",), ("sweeps",))
 
 
 def sample_covariance(p: int, n: int, seed: int) -> np.ndarray:
@@ -242,26 +245,34 @@ def _spread(a, b) -> tuple[float, float]:
     return max((d for d, _ in spreads), default=0.0), max((m for _, m in spreads), default=0.0)
 
 
+def _at(doc, path: tuple[str, ...]):
+    """The value at a path of keys, None where the path is absent."""
+    for key in path:
+        doc = doc.get(key) if isinstance(doc, dict) else None
+    return doc
+
+
 def kept_runs(root: str) -> set[str]:
     """The runs whose documents a ``--keep`` directory holds."""
     return {os.path.relpath(os.path.join(d, f), root)[: -len(".json")]
             for d, _, files in os.walk(root) for f in files if f.endswith(".json")}
 
 
-def diff_documents(dir_a: str, dir_b: str) -> dict[str, tuple[list[str], float, str | None]]:
+def diff_documents(dir_a: str, dir_b: str) -> dict[str, tuple[list[str], float, str | None, list[str]]]:
     """For each run whose kept document differs between two ``--keep``
     directories: the top-level keys that differ (a key present on one side
-    only counts), the largest relative numeric difference and the key where
-    it is.  A difference is relative to the largest magnitude under its
-    top-level key, so that entries near zero do not dominate.  A document
-    present on one side only is reported with the key "<missing>"."""
+    only counts), the largest relative numeric difference, the key where
+    it is and the VERDICTS that differ, dotted.  A difference is relative to
+    the largest magnitude under its top-level key, so that entries near zero
+    do not dominate.  A document present on one side only is reported with
+    the key "<missing>"."""
     out = {}
     for run in sorted(kept_runs(dir_a) | kept_runs(dir_b)):
         a, b = (_read(os.path.join(root, f"{run}.json")) for root in (dir_a, dir_b))
         if a == b:
             continue
         if a is None or b is None:
-            out[run] = (["<missing>"], 0.0, None)
+            out[run] = (["<missing>"], 0.0, None, [])
             continue
         da, db = json.loads(a), json.loads(b)
         absent = object()
@@ -271,7 +282,8 @@ def diff_documents(dir_a: str, dir_b: str) -> dict[str, tuple[list[str], float, 
             delta, size = _spread(da.get(key), db.get(key))
             if delta and delta / size > rel:
                 rel, where = delta / size, key
-        out[run] = (keys, rel, where)
+        flips = [".".join(path) for path in VERDICTS if _at(da, path) != _at(db, path)]
+        out[run] = (keys, rel, where, flips)
     return out
 
 
@@ -286,11 +298,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.diff:
         differ = diff_documents(*args.diff)
-        for run, (keys, rel, where) in differ.items():
+        for run, (keys, rel, where, _) in differ.items():
             print(f"{run}: {', '.join(keys)}; largest relative difference {rel:.3g}"
                   + (f" ({where})" if where else ""))
         total = len(kept_runs(args.diff[0]) | kept_runs(args.diff[1]))
         print(f"{total - len(differ)} identical, {len(differ)} differ")
+        flipped = [f"{run} ({', '.join(flips)})" for run, (*_, flips) in differ.items() if flips]
+        print(f"{len(flipped)} with a different verdict" + (": " if flipped else "") + "; ".join(flipped))
         return 1 if differ else 0
     if args.compare:
         with open(args.compare[0]) as fa, open(args.compare[1]) as fb:
