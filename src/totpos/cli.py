@@ -1,8 +1,11 @@
 """Command line interface: matrix ingestion, fitting, analysis, export.
 
-Result documents are written exactly as ``json.dumps(doc, indent=2,
-sort_keys=True)`` would write them, non-finite values included (``NaN``,
-``Infinity``), by the block writer in ``jsonout``.  CSV rows are converted
+Result documents hold the arrays the commands computed: matrices and
+vectors as float64 arrays, graphs as ``jsonout.EdgeTable`` values.  The
+block writer in ``jsonout`` writes them as their plain lists would be
+written, exactly as ``json.dumps(doc, indent=2, sort_keys=True,
+default=jsonout.plain)`` does, non-finite values included (``NaN``,
+``Infinity``).  CSV rows are converted
 one row at a time; only a row that fails is scanned cell by cell, to name
 the offending cell.
 
@@ -204,11 +207,15 @@ def _closures(r: SymMatrix, w: SymMatrix, grw_tol: float) -> _Closures:
     return _Closures(r, forest, ec_graph(r, forest), w, grw_graph(r, w, grw_tol))
 
 
+def _edge_table(g: WeightedGraph) -> jsonout.EdgeTable:
+    return jsonout.EdgeTable(g.dim, g.rows, g.cols, g.weights)
+
+
 def _graphs_block(c: _Closures) -> dict:
     return {
-        "mwsf": c.forest.edges,
-        "ec": c.envelope.edges,
-        "grw": c.equality.edges,
+        "mwsf": _edge_table(c.forest),
+        "ec": _edge_table(c.envelope),
+        "grw": _edge_table(c.equality),
     }
 
 
@@ -223,15 +230,19 @@ def _fit_doc(path, s, closures, result: FitResult, cfg, mode, converged) -> dict
         "log_likelihood": result.log_likelihood,
         "duality_gap": result.duality_gap,
         "certificate": asdict(result.certificate),
-        "sigma_hat": result.sigma_hat.values.tolist(),
-        "k_hat": result.k_hat.values.tolist(),
-        "ml_graph": result.ml_graph.edges,
+        "sigma_hat": result.sigma_hat.values,
+        "k_hat": result.k_hat.values,
+        "ml_graph": _edge_table(result.ml_graph),
         "graphs": _graphs_block(closures),
     }
 
 
 def cmd_fit(path: str, cfg: FitConfig, grw_tol: float = GRW_TOL):
-    """Fit the input covariance; returns (document, exit code, DOT payload)."""
+    """Fit the input covariance.
+
+    Returns (document, exit code, outputs); outputs is (closures, the graph
+    drawn between the DOT tiers, the fitted covariance or None).
+    """
     s = read_matrix_csv(path)
     result, converged = _fit_best(s, cfg)
     r, _ = to_correlation(s)
@@ -244,7 +255,7 @@ def cmd_fit(path: str, cfg: FitConfig, grw_tol: float = GRW_TOL):
     same_rows = np.array_equal(equality.rows, fitted.rows)
     doc["grw_matches_ml_graph"] = same_rows and np.array_equal(equality.cols, fitted.cols)
     code = 0 if (converged and result.certificate.passed) else 3
-    return doc, code, (closures, result.ml_graph)
+    return doc, code, (closures, result.ml_graph, result.sigma_hat)
 
 
 def cmd_analyze(path: str, grw_tol: float = GRW_TOL):
@@ -267,9 +278,9 @@ def cmd_analyze(path: str, grw_tol: float = GRW_TOL):
         "mode": "analyze",
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "input": _input_block(path, s),
-        "scale": scale.tolist(),
-        "z_matrix": z.values.tolist(),
-        "w_matrix": closures.w.values.tolist(),
+        "scale": scale,
+        "z_matrix": z.values,
+        "w_matrix": closures.w.values,
         "z_ultrametric": asdict(report),
         "block_report": {
             "is_block_graph": block.is_block_graph,
@@ -280,13 +291,13 @@ def cmd_analyze(path: str, grw_tol: float = GRW_TOL):
         },
         "closed_form": {
             "applicable": applicable,
-            "sigma": closed.values.tolist() if applicable else None,
+            "sigma": closed.values if applicable else None,
             "reason": None if applicable else closed.reason,
         },
         "graphs": _graphs_block(closures),
         "mwsf_tie_break": MWSF_TIE_BREAK,
     }
-    return doc, 0, (closures, closures.equality)
+    return doc, 0, (closures, closures.equality, None)
 
 
 def cmd_signed(
@@ -300,7 +311,7 @@ def cmd_signed(
     # differ from the forest of |R| that chose the signs
     closures = _closures(apply_signs(r, signed_result.signs), signed_result.fit.w, grw_tol)
     doc = _fit_doc(path, s, closures, signed_result.fit, cfg, "signed", signed_result.converged)
-    doc["scale"] = scale.tolist()
+    doc["scale"] = scale
     doc["signs"] = list(signed_result.signs.signs)
     doc["method"] = signed_result.method
     if signed_result.switched_likelihoods is not None:
@@ -309,7 +320,7 @@ def cmd_signed(
             for signs, ll in sorted(signed_result.switched_likelihoods.items())
         }
     code = 0 if (signed_result.converged and signed_result.fit.certificate.passed) else 3
-    return doc, code, (closures, signed_result.fit.ml_graph)
+    return doc, code, (closures, signed_result.fit.ml_graph, signed_result.fit.sigma_hat)
 
 
 def _random_correlation(rng, p: int) -> SymMatrix:
@@ -467,25 +478,23 @@ def main(argv=None) -> int:
             seed = int(os.environ.get("TOTPOS_SEED", "0"))
             return cmd_selftest(args.trials, args.dims, seed)
         if args.command == "analyze":
-            doc, code, dot_payload = cmd_analyze(args.input, grw_tol=args.grw_tol)
+            doc, code, outputs = cmd_analyze(args.input, grw_tol=args.grw_tol)
         elif args.command == "signed":
-            doc, code, dot_payload = cmd_signed(
+            doc, code, outputs = cmd_signed(
                 args.input, _config_from_args(args),
                 exhaustive_limit=args.exhaustive_limit, grw_tol=args.grw_tol,
             )
         else:
-            doc, code, dot_payload = cmd_fit(args.input, _config_from_args(args), grw_tol=args.grw_tol)
+            doc, code, outputs = cmd_fit(args.input, _config_from_args(args), grw_tol=args.grw_tol)
         _emit(doc, args.output)
         if doc.get("converged") is False:
             print(f"error: no convergence within {args.max_sweeps} sweeps; "
                   "the document holds the best iterate", file=sys.stderr)
+        closures, middle, sigma_hat = outputs
         if args.dot:
-            _write_dot(args.dot, *dot_payload)
+            _write_dot(args.dot, closures, middle)
         if getattr(args, "sigma_csv", None):
-            labels = doc["input"]["labels"]
-            m = SymMatrix(np.array(doc["sigma_hat"]),
-                          labels=tuple(labels) if labels else None)
-            write_matrix_csv(m, args.sigma_csv)
+            write_matrix_csv(sigma_hat, args.sigma_csv)
         return code
     except MatrixParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

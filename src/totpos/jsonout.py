@@ -1,28 +1,29 @@
 """JSON text of the command line documents, block by block.
 
 ``dumps(doc)`` returns exactly the text of ``json.dumps(doc, indent=2,
-sort_keys=True)``, non-finite floats included (``NaN``, ``Infinity``).
-The standard library writes indented JSON with its pure-Python encoder,
-one generator step per value.  Here a list of plain scalars is one
-``join``, and a list of equal-length rows of plain scalars (a matrix, an
-edge list) is formatted column by column, or as one block when every cell
-is a float, and laid out with one ``join``.  A float is written as
-``float.__repr__`` writes it, once per distinct IEEE bit pattern in the
-document, and an int as ``int.__repr__`` writes it; keys and strings go
-through json's C string encoder.  Anything else, such as a subclass of
-float, takes the value-by-value path, which follows
+sort_keys=True, default=plain)``, non-finite floats included (``NaN``,
+``Infinity``).  A document may hold, besides plain JSON values, 1-D and
+2-D float64 arrays and ``EdgeTable`` values; ``plain`` maps them to the
+lists they are written as: an array to ``.tolist()``, an edge table to its
+(i, j, weight) triples.  The standard library writes indented JSON with its
+pure-Python encoder, one generator step per value.  Here an array is
+formatted once on its row-major values and laid out with one ``join``, and
+an edge table takes its vertex texts from a table of the ``dim`` vertex
+numbers.  A float is written as ``float.__repr__`` writes it, once per
+distinct IEEE bit pattern in the document, and an int as ``int.__repr__``
+writes it; keys and strings go through json's C string encoder.  Lists,
+tuples and dicts take the value-by-value path, which follows
 ``json.encoder._make_iterencode``.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
 # below about this many values (a symmetric matrix at p = 10), formatting
 # every value is faster than sorting the bit patterns
 _DEDUP_MIN = 100
@@ -64,6 +65,35 @@ class FloatTexts:
         return texts[where].tolist()
 
 
+@dataclass(frozen=True, eq=False)
+class EdgeTable:
+    """Edges of a graph on vertices 0..dim-1 as parallel arrays: integer
+    ``rows`` and ``cols`` in range and float64 ``weights``.  Written as the
+    list of (rows[k], cols[k], weights[k]) triples."""
+
+    dim: int
+    rows: np.ndarray
+    cols: np.ndarray
+    weights: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+
+def _is_float_array(o) -> bool:
+    return isinstance(o, np.ndarray) and o.dtype == np.float64 and o.ndim in (1, 2)
+
+
+def plain(o):
+    """The plain JSON value ``dumps`` writes for an array or an edge table
+    (the ``default`` hook of ``json.dumps``); TypeError for anything else."""
+    if _is_float_array(o):
+        return o.tolist()
+    if isinstance(o, EdgeTable):
+        return list(zip(o.rows.tolist(), o.cols.tolist(), o.weights.tolist()))
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
 def _scalar(o) -> str | None:
     """JSON text of a scalar, as json writes it; None for anything else."""
     if isinstance(o, str):
@@ -91,15 +121,21 @@ def _key(key) -> str:
     return _encode_str(text)
 
 
-def _rows_text(columns: list[list[str]], level: int) -> str:
-    """Text of a list at ``level`` whose rows hold one cell of each column."""
-    width = len(columns)
+def _block(items: list[str], level: int, brackets: str = "[]") -> str:
+    """Text of a nonempty list (or, with ``brackets`` "{}", a dict) at
+    ``level`` whose items have the texts ``items``."""
+    inner = "\n" + "  " * (level + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * level + brackets[1]
+
+
+def _rows_text(cells: list[str], width: int, level: int) -> str:
+    """Text of a nonempty list at ``level`` of rows of ``width`` cells, the
+    cells given row after row."""
     outer = "\n" + "  " * (level + 1)
     inner = outer + "  "
-    parts = ["," + inner] * (2 * width * len(columns[0]))
-    for k, column in enumerate(columns):
-        parts[2 * k :: 2 * width] = column
-    parts[2 * width - 1 :: 2 * width] = [outer + "]," + outer + "[" + inner] * len(columns[0])
+    parts = ["," + inner] * (2 * len(cells))
+    parts[::2] = cells
+    parts[2 * width - 1 :: 2 * width] = [outer + "]," + outer + "[" + inner] * (len(cells) // width)
     parts[0] = "[" + outer + "[" + inner + parts[0]
     parts[-1] = outer + "]\n" + "  " * level + "]"
     return "".join(parts)
@@ -111,59 +147,45 @@ class _Writer:
     def __init__(self):
         self.floats = FloatTexts(_NON_FINITE)
 
-    def scalars(self, values) -> list[str] | None:
-        """JSON text of each item of a sequence of plain scalars, else None."""
-        kinds = set(map(type, values))
-        if kinds == {float}:
-            return self.floats(values)
-        if kinds == {int}:
-            return list(map(int.__repr__, values))
-        if kinds <= _SCALAR_TYPES:
-            return list(map(_scalar, values))
-        return None
+    def array(self, a: np.ndarray, level: int) -> str:
+        if a.size == 0:
+            return self.text(a.tolist(), level)
+        cells = self.floats(a.ravel())
+        if a.ndim == 1:
+            return _block(cells, level)
+        return _rows_text(cells, a.shape[1], level)
 
-    def columns(self, rows) -> list[list[str]] | None:
-        """JSON text of every cell of a list of equal-length, nonempty lists
-        of plain scalars, column by column; None for any other list."""
-        if not set(map(type, rows)) <= {list, tuple}:
-            return None
-        widths = set(map(len, rows))
-        if len(widths) != 1 or 0 in widths:
-            return None
-        (width,) = widths
-        if set(map(type, rows[0])) == {float}:
-            flat = list(chain.from_iterable(rows))
-            if set(map(type, flat)) == {float}:
-                cells = self.floats(flat)
-                return [cells[k::width] for k in range(width)]
-        columns = [self.scalars(col) for col in zip(*rows)]
-        return None if None in columns else columns
+    def edge_table(self, t: EdgeTable, level: int) -> str:
+        if not len(t):
+            return "[]"
+        vertices = np.array(list(map(int.__repr__, range(t.dim))), dtype=object)
+        cells = [""] * (3 * len(t))
+        cells[0::3] = vertices[t.rows].tolist()
+        cells[1::3] = vertices[t.cols].tolist()
+        cells[2::3] = self.floats(t.weights)
+        return _rows_text(cells, 3, level)
 
     def text(self, o, level: int) -> str:
         """JSON text of ``o``, whose closing bracket is indented by ``level``."""
         text = _scalar(o)
         if text is not None:
             return text
+        if _is_float_array(o):
+            return self.array(o, level)
+        if isinstance(o, EdgeTable):
+            return self.edge_table(o, level)
         if isinstance(o, (list, tuple)):
             if not o:
                 return "[]"
-            columns = self.columns(o)
-            if columns is not None:
-                return _rows_text(columns, level)
-            brackets = "[]"
-            items = self.scalars(o) or [self.text(v, level + 1) for v in o]
-        elif isinstance(o, dict):
+            return _block([self.text(v, level + 1) for v in o], level)
+        if isinstance(o, dict):
             if not o:
                 return "{}"
-            brackets = "{}"
             items = [_key(k) + ": " + self.text(v, level + 1) for k, v in sorted(o.items())]
-        else:
-            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-        inner = "\n" + "  " * (level + 1)
-        body = ("," + inner).join(items)
-        return f"{brackets[0]}{inner}{body}\n{'  ' * level}{brackets[1]}"
+            return _block(items, level, "{}")
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
 def dumps(doc) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte."""
+    """``json.dumps(doc, indent=2, sort_keys=True, default=plain)``, byte for byte."""
     return _Writer().text(doc, 0)

@@ -16,6 +16,7 @@ from totpos import (
     fit_signed,
     graphs,
     grw_graph,
+    jsonout,
     mwsf,
     solver,
     ultra,
@@ -782,15 +783,59 @@ def _synthetic_document() -> dict:
     }
 
 
+def _stdlib_text(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True, default=jsonout.plain)
+
+
 def _assert_writes_json_dumps(doc, tmp_path):
     out = tmp_path / "doc.json"
     cli._emit(doc, str(out))
-    assert out.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+    assert out.read_bytes() == (_stdlib_text(doc) + "\n").encode()
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _array_document() -> dict:
+    """Arrays and edge tables of every shape the writer lays out, with the
+    floats the writer must keep apart."""
+    special = np.array([float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 0.1])
+    rng = np.random.default_rng(7)
+    square = rng.standard_normal((12, 12))
+    square[::3, ::4] = -0.0
+    square[1::3, ::5] = 0.0
+    square[2, :7] = special
+    rows, cols = np.triu_indices(12, 1)
+    return {
+        "vector": rng.standard_normal(150),
+        "short_vector": special,
+        "one": np.array([0.5]),
+        "one_by_one": np.array([[-0.0]]),
+        "square": square,
+        "transposed": square.T,
+        "strided": square[::2, 1::3],
+        "wide": rng.standard_normal((3, 40)),
+        "empty": np.empty(0),
+        "no_rows": np.empty((0, 4)),
+        "no_columns": np.empty((3, 0)),
+        "in_a_list": [np.array([1.0, -0.0]), special[:2], {"nested": square[:2, :2]}],
+        "graph": jsonout.EdgeTable(
+            12, _read_only(rows), _read_only(cols), _read_only(square[rows, cols])
+        ),
+        "small_graph": jsonout.EdgeTable(
+            3, np.array([0, 1]), np.array([2, 2]), np.array([float("nan"), -0.0])
+        ),
+        "no_edges": jsonout.EdgeTable(5, np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)),
+        "weights_again": square[rows, cols][::-1].copy(),
+    }
 
 
 class TestDocumentText:
-    """``_emit`` writes exactly ``json.dumps(doc, indent=2, sort_keys=True)``
-    and a newline."""
+    """``_emit`` writes exactly ``json.dumps(doc, indent=2, sort_keys=True,
+    default=jsonout.plain)`` and a newline: arrays and edge tables as their
+    plain lists."""
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_fit_document(self, tmp_path, algorithm):
@@ -820,9 +865,17 @@ class TestDocumentText:
     def test_large_analyze_document(self, tmp_path):
         path = str(tmp_path / "r.csv")
         write_matrix_csv(random_correlation(np.random.default_rng(15), 200, n=400), path)
-        doc, _, _ = cli.cmd_analyze(path)
+        doc, _, (closures, _, _) = cli.cmd_analyze(path)
         assert len(doc["graphs"]["ec"]) > 1000
         _assert_writes_json_dumps(doc, tmp_path)
+        # the writer reads the arrays: no graph built its edge tuples and no
+        # matrix went through a list of rows
+        for graph in (closures.forest, closures.envelope, closures.equality):
+            assert "edges" not in graph.__dict__
+        assert all(isinstance(t, jsonout.EdgeTable) for t in doc["graphs"].values())
+        for key in ("scale", "z_matrix", "w_matrix"):
+            assert isinstance(doc[key], np.ndarray)
+        assert not isinstance(doc["closed_form"]["sigma"], list)
 
     def test_exit_three_document(self, tmp_path):
         path = tmp_path / "collinear.csv"
@@ -841,11 +894,28 @@ class TestDocumentText:
     def test_standard_output(self, capsys):
         doc = _synthetic_document()
         cli._emit(doc, None)
-        assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert capsys.readouterr().out == _stdlib_text(doc) + "\n"
 
-    @pytest.mark.parametrize("doc", [{"x": object()}, [np.int64(1)], {(1, 2): 3}])
+    def test_array_document(self, tmp_path):
+        doc = _array_document()
+        assert not doc["transposed"].flags.c_contiguous
+        assert not doc["graph"].rows.flags.writeable
+        _assert_writes_json_dumps(doc, tmp_path)
+
+    @pytest.mark.parametrize("doc", [
+        np.zeros(3), np.ones((2, 2)), np.array([[float("nan")]]), np.empty(0),
+        jsonout.EdgeTable(2, np.array([0]), np.array([1]), np.array([-0.0])),
+    ])
+    def test_array_as_document(self, tmp_path, doc):
+        _assert_writes_json_dumps(doc, tmp_path)
+
+    @pytest.mark.parametrize("doc", [
+        {"x": object()}, [np.int64(1)], {(1, 2): 3}, {"ints": np.arange(3)},
+        {"float32": np.ones(2, dtype=np.float32)}, {"cube": np.zeros((2, 2, 2))},
+        {"zero_dim": np.array(1.0)},
+    ])
     def test_unserializable_values_raise(self, tmp_path, doc):
         with pytest.raises(TypeError):
-            json.dumps(doc, indent=2, sort_keys=True)
+            _stdlib_text(doc)
         with pytest.raises(TypeError):
             cli._emit(doc, str(tmp_path / "doc.json"))
