@@ -2,12 +2,16 @@
 
 Result documents hold the arrays the commands computed: matrices and
 vectors as float64 arrays, graphs as ``jsonout.EdgeTable`` values.  The
-block writer in ``jsonout`` writes them as their plain lists would be
-written, exactly as ``json.dumps(doc, indent=2, sort_keys=True,
+writer in ``jsonout`` writes them as their plain lists would be written,
+exactly as ``json.dumps(doc, indent=2, sort_keys=True,
 default=jsonout.plain)`` does, non-finite values included (``NaN``,
-``Infinity``).  CSV rows are converted
-one row at a time; only a row that fails is scanned cell by cell, to name
-the offending cell.
+``Infinity``).  A document is encoded completely, as one list of
+per-value chunks (an array's text is one chunk), before its file is
+opened, and is written with one ``writelines``; the DOT file is written
+the same way from its lines.  The input file is read once: its bytes are
+hashed for ``input.sha256`` and decoded, and each CSV row is converted to
+floats as soon as it is split; only a row that fails is scanned cell by
+cell, to name the offending cell.
 
 Exit codes: 0 on success with a passing certificate, 1 on input parse
 errors, 2 when no maximum likelihood estimate exists or on a usage error
@@ -25,7 +29,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
@@ -45,7 +49,7 @@ from .solver import (
     fit,
 )
 from .signed import EXHAUSTIVE_LIMIT, apply_signs, fit_signed
-from .structure import NotApplicable, block_closed_form, is_block_graph, tiered_dot
+from .structure import NotApplicable, block_closed_form, is_block_graph, tiered_dot_lines
 from .ultra import GRW_TOL, ec_graph, grw_graph, is_ultrametric, w_matrix
 
 MWSF_TIE_BREAK = "weight descending, pair ascending"
@@ -64,17 +68,41 @@ class MatrixParseError(ValueError):
         super().__init__(where + message)
 
 
-def _raise_at_bad_cell(lineno: int, cells: list[str]) -> None:
-    """Raise the parse error of the first cell that is not a finite number."""
+def _bad_cell(lineno: int, cells: list[str]) -> MatrixParseError | None:
+    """The parse error of the first cell that is not a finite number, or
+    None when every cell is one."""
     for j, cell in enumerate(cells):
         try:
             value = float(cell)
         except ValueError:
-            raise MatrixParseError(
-                f"invalid number {cell!r}", line=lineno, column=j + 1
-            ) from None
+            return MatrixParseError(f"invalid number {cell!r}", line=lineno, column=j + 1)
         if not math.isfinite(value):
-            raise MatrixParseError(f"non-finite entry {cell!r}", line=lineno, column=j + 1)
+            return MatrixParseError(f"non-finite entry {cell!r}", line=lineno, column=j + 1)
+
+
+def _cells(line: str) -> list[str]:
+    """Cells of a stripped, nonblank line, trailing blank cells dropped.
+
+    The cells of an unquoted comma-separated line keep the blanks around
+    them: ``float`` ignores them, so a row of numbers converts unstripped.
+    """
+    if "," not in line:
+        return line.split()
+    if '"' in line:
+        cells = list(map(str.strip, next(csv.reader([line], skipinitialspace=True))))
+    else:
+        # without quotes, csv.reader yields the cells of str.split, which is faster
+        cells = line.split(",")
+    while cells and not cells[-1].strip():
+        cells.pop()
+    return cells
+
+
+def _floats(cells: list[str]) -> list[float] | None:
+    try:
+        return list(map(float, cells))
+    except ValueError:
+        return None
 
 
 def parse_matrix_text(text: str, header_row: bool | None = None) -> SymMatrix:
@@ -82,87 +110,104 @@ def parse_matrix_text(text: str, header_row: bool | None = None) -> SymMatrix:
 
     A line holding a comma is read as one CSV record (quoted cells may hold
     commas; trailing empty cells are dropped), any other line is split on
-    whitespace.  Blank lines and lines starting with '#' are skipped.
+    whitespace.  Blank lines and lines starting with '#' are skipped.  Each
+    data row is converted to floats as it is read.
     """
-    rows: list[tuple[int, list[str]]] = []
+    return SymMatrix(*_parse_values(text, header_row))
+
+
+def _parse_values(text: str, header_row: bool | None) -> tuple[np.ndarray, tuple | None]:
+    """The values and labels of ``parse_matrix_text``."""
+    labels = None
+    data = None  # p x p, allocated at the first data row, which has p cells
+    linenos: list[int] = []  # the line of each data row
+    error = None  # the first ragged row or bad cell, in reading order
+    first = True  # the next record may be the header
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "," not in line:
-            rows.append((lineno, line.split()))
+        cells = _cells(line)
+        if first:
+            first = False
+            cells = list(map(str.strip, cells))
+            if header_row is True or (header_row is None and _floats(cells) is None):
+                labels = tuple(cells)
+                if len(set(labels)) != len(labels):
+                    raise MatrixParseError("header labels must be unique", line=lineno)
+                continue
+        if data is None:
+            data = np.empty((len(cells), len(cells)))
+        i = len(linenos)
+        linenos.append(lineno)
+        # rows past p are only counted: the square check outranks their errors
+        if error is not None or i >= len(data):
             continue
-        # without quotes, csv.reader yields the cells of str.split, which is faster
-        fields = next(csv.reader([line], skipinitialspace=True)) if '"' in line else line.split(",")
-        cells = list(map(str.strip, fields))
-        while cells and cells[-1] == "":
-            cells.pop()
-        rows.append((lineno, cells))
-    if not rows:
+        if len(cells) != len(data):
+            error = MatrixParseError(
+                f"expected {len(data)} entries, found {len(cells)}", line=lineno
+            )
+            continue
+        row = _floats(cells)
+        if row is None or not all(map(math.isfinite, row)):
+            # judged stripped: str.strip also removes U+001F, which float() rejects
+            cells = list(map(str.strip, cells))
+            error = _bad_cell(lineno, cells)
+            if error is not None:
+                continue
+            row = list(map(float, cells))
+        data[i] = row
+    if first:
         raise MatrixParseError("empty input")
-
-    def all_numeric(cells):
-        try:
-            [float(c) for c in cells]
-            return True
-        except ValueError:
-            return False
-
-    labels = None
-    if header_row is True or (header_row is None and not all_numeric(rows[0][1])):
-        labels = tuple(rows[0][1])
-        if len(set(labels)) != len(labels):
-            raise MatrixParseError("header labels must be unique", line=rows[0][0])
-        rows = rows[1:]
-        if not rows:
-            raise MatrixParseError("no data rows after header")
-    p = len(rows[0][1])
-    if len(rows) != p:
+    if not linenos:
+        raise MatrixParseError("no data rows after header")
+    p = len(data)
+    if len(linenos) != p:
         raise MatrixParseError(
-            f"expected a square matrix: {p} columns but {len(rows)} data rows",
-            line=rows[-1][0],
+            f"expected a square matrix: {p} columns but {len(linenos)} data rows",
+            line=linenos[-1],
         )
     if labels is not None and len(labels) != p:
         raise MatrixParseError(f"header has {len(labels)} labels for {p} columns")
-    values = []
-    for lineno, cells in rows:
-        if len(cells) != p:
-            raise MatrixParseError(
-                f"expected {p} entries, found {len(cells)}", line=lineno
-            )
-        try:
-            row = list(map(float, cells))
-        except ValueError:
-            row = None
-        if row is None or not all(map(math.isfinite, row)):
-            _raise_at_bad_cell(lineno, cells)
-        values.append(row)
-    data = np.array(values)
+    if error is not None:
+        raise error
     scale = max(1.0, float(np.abs(data).max()))
     asym = float(np.abs(data - data.T).max())
     if asym > 1e-9 * scale:
         warnings.warn(
             f"input matrix asymmetric by {asym:.3e}; symmetrizing by averaging",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     data = (data + data.T) / 2.0
     for i in range(p):
         if data[i, i] <= 0:
             raise MatrixParseError(
-                f"diagonal entry {i} is not positive", line=rows[i][0], column=i + 1
+                f"diagonal entry {i} is not positive", line=linenos[i], column=i + 1
             )
-    return SymMatrix(data, labels=labels)
+    return data, labels
 
 
-def read_matrix_csv(path: str, header_row: bool | None = None) -> SymMatrix:
-    """Read a dense CSV matrix; the header row is autodetected when unset."""
+@dataclass(frozen=True, eq=False)
+class InputMatrix(SymMatrix):
+    """A matrix read from a file, with the SHA-256 of the file's bytes."""
+
+    sha256: str = field(kw_only=True)
+
+
+def read_matrix_csv(path: str, header_row: bool | None = None) -> InputMatrix:
+    """Read a dense CSV matrix; the header row is autodetected when unset.
+
+    The file is read once, as bytes: they are hashed and then decoded as
+    UTF-8, a leading byte-order mark dropped.
+    """
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise MatrixParseError(str(exc)) from exc
-    return parse_matrix_text(text, header_row=header_row)
+    data, labels = _parse_values(raw.decode("utf-8-sig"), header_row)
+    return InputMatrix(data, labels, sha256=hashlib.sha256(raw).hexdigest())
 
 
 def write_matrix_csv(m: SymMatrix, path: str) -> None:
@@ -174,20 +219,12 @@ def write_matrix_csv(m: SymMatrix, path: str) -> None:
         fh.writelines(",".join(cells[i : i + m.dim]) + "\n" for i in range(0, len(cells), m.dim))
 
 
-def _sha256_file(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _input_block(path: str, s: SymMatrix) -> dict:
+def _input_block(path: str, s: InputMatrix) -> dict:
     return {
         "path": path,
         "dim": s.dim,
         "labels": list(s.labels) if s.labels is not None else None,
-        "sha256": _sha256_file(path),
+        "sha256": s.sha256,
     }
 
 
@@ -363,18 +400,21 @@ def cmd_selftest(trials: int, dims: list[int], seed: int, out=print) -> int:
 
 
 def _emit(doc: dict, output: str | None) -> None:
-    text = jsonout.dumps(doc) + "\n"
+    # encoded in full first: a value that cannot be written raises
+    # TypeError before the output file is opened
+    chunks = jsonout.chunks(doc)
+    chunks.append("\n")
     if output:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _write_dot(path: str, c: _Closures, middle: WeightedGraph) -> None:
-    text = tiered_dot(c.forest, middle, c.envelope, labels=c.r.labels)
+    lines = tiered_dot_lines(c.forest, middle, c.envelope, labels=c.r.labels)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.writelines(lines)
 
 
 def _positive_int(text: str) -> int:

@@ -273,8 +273,9 @@ def max_clique(graph: WeightedGraph) -> frozenset[int]:
     return frozenset(best)
 
 
-def to_dot(graph: WeightedGraph, labels=None, style=None) -> str:
-    """Serialize to Graphviz DOT with a weight attribute per edge.
+def dot_lines(graph: WeightedGraph, labels=None, style=None) -> list[str]:
+    """Graphviz DOT text of ``graph``, one line (with its newline) per
+    vertex and per edge, for a file's ``writelines``; ``to_dot`` joins them.
 
     Vertex names are quoted, with backslashes and double quotes escaped.
     ``style``, when given, holds extra attributes for each edge, in edge
@@ -288,14 +289,20 @@ def to_dot(graph: WeightedGraph, labels=None, style=None) -> str:
         str(x).replace("\\", "\\\\").replace('"', '\\"')
         for x in (labels if labels is not None else range(graph.dim))
     ]
-    lines = ["graph G {"]
-    lines.extend(f'  "{name}";' for name in names)
+    lines = ["graph G {\n"]
+    lines.extend(f'  "{name}";\n' for name in names)
     cells = zip(
         map(names.__getitem__, graph.rows.tolist()),
         map(names.__getitem__, graph.cols.tolist()),
         graph.weights.tolist(),
         style if style is not None else repeat(""),
     )
-    lines.extend(map('  "%s" -- "%s" [weight="%.6f"%s];'.__mod__, cells))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.extend(map('  "%s" -- "%s" [weight="%.6f"%s];\n'.__mod__, cells))
+    lines.append("}\n")
+    return lines
+
+
+def to_dot(graph: WeightedGraph, labels=None, style=None) -> str:
+    """Serialize to Graphviz DOT with a weight attribute per edge: the
+    joined ``dot_lines``."""
+    return "".join(dot_lines(graph, labels=labels, style=style))

@@ -1,4 +1,4 @@
-"""JSON text of the command line documents, block by block.
+"""JSON text of the command line documents, as a list of chunks.
 
 ``dumps(doc)`` returns exactly the text of ``json.dumps(doc, indent=2,
 sort_keys=True, default=plain)``, non-finite floats included (``NaN``,
@@ -6,9 +6,14 @@ sort_keys=True, default=plain)``, non-finite floats included (``NaN``,
 2-D float64 arrays and ``EdgeTable`` values; ``plain`` maps them to the
 lists they are written as: an array to ``.tolist()``, an edge table to its
 (i, j, weight) triples.  The standard library writes indented JSON with its
-pure-Python encoder, one generator step per value.  Here an array is
-formatted once on its row-major values and laid out with one ``join``, and
-an edge table takes its vertex texts from a table of the ``dim`` vertex
+pure-Python encoder, one generator step per value.  Here ``chunks(doc)``
+builds the text once, as one list of per-value chunks that a file's
+``writelines`` takes as it is and that ``dumps`` joins: a scalar, a key
+with its ``": "``, a separator or a bracket is one chunk, and so is an
+array or an edge table (a vector's brackets apart), formatted once on its
+row-major values and laid out with one ``join``.  No chunk is copied into its parent's text, so the
+largest transient string is the largest array's text, not the document.
+An edge table takes its vertex texts from a table of the ``dim`` vertex
 numbers.  A float is written as ``float.__repr__`` writes it, once per
 distinct IEEE bit pattern in the document, and an int as ``int.__repr__``
 writes it; keys and strings go through json's C string encoder.  Lists,
@@ -121,13 +126,6 @@ def _key(key) -> str:
     return _encode_str(text)
 
 
-def _block(items: list[str], level: int, brackets: str = "[]") -> str:
-    """Text of a nonempty list (or, with ``brackets`` "{}", a dict) at
-    ``level`` whose items have the texts ``items``."""
-    inner = "\n" + "  " * (level + 1)
-    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * level + brackets[1]
-
-
 def _rows_text(cells: list[str], width: int, level: int) -> str:
     """Text of a nonempty list at ``level`` of rows of ``width`` cells, the
     cells given row after row."""
@@ -135,57 +133,93 @@ def _rows_text(cells: list[str], width: int, level: int) -> str:
     inner = outer + "  "
     parts = ["," + inner] * (2 * len(cells))
     parts[::2] = cells
-    parts[2 * width - 1 :: 2 * width] = [outer + "]," + outer + "[" + inner] * (len(cells) // width)
+    # parts holds the cells now; a caller that kept no reference frees the
+    # list here rather than after the join
+    del cells
+    rows = len(parts) // (2 * width)
+    parts[2 * width - 1 :: 2 * width] = [outer + "]," + outer + "[" + inner] * rows
     parts[0] = "[" + outer + "[" + inner + parts[0]
     parts[-1] = outer + "]\n" + "  " * level + "]"
     return "".join(parts)
 
 
 class _Writer:
-    """One document's text; floats share one ``FloatTexts``."""
+    """One document's text as a list of chunks; floats share one
+    ``FloatTexts``.  A scalar, a key with its ``": "``, a separator and a
+    bracket are each a chunk.  The text of a matrix or an edge table is one
+    chunk, and so are a vector's items between its brackets; no chunk is
+    ever joined into another."""
 
     def __init__(self):
         self.floats = FloatTexts(_NON_FINITE)
+        self.chunks: list[str] = []
 
-    def array(self, a: np.ndarray, level: int) -> str:
+    def array(self, a: np.ndarray, level: int) -> None:
         if a.size == 0:
-            return self.text(a.tolist(), level)
-        cells = self.floats(a.ravel())
-        if a.ndim == 1:
-            return _block(cells, level)
-        return _rows_text(cells, a.shape[1], level)
+            self.write(a.tolist(), level)
+            return
+        if a.ndim == 2:
+            self.chunks.append(_rows_text(self.floats(a.ravel()), a.shape[1], level))
+            return
+        inner = "\n" + "  " * (level + 1)
+        items = ("," + inner).join(self.floats(a.ravel()))
+        self.chunks += ["[" + inner, items, "\n" + "  " * level + "]"]
 
-    def edge_table(self, t: EdgeTable, level: int) -> str:
+    def edge_table(self, t: EdgeTable, level: int) -> None:
         if not len(t):
-            return "[]"
+            self.chunks.append("[]")
+            return
         vertices = np.array(list(map(int.__repr__, range(t.dim))), dtype=object)
         cells = [""] * (3 * len(t))
         cells[0::3] = vertices[t.rows].tolist()
         cells[1::3] = vertices[t.cols].tolist()
         cells[2::3] = self.floats(t.weights)
-        return _rows_text(cells, 3, level)
+        self.chunks.append(_rows_text(cells, 3, level))
 
-    def text(self, o, level: int) -> str:
-        """JSON text of ``o``, whose closing bracket is indented by ``level``."""
+    def write(self, o, level: int) -> None:
+        """Append the chunks of ``o``, whose closing bracket is indented by
+        ``level``."""
         text = _scalar(o)
         if text is not None:
-            return text
-        if _is_float_array(o):
-            return self.array(o, level)
-        if isinstance(o, EdgeTable):
-            return self.edge_table(o, level)
-        if isinstance(o, (list, tuple)):
-            if not o:
-                return "[]"
-            return _block([self.text(v, level + 1) for v in o], level)
-        if isinstance(o, dict):
-            if not o:
-                return "{}"
-            items = [_key(k) + ": " + self.text(v, level + 1) for k, v in sorted(o.items())]
-            return _block(items, level, "{}")
-        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+            self.chunks.append(text)
+        elif _is_float_array(o):
+            self.array(o, level)
+        elif isinstance(o, EdgeTable):
+            self.edge_table(o, level)
+        elif isinstance(o, (list, tuple, dict)):
+            self.container(o, level)
+        else:
+            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+    def container(self, o, level: int) -> None:
+        """A list, a tuple or (keys sorted) a dict, as
+        ``json.encoder._make_iterencode`` lays it out."""
+        is_dict = isinstance(o, dict)
+        if not o:
+            self.chunks.append("{}" if is_dict else "[]")
+            return
+        inner = "\n" + "  " * (level + 1)
+        separator = "," + inner
+        self.chunks.append(("{" if is_dict else "[") + inner)
+        items = sorted(o.items()) if is_dict else enumerate(o)
+        for n, (key, value) in enumerate(items):
+            if n:
+                self.chunks.append(separator)
+            if is_dict:
+                self.chunks.append(_key(key) + ": ")
+            self.write(value, level + 1)
+        self.chunks.append("\n" + "  " * level + ("}" if is_dict else "]"))
+
+
+def chunks(doc) -> list[str]:
+    """The text of ``dumps(doc)`` as the list of its chunks, for
+    ``writelines``; TypeError, before any text is returned, when ``doc``
+    holds a value that cannot be written."""
+    writer = _Writer()
+    writer.write(doc, 0)
+    return writer.chunks
 
 
 def dumps(doc) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True, default=plain)``, byte for byte."""
-    return _Writer().text(doc, 0)
+    return "".join(chunks(doc))

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import depth_first_order
 
-from .graphs import WeightedForest, WeightedGraph, mwsf, to_dot
+from .graphs import WeightedForest, WeightedGraph, dot_lines, mwsf
 from .matcore import (
     SymMatrix,
     NotPositiveDefinite,
@@ -190,13 +190,14 @@ def threshold_k(k: SymMatrix, graph: WeightedGraph) -> SymMatrix:
     return SymMatrix(vals, labels=k.labels)
 
 
-def tiered_dot(
+def tiered_dot_lines(
     forest: WeightedForest,
     middle: WeightedGraph,
     envelope: WeightedGraph,
     labels=None,
-) -> str:
-    """DOT export with three edge tiers.
+) -> list[str]:
+    """DOT export with three edge tiers, as the ``dot_lines`` of the union
+    graph.
 
     Spanning-forest edges are thick red, remaining edges of ``middle``
     (typically the fitted graph) blue, and remaining envelope edges thin
@@ -219,4 +220,14 @@ def tiered_dot(
     tier[np.isin(union, fk)] = 0
     styles = (", color=red, penwidth=2.5", ", color=blue", ", color=gray, penwidth=0.5")
     union_graph = WeightedGraph._derived(dim, union // dim, union % dim, weights)
-    return to_dot(union_graph, labels=labels, style=list(map(styles.__getitem__, tier.tolist())))
+    return dot_lines(union_graph, labels=labels, style=list(map(styles.__getitem__, tier.tolist())))
+
+
+def tiered_dot(
+    forest: WeightedForest,
+    middle: WeightedGraph,
+    envelope: WeightedGraph,
+    labels=None,
+) -> str:
+    """The joined ``tiered_dot_lines``."""
+    return "".join(tiered_dot_lines(forest, middle, envelope, labels=labels))

@@ -19,6 +19,7 @@ from totpos import (
     jsonout,
     mwsf,
     solver,
+    structure,
     ultra,
     w_matrix,
 )
@@ -144,6 +145,50 @@ class TestParsing:
         assert str(err.value) == message
 
 
+class TestRowByRowParsing:
+    """Rows are converted as they are read; the errors and their order stay
+    those of a parse that first collects every row."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("1,oops\n0.5,1\n0.5,1\n",
+         "line 3: expected a square matrix: 2 columns but 3 data rows"),
+        ("1,oops,1\n1,1,1\n",
+         "line 2: expected a square matrix: 3 columns but 2 data rows"),
+        ("1,1,1\n1,oops,1\n1,1\n", "line 2, column 2: invalid number 'oops'"),
+        ("1,1,1\n1,1\n1,oops,1\n", "line 2: expected 3 entries, found 2"),
+        ("1,1,1\n1,1,1,1\n1,inf,1\n", "line 2: expected 3 entries, found 4"),
+    ], ids=["bad-cell-non-square", "bad-cell-too-few-rows", "cell-before-ragged",
+            "ragged-before-cell", "long-row-before-cell"])
+    def test_error_precedence(self, text, message):
+        with pytest.raises(MatrixParseError) as err:
+            parse_matrix_text(text, header_row=False)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("cell, message", [
+        ("oops", "invalid number 'oops'"), (" -inf ", "non-finite entry '-inf'"),
+    ])
+    def test_bad_cell_in_last_row_of_a_large_input(self, cell, message):
+        values = random_correlation(np.random.default_rng(16), 200, n=400).values
+        lines = ["# p = 200", ",".join(f"v{j}" for j in range(200))]
+        lines += [",".join(map(repr, row.tolist())) for row in values]
+        cells = lines[-1].split(",")
+        cells[137] = cell
+        lines[-1] = ",".join(cells)
+        with pytest.raises(MatrixParseError) as err:
+            parse_matrix_text("\n".join(lines) + "\n")
+        assert (err.value.line, err.value.column) == (202, 138)
+        assert str(err.value) == f"line 202, column 138: {message}"
+
+    def test_blanks_float_rejects_are_stripped(self):
+        # U+001F is whitespace to str.strip but not to float
+        m = parse_matrix_text("\x1fa,b\n1,\x1f0.5\n0.5\x1f, 1\n")
+        assert m.labels == ("a", "b")
+        assert m.values[0, 1] == m.values[1, 0] == 0.5
+        with pytest.raises(MatrixParseError) as err:
+            parse_matrix_text("1,0.5\n0.5,\x1fnan\n")
+        assert str(err.value) == "line 2, column 2: non-finite entry 'nan'"
+
+
 class TestCsvRoundTrip:
     def test_seventeen_digit_fidelity(self, tmp_path):
         rng = np.random.default_rng(80)
@@ -192,6 +237,24 @@ class TestByteOrderMark:
         path = tmp_path / "bom.csv"
         path.write_bytes("\ufeffa,b\n1,0.5\n0.5,1\n".encode("utf-8"))
         assert read_matrix_csv(str(path)).labels == ("a", "b")
+
+    def test_header_file_read_once(self, tmp_path, capsys, monkeypatch):
+        raw = "\ufeffa,b\r\n1,0.5\r\n0.5,1\r\n".encode("utf-8")
+        path = tmp_path / "bom.csv"
+        path.write_bytes(raw)
+        opened = []
+        real_open = open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        assert main(["analyze", str(path)]) == 0
+        assert opened.count(str(path)) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["input"]["labels"] == ["a", "b"]
+        assert doc["input"]["sha256"] == hashlib.sha256(raw).hexdigest()
 
 
 class TestFitCommand:
@@ -877,6 +940,47 @@ class TestDocumentText:
             assert isinstance(doc[key], np.ndarray)
         assert not isinstance(doc["closed_form"]["sigma"], list)
 
+    def test_emit_writes_array_sized_chunks(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "r.csv")
+        write_matrix_csv(random_correlation(np.random.default_rng(15), 200, n=400), path)
+        doc, _, (closures, middle, _) = cli.cmd_analyze(path)
+        expected = _stdlib_text(doc) + "\n"
+        # the longest array text, with its indentation and a key before it
+        longest = max(
+            *(len(_stdlib_text({key: doc[key]})) for key in ("z_matrix", "w_matrix")),
+            *(len(_stdlib_text({"graphs": {k: t}})) for k, t in doc["graphs"].items()),
+        )
+
+        def no_joined_text(doc):
+            raise AssertionError("the document text is joined")
+
+        class Capture:
+            def __init__(self):
+                self.pieces = []
+
+            def write(self, text):
+                self.pieces.append(text)
+
+            def writelines(self, lines):
+                for text in lines:
+                    self.write(text)
+
+        monkeypatch.setattr(jsonout, "dumps", no_joined_text)
+        stdout = Capture()
+        monkeypatch.setattr("sys.stdout", stdout)
+        cli._emit(doc, None)
+        assert "".join(stdout.pieces) == expected
+        assert max(map(len, stdout.pieces)) <= longest < len(expected) / 3
+        # an edge table is one piece, not one per edge
+        assert len(stdout.pieces) < len(doc["graphs"]["ec"])
+
+        dot = tmp_path / "g.dot"
+        cli._write_dot(str(dot), closures, middle)
+        text = structure.tiered_dot(
+            closures.forest, middle, closures.envelope, labels=closures.r.labels
+        )
+        assert dot.read_bytes() == text.encode()
+
     def test_exit_three_document(self, tmp_path):
         path = tmp_path / "collinear.csv"
         np.savetxt(path, _collinear_covariance(), fmt="%.17g", delimiter=",")
@@ -917,5 +1021,7 @@ class TestDocumentText:
     def test_unserializable_values_raise(self, tmp_path, doc):
         with pytest.raises(TypeError):
             _stdlib_text(doc)
+        out = tmp_path / "doc.json"
         with pytest.raises(TypeError):
-            cli._emit(doc, str(tmp_path / "doc.json"))
+            cli._emit(doc, str(out))
+        assert not out.exists()
