@@ -199,14 +199,16 @@ def read_matrix_csv(path: str, header_row: bool | None = None) -> InputMatrix:
     """Read a dense CSV matrix; the header row is autodetected when unset.
 
     The file is read once, as bytes: they are hashed and then decoded as
-    UTF-8, a leading byte-order mark dropped.
+    UTF-8, a leading byte-order mark dropped; bytes that are not UTF-8 are
+    a parse error.
     """
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
-    except OSError as exc:
+        text = raw.decode("utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise MatrixParseError(str(exc)) from exc
-    data, labels = _parse_values(raw.decode("utf-8-sig"), header_row)
+    data, labels = _parse_values(text, header_row)
     return InputMatrix(data, labels, sha256=hashlib.sha256(raw).hexdigest())
 
 

@@ -158,9 +158,9 @@ def inverse_pd(m: SymMatrix) -> SymMatrix:
 def to_correlation(s: SymMatrix) -> tuple[SymMatrix, np.ndarray]:
     """Normalize to unit diagonal; returns (R, scale) with scale[i] = sqrt(S_ii)."""
     diag = s.values.diagonal()
-    for i, v in enumerate(diag):
-        if v <= 0:
-            raise NonPositiveDiagonal(i)
+    bad = np.flatnonzero(~(diag > 0))  # NaN too
+    if len(bad):
+        raise NonPositiveDiagonal(int(bad[0]))
     scale = np.sqrt(diag)
     r = s.values / np.outer(scale, scale)
     r = r.copy()

@@ -85,17 +85,17 @@ stays on G+ and converges to the same K.  About 40% of the pairs are in G+
 at n = 2p, and about p at n = 2.  The certificate still checks every pair,
 so a wrong screen cannot pass.
 
-The precision sweep keeps one (p-2)x(p-2) LU solve per pair: K_BB and K_BA
-are gathered by flat indices that ``_pair_indices`` computes once per pair
-of the stack, and LAPACK's dgesv is called directly, member by member.
-Those indices take O(|G+| p^2) memory: at n = 2p, 0.24 MB at p = 20 (82
-pairs), 3.4 MB at p = 40 (283) and 65 MB at p = 80 (1303), about 1 GB at
-p = 160.  Keeping
-Sigma = K^{-1} beside K instead would take L as K_AA - (Sigma_AA)^{-1},
-which cancels badly when K is large: on a p = 6, n = 2 input with a
-correlation within 1e-9 of one (K_ii near 5e8), such a sweep still moved K
-by 1e1 to 9e2 (L1) per sweep after 1000 sweeps, against a stopping
-threshold of 0.05, where the solve stops after 3 sweeps.
+The precision sweep keeps one (p-2)x(p-2) LU solve per pair:
+``_pair_indices`` lists each pair's other vertices B once per pair of the
+stack, the update takes K_BB and K_BA from the rows of K at B, and LAPACK's
+dgesv is called directly, member by member.  Those lists take O(|G+| p)
+memory: at n = 2p, 0.8 MB at p = 80 (about 1300 pairs) and 6.5 MB at
+p = 160 (about 5100).  Keeping Sigma = K^{-1} beside K instead would take L
+as K_AA - (Sigma_AA)^{-1}, which cancels badly when K is large: on a p = 6,
+n = 2 input with a correlation within 1e-9 of one (K_ii near 5e8), such a
+sweep still moved K by 1e1 to 9e2 (L1) per sweep after 1000 sweeps,
+against a stopping threshold of 0.05, where the solve stops after 3
+sweeps.
 """
 
 from __future__ import annotations
@@ -129,8 +129,9 @@ EXIST_MARGIN = 1e-12
 # Tolerance at which fitted certificates are evaluated.
 CERT_TOL = 1e-6
 
-# Retries of a column step's guessed active set before the exact solve.
-GUESSES = 3
+# Exchanges of a column step's whole failing set that a member may make
+# without lowering its failing count before it moves one entry at a time.
+FULL_EXCHANGES = 3
 
 # Caps of one Newton finish: its steps, and the halvings of one step.
 NEWTON_STEPS = 12
@@ -235,15 +236,11 @@ def exists_mle(s: SymMatrix) -> bool:
     return bool(off.max() < 1.0 - EXIST_MARGIN)
 
 
-def _pair_indices(p: int, pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int, tuple]]:
-    """The given pairs (u < v) of ``p`` vertices in sweep order, each with the
-    flat indices into K of the blocks K_BB and K_BA its ``k`` update reads,
-    B being the other p - 2 vertices (empty when p = 2)."""
-    out = []
-    for u, v in sorted(pairs):
-        rest = np.array([k for k in range(p) if k != u and k != v], dtype=int)
-        out.append((u, v, (p * rest[:, None] + rest, p * rest[:, None] + np.array([u, v]))))
-    return out
+def _pair_indices(p: int, pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int, np.ndarray]]:
+    """The given pairs (u < v) of ``p`` vertices in sweep order, each with
+    the other p - 2 vertices B (empty when p = 2), whose rows of K its ``k``
+    update reads."""
+    return [(u, v, np.delete(np.arange(p), (u, v))) for u, v in sorted(pairs)]
 
 
 def _update_pair_sigma(sig: np.ndarray, k: np.ndarray, s: np.ndarray, u: int, v: int) -> float:
@@ -271,17 +268,17 @@ def _update_pair_sigma(sig: np.ndarray, k: np.ndarray, s: np.ndarray, u: int, v:
     return abs(d)
 
 
-def _update_pair_k(k: np.ndarray, s: np.ndarray, u: int, v: int, blocks: tuple) -> float:
+def _update_pair_k(k: np.ndarray, s: np.ndarray, u: int, v: int, rest: np.ndarray) -> float:
     """Exact maximization over the (u, v) block of K; returns the L1 change.
 
-    ``blocks`` holds the flat indices of K_BB and K_BA from ``_pair_indices``;
-    L = K_AB K_BB^{-1} K_BA comes from one LU solve (LAPACK dgesv).
+    ``rest`` lists the other vertices B, from ``_pair_indices``; K_BB and
+    K_BA are taken from the rows of K at B, and L = K_AB K_BB^{-1} K_BA
+    comes from one LU solve (LAPACK dgesv).
     """
-    bb, ba = blocks
-    flat = k.ravel()
-    k_ba = flat.take(ba)
+    rows = k.take(rest, axis=0)
+    k_ba = rows.take((u, v), axis=1)
     if len(k_ba):
-        _, _, x, info = dgesv(flat.take(bb), k_ba)
+        _, _, x, info = dgesv(rows.take(rest, axis=1), k_ba)
         if info > 0:
             raise np.linalg.LinAlgError("K_BB is singular")
         l = k_ba.T @ x
@@ -310,44 +307,21 @@ def _update_pair_k(k: np.ndarray, s: np.ndarray, u: int, v: int, blocks: tuple) 
     return change
 
 
-def _nnls_gram(g: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """argmin over beta >= 0 of 1/2 beta' g beta - r' beta, g positive
-    definite: the Lawson-Hanson active-set method on the Gram form.  An
-    index is freed while its negative gradient exceeds rounding; a solve
-    that leaves a coefficient nonpositive steps back to the boundary."""
-    n = len(r)
-    free = np.zeros(n, dtype=bool)
-    beta = np.zeros(n)
-    for _ in range(3 * n):
-        grad = np.where(free, -np.inf, r - g @ beta)
-        t = int(grad.argmax())
-        if not grad[t] > 10.0 * n * np.finfo(float).eps:
-            break
-        free[t] = True
-        while True:
-            idx = np.flatnonzero(free)
-            s = np.zeros(n)
-            s[idx] = np.linalg.solve(g[np.ix_(idx, idx)], r[idx])
-            low = idx[s[idx] <= 0.0]
-            if not len(low):
-                break
-            ratio = beta[low] / (beta[low] - s[low])
-            beta += ratio.min() * (s - beta)
-            beta[low[ratio.argmin()]] = 0.0
-            free &= beta > 0.0
-            beta[~free] = 0.0
-        beta = s
-    return beta
-
-
-def _masked_step(g: np.ndarray, r: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _masked_step(g: np.ndarray, r: np.ndarray, a: np.ndarray,
+                 rounding: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """beta on the guessed active sets ``a`` of a stack of column problems
     (g, r), by one solve of g masked to the set (identity rows elsewhere);
-    x = g beta; and whether the KKT system holds: beta >= 0, x >= r off a."""
-    masked = np.where(a[:, :, None] & a[:, None, :], g, np.eye(len(r[0]), dtype=bool))
+    x = g beta; and where the KKT system fails: beta >= 0, and x >= r off
+    a, where the members marked in ``rounding`` may miss r by the rounding
+    of x, 10 n eps |g| |beta|."""
+    n = len(r[0])
+    masked = np.where(a[:, :, None] & a[:, None, :], g, np.eye(n, dtype=bool))
     beta = np.linalg.solve(masked, np.where(a, r, 0.0)[:, :, None])[:, :, 0]
     x = np.matmul(g, beta[:, :, None])[:, :, 0]
-    return beta, x, ((beta >= 0.0) & (a | (x >= r))).all(axis=1)
+    if rounding is not None and rounding.any():
+        noise = np.matmul(np.abs(g), np.abs(beta)[:, :, None])[:, :, 0]
+        r = r - np.where(rounding[:, None], 10.0 * n * np.finfo(float).eps * noise, 0.0)
+    return beta, x, ~((beta >= 0.0) & (a | (x >= r)))
 
 
 def _column_step(sig: np.ndarray, r: np.ndarray, active: np.ndarray, j: int, o: np.ndarray) -> np.ndarray:
@@ -355,24 +329,36 @@ def _column_step(sig: np.ndarray, r: np.ndarray, active: np.ndarray, j: int, o: 
     stack (m, p, p); returns each member's absolute change in the column.
 
     Sigma_oj becomes max(r_oj, Sigma_oo beta), beta the column problem's
-    solution.  ``active[:, j, o]`` guesses where beta > 0; a member whose
-    guess is wrong drops the entries of negative beta, adds those of
-    x < r, and tries again, up to GUESSES times, then falls back to
-    ``_nnls_gram``.  The set beta > 0 is kept as the next guess.
+    solution, found by block principal pivoting (Judice & Pires 1994; Kim &
+    Park 2011) from the guess ``active[:, j, o]`` of where beta > 0.  A
+    member whose guess fails the KKT system drops the entries of beta <= 0
+    and adds those of x < r, while that lowers its count of failing entries
+    and for FULL_EXCHANGES exchanges that do not; otherwise it moves only
+    its last failing entry (Murty's rule), which ends because Sigma_oo is
+    positive definite.  Such a move is checked up to the rounding of x: at
+    an exact tie (beta_i = 0, x_i = r_i) the signs that rounding gives
+    entry i can otherwise make it move in and out forever.  The set
+    beta > 0 is kept as the next guess.
     """
     g = sig[:, o[:, None], o]
     rj = r[:, o, j]
     a = active[:, j, o]
-    beta, x, ok = _masked_step(g, rj, a)
-    for _ in range(GUESSES):
-        if ok.all():
-            break
-        bad = np.flatnonzero(~ok)
-        a[bad] = np.where(a[bad], beta[bad] > 0.0, x[bad] < rj[bad])
-        beta[bad], x[bad], ok[bad] = _masked_step(g[bad], rj[bad], a[bad])
-    for i in np.flatnonzero(~ok):
-        beta[i] = _nnls_gram(g[i], rj[i])
-        x[i] = g[i] @ beta[i]
+    beta, x, failing = _masked_step(g, rj, a)
+    best = np.full(len(a), len(o) + 1)  # fewest failing entries so far
+    stalled = np.zeros(len(a), dtype=int)  # exchanges since that fell
+    while failing.any():
+        bad = np.flatnonzero(failing.any(axis=1))
+        count = failing[bad].sum(axis=1)
+        stalled[bad] = np.where(count < best[bad], 0, stalled[bad] + 1)
+        best[bad] = np.minimum(best[bad], count)
+        guess = np.where(a[bad], beta[bad] > 0.0, x[bad] < rj[bad])
+        single = stalled[bad] > FULL_EXCHANGES
+        if single.any():
+            i = np.flatnonzero(single)
+            guess[i] = a[bad[i]]
+            guess[i, len(o) - 1 - failing[bad[i], ::-1].argmax(axis=1)] ^= True
+        a[bad] = guess
+        beta[bad], x[bad], failing[bad] = _masked_step(g[bad], rj[bad], guess, single)
     np.maximum(rj, x, out=x)
     change = np.abs(x - sig[:, j, o]).sum(axis=1)
     sig[:, o, j] = sig[:, j, o] = x
@@ -511,7 +497,7 @@ def _finish(r: np.ndarray, cur: np.ndarray, iterate_is_k: bool, support: np.ndar
 def _k_sweep(r: np.ndarray, w: np.ndarray):
     """Precision sweep over the pairs of G+, from the identity, its state
     each member's place in the stack; a member's support is the nonzero
-    off-diagonal entries of its K.  A pair's flat indices depend only on
+    off-diagonal entries of its K.  A pair's other vertices depend only on
     (p, u, v), so the members that visit a pair share them."""
     p = r.shape[1]
     gplus = np.triu(_g_plus(r, w), 1)

@@ -329,6 +329,15 @@ class TestFitCommand:
         assert main([command, str(path)]) == 1
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fit", "analyze", "signed"])
+    def test_non_utf8_file_exits_one(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"1,0.5\n0.5,1\xff\n")
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and "0xff" in err
+        assert "Traceback" not in err
+
     def test_duplicate_labels_exit_one(self, tmp_path, capsys):
         path = tmp_path / "dup.csv"
         path.write_text("a,a\n1,0.5\n0.5,1\n")

@@ -7,6 +7,7 @@ from totpos import (
     NonPositiveDiagonal,
     NotPositiveDefinite,
     SymMatrix,
+    fit,
     inverse_pd,
     is_m_matrix,
     log_likelihood,
@@ -146,6 +147,14 @@ class TestCorrelationScale:
         with pytest.raises(NonPositiveDiagonal) as err:
             to_correlation(SymMatrix(np.array([[1.0, 0.0], [0.0, -2.0]])))
         assert err.value.index == 1
+
+    def test_nan_variance(self):
+        a = np.array([[np.nan, 0.2], [0.2, 1.0]])
+        with pytest.raises(NonPositiveDiagonal) as err:
+            to_correlation(SymMatrix(a))
+        assert err.value.index == 0
+        with pytest.raises(NonPositiveDiagonal):
+            fit(SymMatrix(a))
 
     def test_rescale_identity_map(self):
         m = SymMatrix(np.array([[1.0, 0.2], [0.2, 1.0]]))

@@ -41,7 +41,6 @@ from totpos.solver import (
     _column_step,
     _column_sweep,
     _descend,
-    _nnls_gram,
     _pair_indices,
     _sigma_start,
     _update_pair_k,
@@ -353,7 +352,7 @@ def _column_qp(g: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
 class TestColumnStep:
     """The covariance sweep maximizes log det Sigma over one column at a
     time: its step solves the column's nonnegative quadratic program
-    exactly, from a guessed active set or by the Lawson-Hanson fallback."""
+    exactly, by block principal pivoting from a guessed active set."""
 
     def _inputs(self):
         rng = np.random.default_rng(61)
@@ -396,35 +395,78 @@ class TestColumnStep:
                     gains.append(after - np.linalg.slogdet(row)[1])
         assert max(gains) > 1e-6
 
-    def test_fallback_matches_scipy_nnls(self):
-        rng = np.random.default_rng(62)
+    def _problems(self, rng):
+        """Column problems (Sigma_oo, r_o): known degenerate ones, unstructured
+        ones, and the columns of n = 2 starts, up to p = 80 (cond(Sigma_oo)
+        about 3e10 on the last)."""
         for n in (1, 4, 9, 15):
             g = random_correlation(rng, n, n=2 * n + 3).values
-            rhs, beta = _column_qp(g, rng)
-            got = _nnls_gram(g, rhs)
+            yield g, _column_qp(g, rng)[0]
+        for _ in range(40):
+            yield random_correlation(rng, 6, n=7).values, rng.uniform(-0.3, 1.0, 6)
+        for r in (random_correlation(rng, 6, n=2), random_correlation(rng, 12, n=2),
+                  random_correlation(np.random.default_rng(91), 80, n=2)):
+            sig, _ = _sigma_start(r.values[None], w_matrix(r).values[None])
+            for j in range(r.dim):
+                o = np.delete(np.arange(r.dim), j)
+                yield sig[0][np.ix_(o, o)], r.values[o, j]
+
+    @pytest.mark.parametrize("full_exchanges", [0, 3])
+    def test_matches_scipy_nnls_from_any_guess(self, monkeypatch, full_exchanges):
+        monkeypatch.setattr(solver, "FULL_EXCHANGES", full_exchanges)
+        rng = np.random.default_rng(62)
+        for g, rhs in self._problems(rng):
+            n = len(rhs)
             # nnls on the factor g = L L': |L' beta - L^-1 r|^2 is the
             # column objective up to a constant
             lower = np.linalg.cholesky(g)
             ref, _ = nnls(lower.T, np.linalg.solve(lower, rhs))
-            assert np.abs(got - beta).max() <= 1e-12
-            assert np.abs(got - ref).max() <= 1e-10
-            assert (got >= 0.0).all() and got[0] == 0.0
-        # unstructured problems, where a freed coefficient can turn
-        # negative and the method has to step back to the boundary
-        rng = np.random.default_rng(64)
-        for _ in range(40):
-            g = random_correlation(rng, 6, n=7).values
-            rhs = rng.uniform(-0.3, 1.0, 6)
-            lower = np.linalg.cholesky(g)
-            ref, _ = nnls(lower.T, np.linalg.solve(lower, rhs))
-            assert np.abs(_nnls_gram(g, rhs) - ref).max() <= 1e-10
+            guesses = [np.ones(n, bool), np.zeros(n, bool), *(rng.random((3, n)) < 0.5)]
+            stack, r, active = _column_stack(g, rhs, guesses)
+            _column_step(stack, r, active, 0, np.arange(1, n + 1))
+            assert np.abs(stack[:, 1:, 0] - np.maximum(rhs, g @ ref)).max() <= 1e-13
+            # the support, away from ties (beta_i = 0 and x_i = r_i)
+            clear = (ref > 1e-12) | (g @ ref - rhs > 1e-12)
+            assert (active[:, 0, 1:] == (ref > 0.0))[:, clear].all()
 
-    @pytest.mark.parametrize("guesses", [0, 3])
-    def test_wrong_guess_gives_the_exact_step(self, monkeypatch, guesses):
-        real = solver._nnls_gram
-        calls = []
-        monkeypatch.setattr(solver, "GUESSES", guesses)
-        monkeypatch.setattr(solver, "_nnls_gram", lambda g, r: calls.append(1) or real(g, r))
+    @pytest.mark.parametrize("full_exchanges", [0, 3])
+    def test_pivoting_rule(self, monkeypatch, full_exchanges):
+        """A retry exchanges the whole failing set while the failing count
+        falls and for FULL_EXCHANGES retries that do not; otherwise it
+        moves only the last failing entry (Murty's rule)."""
+        monkeypatch.setattr(solver, "FULL_EXCHANGES", full_exchanges)
+        real, trace = solver._masked_step, []
+
+        def traced(g, r, a, *rounding):
+            beta, x, failing = real(g, r, a, *rounding)
+            trace.append((a[0].copy(), np.where(a[0], beta[0] > 0.0, x[0] < r[0]), failing[0].copy()))
+            return beta, x, failing
+
+        monkeypatch.setattr(solver, "_masked_step", traced)
+        rng = np.random.default_rng(66)
+        single = 0
+        for g, rhs in self._problems(rng):
+            n = len(rhs)
+            for guess in (np.ones(n, bool), np.zeros(n, bool)):
+                trace.clear()
+                _column_step(*_column_stack(g, rhs, [guess]), 0, np.arange(1, n + 1))
+                best, stalled = n + 1, 0
+                for (a, exchanged, failing), (after, _, _) in zip(trace, trace[1:]):
+                    count = failing.sum()
+                    if count < best or stalled < full_exchanges:
+                        assert np.array_equal(after, exchanged)
+                    else:
+                        a[np.flatnonzero(failing)[-1]] ^= True
+                        assert np.array_equal(after, a)
+                        single += 1
+                    stalled = 0 if count < best else stalled + 1
+                    best = min(best, count)
+                assert not trace[-1][2].any()
+        assert single > 0 or full_exchanges > 0
+
+    @pytest.mark.parametrize("full_exchanges", [0, 3])
+    def test_wrong_guess_gives_the_exact_step(self, monkeypatch, full_exchanges):
+        monkeypatch.setattr(solver, "FULL_EXCHANGES", full_exchanges)
         rng = np.random.default_rng(63)
         p = 10
         sig = random_correlation(rng, p, n=3 * p).values
@@ -444,7 +486,18 @@ class TestColumnStep:
         for member, guess in zip(stack, active):
             assert np.abs(member[o, 0] - np.maximum(rhs, sig[np.ix_(o, o)] @ beta)).max() <= 1e-13
             assert np.array_equal(guess[0, o], beta > 0.0)
-        assert len(calls) == (3 if guesses == 0 else 0)
+
+
+def _column_stack(g: np.ndarray, rhs: np.ndarray, guesses) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A stack with one member per guess of the column problem (g, rhs), put
+    on column 0: (Sigma, R, active sets) with Sigma_oo = g and r_o0 = rhs."""
+    n = len(rhs)
+    sig, r = np.eye(n + 1), np.eye(n + 1)
+    sig[1:, 1:] = g
+    r[1:, 0] = r[0, 1:] = rhs
+    active = np.zeros((len(guesses), n + 1, n + 1), dtype=bool)
+    active[:, 0, 1:] = guesses
+    return np.array([sig] * len(guesses)), np.array([r] * len(guesses)), active
 
 
 # A symmetric unit-diagonal matrix, not positive semidefinite, whose
@@ -688,6 +741,22 @@ class TestScreenedPrecisionSweep:
         assert res.sweeps > 1
         assert len(shapes) == res.sweeps * len(ml_graph_upper_bound(r).edge_pairs())
         assert set(shapes) == {(8, 8)}
+
+    def test_blocks_are_the_ix_gathers(self, monkeypatch):
+        # each pair keeps only the other p - 2 vertices B; K_BB and K_BA,
+        # taken from K's rows at B, are bitwise np.ix_'s gathers
+        real_dgesv, solved = solver.dgesv, []
+        monkeypatch.setattr(solver, "dgesv", lambda a, b: solved.append((a, b)) or real_dgesv(a, b))
+        r = random_correlation(np.random.default_rng(43), 9)
+        k = np.linalg.inv(r.values)
+        for _ in range(2):
+            for u, v, rest in _pair_indices(9, combinations(range(9), 2)):
+                assert rest.tolist() == [i for i in range(9) if i not in (u, v)]
+                before = k.copy()
+                _update_pair_k(k, r.values, u, v, rest)
+                a, b = solved.pop()
+                assert a.tobytes() == before[np.ix_(rest, rest)].tobytes()
+                assert b.tobytes() == before[np.ix_(rest, [u, v])].tobytes()
 
     def test_pair_update_with_empty_or_singular_rest(self):
         # p = 2: B is empty and the update is the pair optimum S_AA^{-1}
