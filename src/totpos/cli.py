@@ -1,22 +1,23 @@
 """Command line interface: matrix ingestion, fitting, analysis, export.
 
-Result documents hold the arrays the commands computed: matrices and
-vectors as float64 arrays, graphs as ``jsonout.EdgeTable`` values.  The
-writer in ``jsonout`` writes them as their plain lists would be written,
-exactly as ``json.dumps(doc, indent=2, sort_keys=True,
-default=jsonout.plain)`` does, non-finite values included (``NaN``,
-``Infinity``).  A document is encoded completely, as one list of
-per-value chunks (an array's text is one chunk), before its file is
-opened, and is written with one ``writelines``; the DOT file is written
-the same way from its lines.  The input file is read once: its bytes are
-hashed for ``input.sha256`` and decoded, and each CSV row is converted to
-floats as soon as it is split; only a row that fails is scanned cell by
-cell, to name the offending cell.
+Result documents hold what the commands computed: matrices and vectors
+as float64 arrays, graphs as their ``WeightedGraph`` objects.  The writer
+in ``jsonout`` writes them as their plain lists would be written, exactly
+as ``json.dumps(doc, indent=2, sort_keys=True, default=jsonout.plain)``
+does, non-finite values included (``NaN``, ``Infinity``).  A document is
+encoded completely, as one list of per-value chunks (an array's or a
+graph's text is one chunk), before its file is opened, and is written
+with one ``writelines``; the DOT file is written the same way from its
+lines.  The input file is read once: its bytes are hashed for
+``input.sha256`` and decoded, and each CSV row is converted to floats as
+soon as it is split; only a row that fails is scanned cell by cell, to
+name the offending cell.
 
 Exit codes: 0 on success with a passing certificate, 1 on input parse
-errors, 2 when no maximum likelihood estimate exists or on a usage error
-(argparse), 3 when the sweep budget runs out (or the certificate fails
-after convergence); fit and signed still write their document then.
+errors or an output file that cannot be written, 2 when no maximum
+likelihood estimate exists or on a usage error (argparse, or a bad
+``TOTPOS_SEED``), 3 when the sweep budget runs out (or the certificate
+fails after convergence); fit and signed still write their document then.
 """
 
 from __future__ import annotations
@@ -246,15 +247,11 @@ def _closures(r: SymMatrix, w: SymMatrix, grw_tol: float) -> _Closures:
     return _Closures(r, forest, ec_graph(r, forest), w, grw_graph(r, w, grw_tol))
 
 
-def _edge_table(g: WeightedGraph) -> jsonout.EdgeTable:
-    return jsonout.EdgeTable(g.dim, g.rows, g.cols, g.weights)
-
-
 def _graphs_block(c: _Closures) -> dict:
     return {
-        "mwsf": _edge_table(c.forest),
-        "ec": _edge_table(c.envelope),
-        "grw": _edge_table(c.equality),
+        "mwsf": c.forest,
+        "ec": c.envelope,
+        "grw": c.equality,
     }
 
 
@@ -271,7 +268,7 @@ def _fit_doc(path, s, closures, result: FitResult, cfg, mode, converged) -> dict
         "certificate": asdict(result.certificate),
         "sigma_hat": result.sigma_hat.values,
         "k_hat": result.k_hat.values,
-        "ml_graph": _edge_table(result.ml_graph),
+        "ml_graph": result.ml_graph,
         "graphs": _graphs_block(closures),
     }
 
@@ -517,8 +514,11 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         if args.command == "selftest":
-            seed = int(os.environ.get("TOTPOS_SEED", "0"))
-            return cmd_selftest(args.trials, args.dims, seed)
+            seed = os.environ.get("TOTPOS_SEED", "0")
+            if seed.isascii() and seed.isdigit():
+                return cmd_selftest(args.trials, args.dims, int(seed))
+            print(f"error: TOTPOS_SEED is not a nonnegative integer: {seed!r}", file=sys.stderr)
+            return 2
         if args.command == "analyze":
             doc, code, outputs = cmd_analyze(args.input, grw_tol=args.grw_tol)
         elif args.command == "signed":
@@ -544,6 +544,9 @@ def main(argv=None) -> int:
     except MleDoesNotExist as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # an output file that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

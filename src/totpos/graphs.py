@@ -3,17 +3,18 @@
 A graph is three read-only arrays sorted by pair: the edges' rows and
 columns (row < column) and their weights.  The graphs read off a matrix
 (positive part, excess correlation, path-product equality, fitted
-precision) all come from ``WeightedGraph.from_mask``, which keeps the
-arrays the mask gives, valid by construction: only edges a caller passes
-to ``WeightedGraph(dim, edges)`` are checked.  The (i, j, weight) tuples
-and the neighbour lists are built from the arrays on first use.  Holds maximum weight spanning forests of the
-positive-part graph, Kruskal's forest for weight descending then pair
-ascending.  Construction of a forest walks each tree once from its
-smallest vertex, which rejects cycles and derives the component labels and
-the rooted (parent, child) order.  The path folds read that order, one
-numpy row update per edge (the tree-structured closed-form estimate is the
-product fold, single linkage the minimum fold).  Also exact maximum
-cliques at desk scale, and one DOT writer for plain and tiered export.
+precision) come from ``WeightedGraph.from_mask`` and the spanning forest
+from ``mwsf``'s index arrays, valid by construction: only edges a caller
+passes to ``WeightedGraph(dim, edges)`` are checked.  Edge tuples and
+neighbour lists are built from the arrays on first use.  Holds maximum
+weight spanning forests of the positive-part graph, Kruskal's forest for
+weight descending then pair ascending.  Construction of a forest walks
+each tree once from its smallest vertex, which rejects cycles and derives
+the component labels and the rooted (parent, child) order.  The path
+folds read that order, one numpy row update per edge (the tree-structured
+closed-form estimate is the product fold, single linkage the minimum
+fold).  Also exact maximum cliques at desk scale, and one DOT writer for
+plain and tiered export.
 """
 
 from __future__ import annotations
@@ -215,7 +216,8 @@ def mwsf(r: SymMatrix) -> WeightedForest:
     order = np.lexsort((j, i, -w))
     ranks = csr_matrix((np.arange(1.0, len(w) + 1), (i[order], j[order])), shape=(r.dim, r.dim))
     kept = order[minimum_spanning_tree(ranks).data.astype(np.int64) - 1]
-    return WeightedForest(r.dim, tuple(zip(i[kept].tolist(), j[kept].tolist(), w[kept].tolist())))
+    kept.sort()  # pair order, as _derived needs: the candidates are row-major
+    return WeightedForest._derived(r.dim, i[kept], j[kept], w[kept])
 
 
 def fold_paths(r: SymMatrix, forest: WeightedForest, combine) -> SymMatrix:

@@ -3,30 +3,33 @@
 ``dumps(doc)`` returns exactly the text of ``json.dumps(doc, indent=2,
 sort_keys=True, default=plain)``, non-finite floats included (``NaN``,
 ``Infinity``).  A document may hold, besides plain JSON values, 1-D and
-2-D float64 arrays and ``EdgeTable`` values; ``plain`` maps them to the
-lists they are written as: an array to ``.tolist()``, an edge table to its
-(i, j, weight) triples.  The standard library writes indented JSON with its
-pure-Python encoder, one generator step per value.  Here ``chunks(doc)``
-builds the text once, as one list of per-value chunks that a file's
-``writelines`` takes as it is and that ``dumps`` joins: a scalar, a key
-with its ``": "``, a separator or a bracket is one chunk, and so is an
-array or an edge table (a vector's brackets apart), formatted once on its
-row-major values and laid out with one ``join``.  No chunk is copied into its parent's text, so the
-largest transient string is the largest array's text, not the document.
-An edge table takes its vertex texts from a table of the ``dim`` vertex
-numbers.  A float is written as ``float.__repr__`` writes it, once per
-distinct IEEE bit pattern in the document, and an int as ``int.__repr__``
-writes it; keys and strings go through json's C string encoder.  Lists,
-tuples and dicts take the value-by-value path, which follows
+2-D float64 arrays and graphs (``graphs.WeightedGraph``, forests
+included); ``plain`` maps them to the lists they are written as: an array
+to ``.tolist()``, a graph to its (i, j, weight) triples.  The standard
+library writes indented JSON with its pure-Python encoder, one generator
+step per value.  Here ``chunks(doc)`` builds the text once, as one list of
+per-value chunks that a file's ``writelines`` takes as it is and that
+``dumps`` joins: a scalar, a key with its ``": "``, a separator or a
+bracket is one chunk, and so is an array or a graph (a vector's brackets
+apart), formatted once on its row-major values and laid out with one
+``join``.  No chunk is copied into its parent's text, so the largest
+transient string is the largest array's text, not the document.  A graph
+is written from its ``dim``, ``rows``, ``cols`` and ``weights`` arrays,
+its vertex texts taken from a table of the ``dim`` vertex numbers.  A
+float is written as ``float.__repr__`` writes it, once per distinct IEEE
+bit pattern in the document, and an int as ``int.__repr__`` writes it;
+keys and strings go through json's C string encoder.  Lists, tuples and
+dicts take the value-by-value path, which follows
 ``json.encoder._make_iterencode``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
+
+from .graphs import WeightedGraph
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # below about this many values (a symmetric matrix at p = 10), formatting
@@ -70,31 +73,16 @@ class FloatTexts:
         return texts[where].tolist()
 
 
-@dataclass(frozen=True, eq=False)
-class EdgeTable:
-    """Edges of a graph on vertices 0..dim-1 as parallel arrays: integer
-    ``rows`` and ``cols`` in range and float64 ``weights``.  Written as the
-    list of (rows[k], cols[k], weights[k]) triples."""
-
-    dim: int
-    rows: np.ndarray
-    cols: np.ndarray
-    weights: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-
 def _is_float_array(o) -> bool:
     return isinstance(o, np.ndarray) and o.dtype == np.float64 and o.ndim in (1, 2)
 
 
 def plain(o):
-    """The plain JSON value ``dumps`` writes for an array or an edge table
-    (the ``default`` hook of ``json.dumps``); TypeError for anything else."""
+    """The plain JSON value ``dumps`` writes for an array or a graph (the
+    ``default`` hook of ``json.dumps``); TypeError for anything else."""
     if _is_float_array(o):
         return o.tolist()
-    if isinstance(o, EdgeTable):
+    if isinstance(o, WeightedGraph):
         return list(zip(o.rows.tolist(), o.cols.tolist(), o.weights.tolist()))
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
@@ -146,7 +134,7 @@ def _rows_text(cells: list[str], width: int, level: int) -> str:
 class _Writer:
     """One document's text as a list of chunks; floats share one
     ``FloatTexts``.  A scalar, a key with its ``": "``, a separator and a
-    bracket are each a chunk.  The text of a matrix or an edge table is one
+    bracket are each a chunk.  The text of a matrix or a graph is one
     chunk, and so are a vector's items between its brackets; no chunk is
     ever joined into another."""
 
@@ -165,15 +153,15 @@ class _Writer:
         items = ("," + inner).join(self.floats(a.ravel()))
         self.chunks += ["[" + inner, items, "\n" + "  " * level + "]"]
 
-    def edge_table(self, t: EdgeTable, level: int) -> None:
-        if not len(t):
+    def graph(self, g: WeightedGraph, level: int) -> None:
+        if not len(g.weights):
             self.chunks.append("[]")
             return
-        vertices = np.array(list(map(int.__repr__, range(t.dim))), dtype=object)
-        cells = [""] * (3 * len(t))
-        cells[0::3] = vertices[t.rows].tolist()
-        cells[1::3] = vertices[t.cols].tolist()
-        cells[2::3] = self.floats(t.weights)
+        vertices = np.array(list(map(int.__repr__, range(g.dim))), dtype=object)
+        cells = [""] * (3 * len(g.weights))
+        cells[0::3] = vertices[g.rows].tolist()
+        cells[1::3] = vertices[g.cols].tolist()
+        cells[2::3] = self.floats(g.weights)
         self.chunks.append(_rows_text(cells, 3, level))
 
     def write(self, o, level: int) -> None:
@@ -184,8 +172,8 @@ class _Writer:
             self.chunks.append(text)
         elif _is_float_array(o):
             self.array(o, level)
-        elif isinstance(o, EdgeTable):
-            self.edge_table(o, level)
+        elif isinstance(o, WeightedGraph):
+            self.graph(o, level)
         elif isinstance(o, (list, tuple, dict)):
             self.container(o, level)
         else:

@@ -59,7 +59,8 @@ class SymMatrix:
         if a.shape[0] < 1:
             raise ValueError("matrix must have dimension >= 1")
         scale = max(1.0, float(np.abs(a).max()))
-        asym = float(np.abs(a - a.T).max())
+        with np.errstate(invalid="ignore"):  # inf - inf: to_correlation rejects it
+            asym = float(np.abs(a - a.T).max())
         if asym > 1e-8 * scale:
             raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
         a = (a + a.T) / 2.0
@@ -156,11 +157,16 @@ def inverse_pd(m: SymMatrix) -> SymMatrix:
 
 
 def to_correlation(s: SymMatrix) -> tuple[SymMatrix, np.ndarray]:
-    """Normalize to unit diagonal; returns (R, scale) with scale[i] = sqrt(S_ii)."""
+    """Normalize to unit diagonal; returns (R, scale) with scale[i] = sqrt(S_ii).
+    Raises ValueError at the first entry that is not finite, after the diagonal check."""
     diag = s.values.diagonal()
     bad = np.flatnonzero(~(diag > 0))  # NaN too
     if len(bad):
         raise NonPositiveDiagonal(int(bad[0]))
+    bad = np.argwhere(~np.isfinite(s.values))  # off the diagonal, or an infinite variance
+    if len(bad):
+        i, j = bad[0].tolist()
+        raise ValueError(f"entry ({i}, {j}) is {s.values[i, j]}, not a finite number")
     scale = np.sqrt(diag)
     r = s.values / np.outer(scale, scale)
     r = r.copy()

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -606,6 +607,14 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "seed 5" in out
 
+    @pytest.mark.parametrize("seed", ["abc", "-5"])
+    def test_bad_seed_is_a_usage_error(self, capsys, monkeypatch, seed):
+        monkeypatch.setenv("TOTPOS_SEED", seed)
+        assert main(["selftest", "--trials", "1", "--dims", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: TOTPOS_SEED is not a nonnegative integer: {seed!r}\n"
+
 
 class TestErrorPropagation:
     def test_analyze_rejects_nonexistent_input(self, tmp_path, capsys):
@@ -651,6 +660,24 @@ class TestErrorPropagation:
             main([path if a == "IN" else a for a in argv])
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("fit", "--output"), ("fit", "--dot"), ("fit", "--sigma-csv"),
+        ("analyze", "--output"), ("analyze", "--dot"),
+        ("signed", "--output"), ("signed", "--dot"), ("signed", "--sigma-csv"),
+    ])
+    def test_output_in_missing_directory_exits_one(self, tmp_path, capsys, command, flag):
+        path = _write_carcass(tmp_path / "carcass.csv")
+        missing = str(tmp_path / "missing" / "out")
+        argv = [command, path, flag, missing]
+        doc = tmp_path / "o.json"
+        if flag != "--output":
+            argv += ["--output", str(doc)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and missing in err and err.count("\n") == 1
+        # the document is written before the DOT and CSV files
+        assert doc.exists() == (flag != "--output")
 
     def test_zero_exhaustive_limit_is_valid(self, tmp_path, capsys):
         # with no exhaustive search allowed, an unbalanced input gets the
@@ -757,7 +784,8 @@ class TestParserOnce:
 
 
 class TestClosureOnce:
-    """A command builds the max-product closure W once, inside its fit."""
+    """A command builds the max-product closure W once, inside its fit
+    when it fits, and the spanning forest of its matrix once."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -786,6 +814,37 @@ class TestClosureOnce:
             assert json.loads(capsys.readouterr().out)["method"] == "balanced_exact"
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("argv, forests", [
+        *((["fit", "--algorithm", a], 1) for a in ALGORITHMS), (["analyze"], 1), (["signed"], 2),
+    ], ids=[*(f"fit-{a}" for a in ALGORITHMS), "analyze", "signed"])
+    def test_one_closure_and_forest_per_command(self, tmp_path, capsys, monkeypatch, argv, forests):
+        """Counted at the kernels, in every module that holds them: one
+        ``max_product_closure`` and one ``mwsf`` per command, DOT and CSV
+        outputs included; a balanced signed input adds the forest of |R|
+        that chooses the signs."""
+        counts = {}
+        for real in (ultra.max_product_closure, graphs.mwsf):
+            counts[real.__name__] = 0
+
+            def counting(*args, _real=real):
+                counts[_real.__name__] += 1
+                return _real(*args)
+
+            for module in [m for n, m in sys.modules.items() if n.partition(".")[0] == "totpos"]:
+                for name, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, name, counting)
+        k = 2.0 * np.eye(5) - 0.8 * (np.eye(5, k=1) + np.eye(5, k=-1))
+        path = str(tmp_path / "r.csv")
+        write_matrix_csv(SymMatrix(np.linalg.inv(k)), path)
+        outputs = ["--output", str(tmp_path / "o.json"), "--dot", str(tmp_path / "g.dot")]
+        if argv[0] != "analyze":
+            outputs += ["--sigma-csv", str(tmp_path / "s.csv")]
+        assert main([argv[0], path, *argv[1:], *outputs]) == 0
+        if argv[0] == "signed":
+            assert json.loads((tmp_path / "o.json").read_text())["method"] == "balanced_exact"
+        assert counts == {"max_product_closure": 1, "mwsf": forests}
+
     def test_fit_carries_its_closure(self):
         r = random_correlation(np.random.default_rng(40), 6)
         for algorithm in ALGORITHMS:
@@ -794,9 +853,10 @@ class TestClosureOnce:
 
 
 class TestDerivedGraphsUnchecked:
-    def test_analyze_checks_only_the_forest_edges(self, tmp_path, monkeypatch):
-        """Graphs built from masks and the DOT union skip ``_check_edges``;
-        at p = 200 only the spanning forest's edges reach it."""
+    def test_analyze_checks_no_edges(self, tmp_path, monkeypatch):
+        """Graphs built from masks, the spanning forest and the DOT union
+        skip ``_check_edges``: at p = 200 no edge reaches it, and the forest
+        builds no edge tuples."""
         checked = []
         real = graphs._check_edges
 
@@ -809,11 +869,9 @@ class TestDerivedGraphsUnchecked:
         path, dot = str(tmp_path / "r.csv"), str(tmp_path / "g.dot")
         write_matrix_csv(r, path)
         assert main(["analyze", path, "--output", str(tmp_path / "o.json"), "--dot", dot]) == 0
-        monkeypatch.undo()
-        forest = set(mwsf(read_matrix_csv(path)).edges)
-        assert len(forest) == 199
-        assert checked and all(set(edges) == forest for edges in checked)
-        assert sum(map(len, checked)) <= 2 * 199
+        forest = mwsf(read_matrix_csv(path))
+        assert checked == []
+        assert "edges" not in forest.__dict__ and len(forest.weights) == 199
 
 
 def _collinear_covariance() -> np.ndarray:
@@ -865,13 +923,8 @@ def _assert_writes_json_dumps(doc, tmp_path):
     assert out.read_bytes() == (_stdlib_text(doc) + "\n").encode()
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 def _array_document() -> dict:
-    """Arrays and edge tables of every shape the writer lays out, with the
+    """Arrays and graphs of every shape the writer lays out, with the
     floats the writer must keep apart."""
     special = np.array([float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 0.1])
     rng = np.random.default_rng(7)
@@ -893,20 +946,17 @@ def _array_document() -> dict:
         "no_rows": np.empty((0, 4)),
         "no_columns": np.empty((3, 0)),
         "in_a_list": [np.array([1.0, -0.0]), special[:2], {"nested": square[:2, :2]}],
-        "graph": jsonout.EdgeTable(
-            12, _read_only(rows), _read_only(cols), _read_only(square[rows, cols])
-        ),
-        "small_graph": jsonout.EdgeTable(
-            3, np.array([0, 1]), np.array([2, 2]), np.array([float("nan"), -0.0])
-        ),
-        "no_edges": jsonout.EdgeTable(5, np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)),
+        # every pair of the square's upper triangle: -0.0, 0.0 and 5e-324 among the weights
+        "graph": graphs.WeightedGraph.from_mask(np.ones((12, 12), dtype=bool), square),
+        "small_graph": graphs.WeightedGraph(3, ((0, 2, float("nan")), (1, 2, -0.0))),
+        "no_edges": graphs.WeightedGraph(5, ()),
         "weights_again": square[rows, cols][::-1].copy(),
     }
 
 
 class TestDocumentText:
     """``_emit`` writes exactly ``json.dumps(doc, indent=2, sort_keys=True,
-    default=jsonout.plain)`` and a newline: arrays and edge tables as their
+    default=jsonout.plain)`` and a newline: arrays and graphs as their
     plain lists."""
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -938,13 +988,16 @@ class TestDocumentText:
         path = str(tmp_path / "r.csv")
         write_matrix_csv(random_correlation(np.random.default_rng(15), 200, n=400), path)
         doc, _, (closures, _, _) = cli.cmd_analyze(path)
-        assert len(doc["graphs"]["ec"]) > 1000
+        assert len(doc["graphs"]["ec"].weights) > 1000
         _assert_writes_json_dumps(doc, tmp_path)
         # the writer reads the arrays: no graph built its edge tuples and no
         # matrix went through a list of rows
         for graph in (closures.forest, closures.envelope, closures.equality):
             assert "edges" not in graph.__dict__
-        assert all(isinstance(t, jsonout.EdgeTable) for t in doc["graphs"].values())
+        # the document holds the graphs themselves
+        assert doc["graphs"]["mwsf"] is closures.forest
+        assert doc["graphs"]["ec"] is closures.envelope
+        assert doc["graphs"]["grw"] is closures.equality
         for key in ("scale", "z_matrix", "w_matrix"):
             assert isinstance(doc[key], np.ndarray)
         assert not isinstance(doc["closed_form"]["sigma"], list)
@@ -980,8 +1033,8 @@ class TestDocumentText:
         cli._emit(doc, None)
         assert "".join(stdout.pieces) == expected
         assert max(map(len, stdout.pieces)) <= longest < len(expected) / 3
-        # an edge table is one piece, not one per edge
-        assert len(stdout.pieces) < len(doc["graphs"]["ec"])
+        # a graph is one piece, not one per edge
+        assert len(stdout.pieces) < len(doc["graphs"]["ec"].weights)
 
         dot = tmp_path / "g.dot"
         cli._write_dot(str(dot), closures, middle)
@@ -1017,7 +1070,7 @@ class TestDocumentText:
 
     @pytest.mark.parametrize("doc", [
         np.zeros(3), np.ones((2, 2)), np.array([[float("nan")]]), np.empty(0),
-        jsonout.EdgeTable(2, np.array([0]), np.array([1]), np.array([-0.0])),
+        graphs.WeightedGraph(2, ((0, 1, -0.0),)),
     ])
     def test_array_as_document(self, tmp_path, doc):
         _assert_writes_json_dumps(doc, tmp_path)

@@ -7,7 +7,9 @@ from totpos import (
     NonPositiveDiagonal,
     NotPositiveDefinite,
     SymMatrix,
+    active_set_oracle,
     fit,
+    fit_signed,
     inverse_pd,
     is_m_matrix,
     log_likelihood,
@@ -155,6 +157,31 @@ class TestCorrelationScale:
         assert err.value.index == 0
         with pytest.raises(NonPositiveDiagonal):
             fit(SymMatrix(a))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+    def test_non_finite_off_diagonal(self, value):
+        a = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, value], [0.1, value, 4.0]])
+        s = SymMatrix(a)  # accepted: the entry is rejected on normalizing
+        message = rf"entry \(1, 2\) is {value}, not a finite number"
+        with pytest.raises(ValueError, match=message) as err:
+            to_correlation(s)
+        assert not isinstance(err.value, NonPositiveDiagonal)
+        with pytest.raises(ValueError, match=message):
+            fit(s)
+        with pytest.raises(ValueError, match=message):
+            active_set_oracle(s)
+        # the signed fit takes R and normalizes a switched matrix, where the
+        # entry's sign may differ
+        np.fill_diagonal(a, 1.0)
+        with pytest.raises(ValueError, match=rf"entry \(1, 2\) is -?{abs(value)}, not"):
+            fit_signed(SymMatrix(a))
+
+    def test_infinite_variance(self):
+        s = SymMatrix(np.array([[1.0, 0.2], [0.2, np.inf]]))
+        with pytest.raises(ValueError, match=r"entry \(1, 1\) is inf, not a finite number"):
+            to_correlation(s)
+        with pytest.raises(ValueError, match=r"entry \(1, 1\) is inf"):
+            fit(s)
 
     def test_rescale_identity_map(self):
         m = SymMatrix(np.array([[1.0, 0.2], [0.2, 1.0]]))
