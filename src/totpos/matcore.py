@@ -126,9 +126,9 @@ def cholesky(a: np.ndarray) -> np.ndarray:
 def inverse(a: np.ndarray) -> np.ndarray:
     """a^{-1} from ``cholesky`` and LAPACK dpotri, exactly symmetric;
     raises NotPositiveDefinite as ``cholesky`` does."""
-    inv, _ = dpotri(cholesky(a))  # upper triangle; dpotrf zeroed the lower one
-    inv += inv.T
-    inv.flat[:: len(a) + 1] /= 2.0
+    upper, _ = dpotri(cholesky(a))  # dpotrf zeroed the lower triangle
+    inv = upper + upper.T  # a new array: in place, numpy copies the transpose first
+    inv.flat[:: len(a) + 1] = upper.diagonal()
     return inv
 
 

@@ -9,16 +9,16 @@ beyond that the spanning-forest assignment is used as a heuristic and
 flagged as such.
 
 The exhaustive search fits the 2^(p-1) switched matrices as stacks: one
-max-product closure, one descent of the configured sweep through the
-driver that ``fit`` runs on a stack of one (``solver._descend``), and one
-stacked log-determinant to rank them.  The covariance sweep's column steps
-each make one solve for the members that have not yet met the stopping
-rule; the precision sweep runs its pair steps member by member.  Only the
-winner, and any sign vector within TIE_WINDOW of it, is fitted again
-through ``fit``, which builds the certificate, gap and graph the result
-carries.  With the covariance sweep, unbalanced
-inputs at n = 2p (2-vCPU Xeon, one BLAS thread) took 0.08-0.19 s at
-p = 10 and 0.9-1.4 s at p = 12, against 0.28-0.76 s and 2.9-4.6 s with
+max-product closure and one descent of the configured sweep through the
+loop that ``fit`` runs on a stack of one (``solver._descend``), in which
+each member takes the steps it would take alone, bit for bit.  The
+covariance sweep's column steps each make one solve for the members that
+have not yet met the stopping rule; the precision sweep runs its pair
+steps member by member.  Each member's likelihood, and the winner's
+certificate, gap and graph, are then built from its iterate as ``fit``
+builds them, so no sign vector is fitted twice.  With the covariance sweep,
+unbalanced inputs at n = 2p (2-vCPU Xeon, one BLAS thread) took 0.08-0.19 s
+at p = 10 and 0.9-1.4 s at p = 12, against 0.28-0.76 s and 2.9-4.6 s with
 stacked pair steps (4.7-6.2 s and 23-46 s with one ``fit`` per sign vector,
 on other such inputs).
 """
@@ -37,11 +37,13 @@ from .solver import (
     FitConfig,
     FitResult,
     MleDoesNotExist,
+    _build_result,
     _descend,
     _fit_best,
+    _precision,
     exists_mle,
 )
-from .ultra import max_product_closure
+from .ultra import max_product_closure, w_matrix
 
 # Largest dimension at which an unbalanced input gets the exhaustive search.
 EXHAUSTIVE_LIMIT = 12
@@ -49,12 +51,6 @@ EXHAUSTIVE_LIMIT = 12
 # Sign vectors the exhaustive search fits in one stack: at p = 12, 512
 # switched matrices take 0.6 MB per stacked array.
 SEARCH_CHUNK = 512
-
-# Relative distance from the best stacked likelihood within which sign
-# vectors are refitted and ranked by ``fit``: the stacked and the plain
-# fits of one matrix run the same column steps and agree to 2.1e-13
-# relative at worst (p = 5 to 8, n = 2, 3 and 2p, 200-sweep budget).
-TIE_WINDOW = 1e-9
 
 
 class ZeroWeightTreeEdge(RuntimeError):
@@ -161,73 +157,53 @@ def _anchored_signs(p: int) -> np.ndarray:
     return np.hstack([np.ones((len(rest), 1)), rest])
 
 
-def _stack_likelihoods(stack: np.ndarray, cfg: FitConfig) -> tuple[np.ndarray, bool]:
-    """log det K - tr(R K) at the fitted K of every correlation matrix of a
-    stack, and whether every descent converged.
-
-    The configured sweep runs on the whole stack through ``_descend``, the
-    driver that ``fit`` runs on a stack of one, so each member takes the
-    steps it would take alone.  No certificate, gap or graph is built, as a
-    full fit adds them.
-    """
-    it, iterate_is_k, _, done = _descend(stack, max_product_closure(stack), cfg)
-    k = it if iterate_is_k else np.linalg.inv(it)
-    ll = np.linalg.slogdet(k)[1] - np.einsum("mij,mij->m", stack, k)
-    return ll, bool(done.all())
-
-
 def exhaustive_sign_search(
     r: SymMatrix, cfg: FitConfig | None = None, prefer: SignVector | None = None
 ) -> SignedFitResult:
     """Fit every anchored sign vector and keep the likelihood maximizer.
 
-    The switched correlation matrices are fitted together, SEARCH_CHUNK at a
-    time (``_stack_likelihoods``), and ranked by their log-likelihood.  The
-    sign vectors within TIE_WINDOW (relative) of the best, usually the
-    winner alone, are then refitted through ``fit`` and ranked again by
-    those likelihoods, which also replace theirs in the table; so the
-    result's fit is the one a plain ``fit`` of the switched matrix gives,
-    and the table's largest entry is its likelihood.  Exact ties (identical
-    switched matrices occur across disconnected components) resolve toward
-    ``prefer`` when given, then toward the vector with the fewest leading
-    flips.  A fit that runs out of sweeps competes with its best iterate
-    and marks the result unconverged.
+    The switched correlation matrices run the configured descent together,
+    SEARCH_CHUNK at a time.  Each member's likelihood and the winner's fit
+    are built from its iterate as ``fit`` builds them, so the table and the
+    result are those of a plain ``fit`` of each switched matrix.  Exact ties
+    (identical switched matrices occur across disconnected components)
+    resolve toward ``prefer`` when given, then toward the vector with the
+    fewest leading flips.  A fit that runs out of sweeps competes with its
+    best iterate and marks the result unconverged.
 
-    Raises MleDoesNotExist when some switched matrix fails ``exists_mle``.
+    Raises MleDoesNotExist when some switched matrix fails ``exists_mle``,
+    and whatever ``fit`` of a switched matrix raises.
     """
     cfg = cfg or FitConfig()
+    rc, scale = to_correlation(r)  # names a non-finite entry as given
     # switching moves the largest normalized entry of no sign vector above
     # the largest |R_ij|, and some vector attains it
     if not exists_mle(SymMatrix(np.abs(r.values))):
         raise MleDoesNotExist("no maximum likelihood estimate: some normalized entry reaches one")
-    rc, scale = to_correlation(r)
     signs = _anchored_signs(r.dim)
-    ll = np.empty(len(signs))
-    converged = True
-    for at in range(0, len(signs), SEARCH_CHUNK):
+    m = len(signs)
+    iterates, sweeps, ll, converged = np.empty((m, r.dim, r.dim)), np.empty(m, int), np.empty(m), True
+    for at in range(0, m, SEARCH_CHUNK):
         d = signs[at : at + SEARCH_CHUNK]
-        ll[at : at + len(d)], done = _stack_likelihoods(rc.values * d[:, :, None] * d[:, None, :], cfg)
-        converged = converged and done
-    # back to the scale of the input, as ``fit`` reports it
-    ll -= 2.0 * np.log(scale).sum()
-    table = {tuple(map(int, d)): float(x) for d, x in zip(signs, ll)}
-    near = ll >= ll.max() - TIE_WINDOW * max(1.0, abs(ll.max()))
-    fits: dict[tuple[int, ...], FitResult] = {}
-    for d in signs[near]:
-        key = tuple(map(int, d))
-        fits[key], done = _fit_best(apply_signs(r, SignVector(key)), cfg)
-        table[key] = fits[key].log_likelihood
-        converged = converged and done
-    best_ll = max(f.log_likelihood for f in fits.values())
-    candidates = sorted(
-        (s for s, f in fits.items() if f.log_likelihood == best_ll),
-        key=lambda s: tuple(0 if x > 0 else 1 for x in s),
-    )
-    if prefer is not None and prefer.signs in candidates:
-        winner = prefer.signs
-    else:
-        winner = candidates[0]
-    return SignedFitResult(SignVector(winner), fits[winner], "exhaustive_exact", converged, table)
+        flips = d[:, :, None] * d[:, None, :]
+        stack = rc.values * flips
+        it, iterate_is_k, n, done = _descend(stack, max_product_closure(stack), cfg)
+        iterates[at : at + len(d)], sweeps[at : at + len(d)] = it, n
+        converged = converged and bool(done.all())
+        # each entry as ``fit`` computes it, on the switched input
+        ll[at : at + len(d)] = [_precision(x, iterate_is_k, s, scale)[2]
+                                for x, s in zip(it, r.values * flips)]
+    keys = [tuple(map(int, d)) for d in signs]
+    table = dict(zip(keys, ll.tolist()))
+    # the signs run by leading flips, and argmax takes the first maximum
+    best = int(np.argmax(ll))
+    if prefer is not None and table.get(prefer.signs) == ll[best]:
+        best = keys.index(prefer.signs)
+    winner = SignVector(keys[best])
+    s = apply_signs(r, winner)
+    w = w_matrix(to_correlation(s)[0])
+    result = _build_result(s, scale, iterates[best], iterate_is_k, int(sweeps[best]), w, cfg)
+    return SignedFitResult(winner, result, "exhaustive_exact", converged, table)
 
 
 def fit_signed(
@@ -243,6 +219,7 @@ def fit_signed(
     """
     cfg = cfg or FitConfig()
     require_unit_diagonal(r)
+    to_correlation(r)  # names a non-finite entry as given, before any switch
     forest = _abs_forest(r)
     star = _propagate_signs(r, forest)
     if _witness_cycle(r, forest, star) is None:

@@ -111,12 +111,11 @@ from .graphs import WeightedGraph
 from .matcore import (
     SymMatrix,
     NotPositiveDefinite,
+    cholesky,
     inverse,
     inverse_pd,
-    log_likelihood,
     pd_factorize,
     pd_mask,
-    rescale_solution,
     to_correlation,
 )
 from .ultra import EC_SLACK, single_linkage, w_matrix
@@ -340,7 +339,9 @@ def _column_step(sig: np.ndarray, r: np.ndarray, active: np.ndarray, j: int, o: 
     entry i can otherwise make it move in and out forever.  The set
     beta > 0 is kept as the next guess.
     """
-    g = sig[:, o[:, None], o]
+    m, p, n = len(sig), sig.shape[1], len(o)
+    # one contiguous gather, so that a stack's products go to BLAS as a lone member's do
+    g = sig.reshape(m, p * p).take((o[:, None] * p + o).ravel(), axis=1).reshape(m, n, n)
     rj = r[:, o, j]
     a = active[:, j, o]
     beta, x, failing = _masked_step(g, rj, a)
@@ -526,7 +527,8 @@ def _descend(r: np.ndarray, w: np.ndarray, cfg: FitConfig) -> tuple[np.ndarray, 
     converged), one entry per member.  A member leaves the stack when its
     sweep meets the stopping rule or its Newton finish is accepted, which is
     tried member by member; those left when the budget runs out keep their
-    last iterate."""
+    last iterate.  Each member's results are, bit for bit, those it gets in
+    a stack of one, which the sign search relies on."""
     start, iterate_is_k = _SWEEPS[cfg.algorithm]
     out, state, sweep, support = start(r, w)
     sweeps = np.full(len(out), cfg.max_sweeps)
@@ -583,9 +585,7 @@ def fit(s: SymMatrix, cfg: FitConfig | None = None) -> FitResult:
     r, scale = to_correlation(s)
     w = w_matrix(r)
     iterates, iterate_is_k, sweeps, converged = _descend(r.values[None], w.values[None], cfg)
-    it = SymMatrix(iterates[0], labels=s.labels)
-    sigma_r, k_r = (inverse_pd(it), it) if iterate_is_k else (it, inverse_pd(it))
-    result = _build_result(s, scale, sigma_r, k_r, int(sweeps[0]), w, cfg)
+    result = _build_result(s, scale, iterates[0], iterate_is_k, int(sweeps[0]), w, cfg)
     if not converged[0]:
         raise MaxSweepsExceeded(result)
     return result
@@ -599,12 +599,26 @@ def _fit_best(s: SymMatrix, cfg: FitConfig) -> tuple[FitResult, bool]:
         return exc.result, False
 
 
-def _build_result(s, scale, sigma_r, k_r, sweeps, w, cfg) -> FitResult:
-    sigma_vals = rescale_solution(sigma_r, scale).values.copy()
+def _precision(it: np.ndarray, iterate_is_k: bool, s: np.ndarray,
+               scale: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """K on correlation scale from a descent's iterate (K, else Sigma), K_hat
+    on the scale of ``s``, and log det K_hat - tr(S K_hat).  Raises
+    NotPositiveDefinite when the iterate or K_hat fails ``cholesky``."""
+    k_r = it if iterate_is_k else inverse(it)
+    k = k_r / np.outer(scale, scale)
+    return k_r, k, 2.0 * float(np.log(cholesky(k).diagonal()).sum()) - float((s * k).sum())
+
+
+def _build_result(s: SymMatrix, scale: np.ndarray, it: np.ndarray, iterate_is_k: bool,
+                  sweeps: int, w: SymMatrix, cfg: FitConfig) -> FitResult:
+    """The ``FitResult`` of a descent's iterate on correlation scale (K, else
+    Sigma) for the input ``s``; its likelihood is ``_precision``'s."""
+    sigma = (inverse(it) if iterate_is_k else it) * np.outer(scale, scale)
+    k_r, k, ll = _precision(it, iterate_is_k, s.values, scale)
     # the variances are equality constraints; pin them exactly
-    np.fill_diagonal(sigma_vals, s.values.diagonal())
-    sigma_hat = SymMatrix(sigma_vals, labels=s.labels)
-    k_hat = SymMatrix(k_r.values / np.outer(scale, scale), labels=s.labels)
+    np.fill_diagonal(sigma, s.values.diagonal())
+    sigma_hat = SymMatrix(sigma, labels=s.labels)
+    k_hat = SymMatrix(k, labels=s.labels)
     try:
         cert = kkt_certificate(s, sigma_hat)
         gap = duality_gap(s, k_hat, sigma_hat)
@@ -614,12 +628,11 @@ def _build_result(s, scale, sigma_r, k_r, sweeps, w, cfg) -> FitResult:
         # cannot be certified, so it is reported as failing, not raised.
         cert = KktCertificate(math.inf, math.inf, -math.inf, math.inf, False)
         gap = math.inf
-    magnitude = np.abs(k_r.values)
+    magnitude = np.abs(k_r)
     # partial-correlation scale: a cutoff scaled by the largest K_ii alone
     # drops real edges between vertices of small K_ii on ill-conditioned fits
-    d = np.sqrt(k_r.values.diagonal())
+    d = np.sqrt(k_r.diagonal())
     graph = WeightedGraph.from_mask(magnitude > cfg.edge_threshold * np.outer(d, d), magnitude)
-    ll = log_likelihood(k_hat, s)
     return FitResult(sigma_hat, k_hat, cert, sweeps, ll, gap, graph, w)
 
 

@@ -107,10 +107,13 @@ def test_kept_documents_and_their_diff(tmp_path, capsys):
     del doc["sweeps"]
     path.write_text(json.dumps(doc), encoding="utf-8")
     (second / "p04_n02_s0/analyze.json").unlink()
-    # and flip the certificate's verdict alone in another document
+    # and flip the certificate's verdict, the last sign and the method of
+    # the signed fit
     path = second / "p04_n02_s0/signed.json"
     doc = json.loads(path.read_text(encoding="utf-8"))
     doc["certificate"]["passed"] = not doc["certificate"]["passed"]
+    doc["signs"][-1] = -doc["signs"][-1]
+    doc["method"] = "heuristic" if doc["method"] != "heuristic" else "balanced_exact"
     path.write_text(json.dumps(doc), encoding="utf-8")
     differ = tool.diff_documents(str(first), str(second))
     assert sorted(differ) == ["p04_n02_s0/analyze", "p04_n02_s0/fit-k", "p04_n02_s0/signed"]
@@ -119,7 +122,8 @@ def test_kept_documents_and_their_diff(tmp_path, capsys):
     assert abs(rel - 1e-9) <= 1e-15 and where == "sigma_hat"
     assert flips == ["converged", "sweeps"]
     assert differ["p04_n02_s0/analyze"] == (["<missing>"], 0.0, None, [])
-    assert differ["p04_n02_s0/signed"] == (["certificate"], 0.0, None, ["certificate.passed"])
+    assert differ["p04_n02_s0/signed"] == (["certificate", "method", "signs"], 2.0, "signs",
+                                           ["certificate.passed", "signs", "method"])
     assert tool.main(["--diff", str(first), str(second)]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[-2] == "1 identical, 3 differ"
@@ -127,7 +131,7 @@ def test_kept_documents_and_their_diff(tmp_path, capsys):
                       "largest relative difference 1e-09 (sigma_hat)")
     # the last line names the runs whose verdict differs, and where
     assert out[-1] == ("2 with a different verdict: p04_n02_s0/fit-k (converged, sweeps); "
-                       "p04_n02_s0/signed (certificate.passed)")
+                       "p04_n02_s0/signed (certificate.passed, signs, method)")
 
 
 def test_blas_threads_pinned_before_numpy_is_imported():

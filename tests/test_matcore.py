@@ -8,6 +8,7 @@ from totpos import (
     NotPositiveDefinite,
     SymMatrix,
     active_set_oracle,
+    exhaustive_sign_search,
     fit,
     fit_signed,
     inverse_pd,
@@ -170,11 +171,12 @@ class TestCorrelationScale:
             fit(s)
         with pytest.raises(ValueError, match=message):
             active_set_oracle(s)
-        # the signed fit takes R and normalizes a switched matrix, where the
-        # entry's sign may differ
+        # the signed fit and the sign search take R, and name the entry as
+        # given, not as some sign switch turns it
         np.fill_diagonal(a, 1.0)
-        with pytest.raises(ValueError, match=rf"entry \(1, 2\) is -?{abs(value)}, not"):
-            fit_signed(SymMatrix(a))
+        for signed_fit in (fit_signed, exhaustive_sign_search):
+            with pytest.raises(ValueError, match=message):
+                signed_fit(SymMatrix(a))
 
     def test_infinite_variance(self):
         s = SymMatrix(np.array([[1.0, 0.2], [0.2, np.inf]]))

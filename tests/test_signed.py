@@ -20,9 +20,10 @@ from totpos import (
     mwsf,
     tree_mle,
 )
-from totpos import signed
+from totpos import signed, solver
 from totpos.cli import main, write_matrix_csv
-from totpos.solver import ALGORITHMS, _fit_best
+from totpos.solver import ALGORITHMS, _descend, _fit_best
+from totpos.ultra import max_product_closure
 from conftest import UNBALANCED_R, random_correlation, random_m_matrix
 
 
@@ -50,16 +51,20 @@ def _serial_sign_search(r, cfg=None, prefer=None):
 
 
 def _assert_matches_serial(r, cfg=None, prefer=None):
+    """The search gives the serial reference's signs, table and winning fit,
+    bit for bit."""
     result = exhaustive_sign_search(r, cfg, prefer=prefer)
     signs, converged, table, best = _serial_sign_search(r, cfg, prefer=prefer)
     assert result.method == "exhaustive_exact"
     assert (result.signs.signs, result.converged) == (signs, converged)
-    assert list(result.switched_likelihoods) == list(table)
-    for key, ll in table.items():
-        assert abs(result.switched_likelihoods[key] - ll) <= 1e-12 * max(1.0, abs(ll))
-    # the winner is refitted through fit, so its fit is the serial one
-    assert np.array_equal(result.fit.sigma_hat.values, best.sigma_hat.values)
-    assert result.fit.log_likelihood == best.log_likelihood == max(result.switched_likelihoods.values())
+    assert list(result.switched_likelihoods.items()) == list(table.items())
+    got = result.fit
+    for name in ("sigma_hat", "k_hat", "w"):
+        assert np.array_equal(getattr(got, name).values, getattr(best, name).values)
+        assert getattr(got, name).labels == getattr(best, name).labels
+    assert (got.sweeps, got.certificate, got.ml_graph) == (best.sweeps, best.certificate, best.ml_graph)
+    assert (got.log_likelihood, got.duality_gap) == (best.log_likelihood, best.duality_gap)
+    assert got.log_likelihood == max(result.switched_likelihoods.values())
     return result
 
 
@@ -262,6 +267,24 @@ class TestStackedSearch:
             d = _random_sign_vector(rng, p)
             _assert_matches_serial(r, FitConfig(max_sweeps=200), prefer=d)
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_stack_members_descend_as_alone(self, algorithm):
+        # every member of a stack of sign switches takes, bit for bit, the
+        # steps it takes in a stack of one, as ``fit`` runs it
+        cfg = FitConfig(algorithm=algorithm, max_sweeps=200)
+        for p in (5, 6, 7):
+            for n in (2, 3, 2 * p):
+                r = random_correlation(np.random.default_rng(1000 + 10 * p + n), p, n=n)
+                d = signed._anchored_signs(p)
+                stack = r.values * d[:, :, None] * d[:, None, :]
+                w = max_product_closure(stack)
+                it, _, sweeps, converged = _descend(stack, w, cfg)
+                for i in range(len(d)):
+                    alone, _, n_alone, c_alone = _descend(stack[i : i + 1], w[i : i + 1], cfg)
+                    assert np.array_equal(alone[0], it[i])
+                    assert (n_alone[0], c_alone[0]) == (sweeps[i], converged[i])
+                _assert_matches_serial(r, cfg)
+
     def test_unbalanced_example_matches_serial(self, unbalanced4):
         _assert_matches_serial(unbalanced4, prefer=d_star(unbalanced4))
 
@@ -326,32 +349,38 @@ class TestStackedSearch:
         assert chunked.switched_likelihoods == whole.switched_likelihoods
         assert (chunked.signs, chunked.converged) == (whole.signs, whole.converged)
 
-    def test_one_fit_per_search(self, monkeypatch):
-        calls = []
+    @staticmethod
+    def _forbid_fits(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the sign search ran a fit")
 
-        def counting(s, cfg):
-            calls.append(s)
-            return _fit_best(s, cfg)
+        for module, name in ((solver, "fit"), (solver, "_fit_best"), (signed, "_fit_best")):
+            monkeypatch.setattr(module, name, refuse)
 
-        monkeypatch.setattr(signed, "_fit_best", counting)
+    def test_search_runs_no_fit(self, monkeypatch):
         r = random_correlation(np.random.default_rng(313), 7, n=14)
+        expected = exhaustive_sign_search(r)
+        self._forbid_fits(monkeypatch)
         result = exhaustive_sign_search(r)
-        assert len(calls) == 1
-        assert np.array_equal(calls[0].values, apply_signs(r, result.signs).values)
+        assert result.signs == expected.signs
+        assert np.array_equal(result.fit.sigma_hat.values, expected.fit.sigma_hat.values)
+        with pytest.raises(AssertionError, match="ran a fit"):
+            fit_signed(SymMatrix(np.eye(3)))  # the balanced path still fits
 
-    def test_tied_twins_are_the_only_refits(self, monkeypatch):
-        calls = []
-
-        def counting(s, cfg):
-            calls.append(s)
-            return _fit_best(s, cfg)
-
-        monkeypatch.setattr(signed, "_fit_best", counting)
-        result = exhaustive_sign_search(_two_twin_components())
-        # the twins differ only in the signs of their zero entries
-        assert len(calls) == 2
-        assert np.array_equal(calls[0].values, calls[1].values)
-        assert np.array_equal(calls[0].values, apply_signs(_two_twin_components(), result.signs).values)
+    def test_tied_twins_resolve_without_fit(self, monkeypatch):
+        r = _two_twin_components()
+        self._forbid_fits(monkeypatch)
+        plain = exhaustive_sign_search(r)
+        # the twins differ only in the signs of their zero entries, so they
+        # switch to one matrix; the one with fewer leading flips wins unless
+        # the other is preferred
+        assert plain.signs.signs[4] == 1
+        twin = SignVector((*plain.signs.signs[:4], -1, -plain.signs.signs[5]))
+        assert np.array_equal(apply_signs(r, twin).values, apply_signs(r, plain.signs).values)
+        assert plain.switched_likelihoods[twin.signs] == plain.fit.log_likelihood
+        preferred = exhaustive_sign_search(r, prefer=twin)
+        assert preferred.signs == twin
+        assert np.array_equal(preferred.fit.sigma_hat.values, plain.fit.sigma_hat.values)
 
 
 class TestDominanceIdentity:

@@ -619,7 +619,7 @@ class TestStackedDescent:
         for member, x, n, ok in zip(stack, it, sweeps, converged):
             ref, ref_n, ref_ok = _descend_alone(SymMatrix(member), cfg)
             assert (n, ok) == (ref_n, ref_ok)
-            assert np.abs(x - ref).max() <= 1e-12
+            assert np.array_equal(x, ref)
 
     def test_stack_equals_members_alone(self, algorithm):
         stack = self._stack(7, (2, 3, 8, 14, 14, 40), 45)
@@ -630,8 +630,8 @@ class TestStackedDescent:
         for _ in range(3):
             change = sweep(cur, stack, state)
             for (m_cur, m_state, m_sweep, _), s, ch in zip(alone, stack, change):
-                assert abs(m_sweep(m_cur, s[None], m_state)[0] - ch) <= 1e-12
-            assert np.abs(cur - np.concatenate([a[0] for a in alone])).max() <= 1e-12
+                assert m_sweep(m_cur, s[None], m_state)[0] == ch
+            assert np.array_equal(cur, np.concatenate([a[0] for a in alone]))
             if algorithm == "sigma":  # the column steps' active sets
                 assert np.array_equal(state, np.concatenate([a[1] for a in alone]))
             assert np.array_equal(support(cur, state), np.concatenate([a[3](a[0], a[1]) for a in alone]))

@@ -34,7 +34,8 @@ reads two such directories and reports, for each run whose document
 differs, the top-level keys that differ and the largest difference between
 numbers at the same place, relative to the largest magnitude under the same
 key, and exits 1 when any do.  Its last line names the runs whose verdict
-differs: ``certificate.passed``, ``converged`` or ``sweeps``.
+differs: ``certificate.passed``, ``converged``, ``sweeps``, or the chosen
+``signs`` or ``method`` of a signed fit.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ SIGNED_FLAGS = (*FIT_FLAGS, "--exhaustive-limit", "6")
 # the exhaustive family runs the sign search on 64 and 128 sign vectors
 EXHAUSTIVE_FLAGS = (*FIT_FLAGS, "--exhaustive-limit", "8")
 GENERATED_AT = re.compile(r'^  "generated_at": .*\n', flags=re.M)
-# the places in a document that hold a fit's verdict
-VERDICTS = (("certificate", "passed"), ("converged",), ("sweeps",))
+# the places in a document that hold a fit's verdict, and a signed fit's choice
+VERDICTS = (("certificate", "passed"), ("converged",), ("sweeps",), ("signs",), ("method",))
 
 
 def sample_covariance(p: int, n: int, seed: int) -> np.ndarray:
