@@ -15,12 +15,12 @@ each member takes the steps it would take alone, bit for bit.  The
 covariance sweep's column steps each make one solve for the members that
 have not yet met the stopping rule; the precision sweep runs its pair
 steps member by member.  Each member's likelihood, and the winner's
-certificate, gap and graph, are then built from its iterate as ``fit``
-builds them, so no sign vector is fitted twice.  With the covariance sweep,
-unbalanced inputs at n = 2p (2-vCPU Xeon, one BLAS thread) took 0.08-0.19 s
-at p = 10 and 0.9-1.4 s at p = 12, against 0.28-0.76 s and 2.9-4.6 s with
-stacked pair steps (4.7-6.2 s and 23-46 s with one ``fit`` per sign vector,
-on other such inputs).
+certificate, gap and graph, are then built from its (Sigma, K) pair as
+``fit`` builds them, so no sign vector is fitted twice.  With the
+covariance sweep, unbalanced inputs at n = 2p (2-vCPU Xeon, one BLAS
+thread) took 0.08-0.19 s at p = 10 and 0.9-1.4 s at p = 12, against
+0.28-0.76 s and 2.9-4.6 s with stacked pair steps (4.7-6.2 s and 23-46 s
+with one ``fit`` per sign vector, on other such inputs).
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ def exhaustive_sign_search(
 
     The switched correlation matrices run the configured descent together,
     SEARCH_CHUNK at a time.  Each member's likelihood and the winner's fit
-    are built from its iterate as ``fit`` builds them, so the table and the
+    are built from its pair as ``fit`` builds them, so the table and the
     result are those of a plain ``fit`` of each switched matrix.  Exact ties
     (identical switched matrices occur across disconnected components)
     resolve toward ``prefer`` when given, then toward the vector with the
@@ -182,17 +182,16 @@ def exhaustive_sign_search(
         raise MleDoesNotExist("no maximum likelihood estimate: some normalized entry reaches one")
     signs = _anchored_signs(r.dim)
     m = len(signs)
-    iterates, sweeps, ll, converged = np.empty((m, r.dim, r.dim)), np.empty(m, int), np.empty(m), True
+    sigs, ks, sweeps, ll, converged = *np.empty((2, m, r.dim, r.dim)), np.empty(m, int), np.empty(m), True
     for at in range(0, m, SEARCH_CHUNK):
         d = signs[at : at + SEARCH_CHUNK]
         flips = d[:, :, None] * d[:, None, :]
         stack = rc.values * flips
-        it, iterate_is_k, n, done = _descend(stack, max_product_closure(stack), cfg)
-        iterates[at : at + len(d)], sweeps[at : at + len(d)] = it, n
+        sig, k, n, done = _descend(stack, max_product_closure(stack), cfg)
+        sigs[at : at + len(d)], ks[at : at + len(d)], sweeps[at : at + len(d)] = sig, k, n
         converged = converged and bool(done.all())
         # each entry as ``fit`` computes it, on the switched input
-        ll[at : at + len(d)] = [_precision(x, iterate_is_k, s, scale)[2]
-                                for x, s in zip(it, r.values * flips)]
+        ll[at : at + len(d)] = [_precision(x, s, scale)[1] for x, s in zip(k, r.values * flips)]
     keys = [tuple(map(int, d)) for d in signs]
     table = dict(zip(keys, ll.tolist()))
     # the signs run by leading flips, and argmax takes the first maximum
@@ -202,7 +201,7 @@ def exhaustive_sign_search(
     winner = SignVector(keys[best])
     s = apply_signs(r, winner)
     w = w_matrix(to_correlation(s)[0])
-    result = _build_result(s, scale, iterates[best], iterate_is_k, int(sweeps[best]), w, cfg)
+    result = _build_result(s, scale, sigs[best], ks[best], int(sweeps[best]), w, cfg)
     return SignedFitResult(winner, result, "exhaustive_exact", converged, table)
 
 

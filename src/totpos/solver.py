@@ -16,9 +16,12 @@ a callable that runs one sweep in place and returns each member's L1
 change, and a callable that returns each member's support (the
 off-diagonal pairs it treats as edges).  A member leaves the stack when
 its change falls below tolerance * max(1, largest diagonal entry of its
-iterate), or when the Newton finish below is accepted.  Both sweeps
-increase the likelihood at every step and converge to the unique optimum,
-but only at a linear rate:
+iterate), or when the Newton finish below is accepted.  It hands on its
+pair (Sigma, K): the accepted finish's own, else its last iterate and that
+iterate's one inverse.  ``_build_result`` only rescales the pair, so K_hat
+is the solver's own, exactly zero off an accepted finish's support.  Both
+sweeps increase the likelihood at every step and converge to the unique
+optimum, but only at a linear rate:
 
 * "k" cycles over vertex pairs in lexicographic order and updates the 2x2
   block K_AA for A = {u, v}: with L = K_AB K_BB^{-1} K_BA, the
@@ -76,7 +79,7 @@ feasible whenever every correlation is below one.
 
 The precision sweep starts at the identity and visits only the pairs of the
 paper's upper bound G+ on the ML graph: the r_uv that attain their best
-path product W_uv > 0, within EC_SLACK (``_g_plus``, the mask of
+path product W_uv > 0, within EC_SLACK (``grw_mask``, the mask of
 ``ml_graph_upper_bound``); the covariance sweep guesses its first active
 sets there.  The MLE has K_uv = 0 off G+, so it also solves
 the problem restricted to K supported on G+; that problem is strictly
@@ -118,7 +121,7 @@ from .matcore import (
     pd_mask,
     to_correlation,
 )
-from .ultra import EC_SLACK, single_linkage, w_matrix
+from .ultra import EC_SLACK, grw_mask, single_linkage, w_matrix
 
 # Existence margin: inputs with a normalized off-diagonal entry within this
 # relative distance of one are rejected, the likelihood being unbounded or
@@ -228,11 +231,12 @@ def exists_mle(s: SymMatrix) -> bool:
     problem being numerically unbounded there.  Holds with probability one
     for sample covariances built from at least two observations.
     """
-    r, _ = to_correlation(s)
-    if r.dim == 1:
-        return True
-    off = r.values[~np.eye(r.dim, dtype=bool)]
-    return bool(off.max() < 1.0 - EXIST_MARGIN)
+    return _exists(to_correlation(s)[0])
+
+
+def _exists(r: SymMatrix) -> bool:
+    """``exists_mle`` on the correlation matrix R of the input."""
+    return bool(r.values[~np.eye(r.dim, dtype=bool)].max(initial=-np.inf) < 1.0 - EXIST_MARGIN)
 
 
 def _pair_indices(p: int, pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int, np.ndarray]]:
@@ -378,13 +382,6 @@ def _column_sweep(sig: np.ndarray, r: np.ndarray, active: np.ndarray) -> np.ndar
     return 2.0 * sum(_column_step(sig, r, active, j, o) for j, o in enumerate(others))
 
 
-def _g_plus(r: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The paper's upper bound G+ on the ML graph of every member of a stack
-    (m, p, p), as a mask with the diagonal: the r_uv that attain their best
-    path product W_uv > 0, within EC_SLACK."""
-    return (w > 0.0) & (np.abs(r - w) <= EC_SLACK)
-
-
 def _sigma_start(r: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The covariance descent's start on a stack (m, p, p) of correlation
     matrices with closures W (W where ``pd_mask`` accepts it, else single
@@ -392,7 +389,7 @@ def _sigma_start(r: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sig = w.copy()
     for i in np.flatnonzero(~pd_mask(w)):
         sig[i] = single_linkage(SymMatrix(r[i])).values
-    return sig, _g_plus(r, w)
+    return sig, grw_mask(r, w, EC_SLACK)
 
 
 def _sigma_sweep(r: np.ndarray, w: np.ndarray):
@@ -482,26 +479,13 @@ def _newton(r: np.ndarray, k: np.ndarray, support: np.ndarray, tol: float) -> tu
     return (k, sig) if ok else None
 
 
-def _finish(r: np.ndarray, cur: np.ndarray, iterate_is_k: bool, support: np.ndarray,
-            tol: float) -> np.ndarray | None:
-    """The Newton finish on ``support`` from a sweep's iterate (K, else
-    Sigma, whose inverse is the start); returns the optimum as the same kind
-    of iterate, or None when ``_newton`` rejects the support."""
-    try:
-        k = cur if iterate_is_k else inverse(cur)
-    except NotPositiveDefinite:
-        return None
-    out = _newton(r, k, support, tol)
-    return None if out is None else out[0 if iterate_is_k else 1]
-
-
 def _k_sweep(r: np.ndarray, w: np.ndarray):
     """Precision sweep over the pairs of G+, from the identity, its state
     each member's place in the stack; a member's support is the nonzero
     off-diagonal entries of its K.  A pair's other vertices depend only on
     (p, u, v), so the members that visit a pair share them."""
     p = r.shape[1]
-    gplus = np.triu(_g_plus(r, w), 1)
+    gplus = np.triu(grw_mask(r, w, EC_SLACK), 1)
     blocks = {(u, v): b for u, v, b in _pair_indices(p, np.argwhere(gplus.any(0)).tolist())}
     pairs = [[(u, v, blocks[u, v]) for u, v in np.argwhere(g).tolist()] for g in gplus]
 
@@ -516,19 +500,20 @@ def _k_sweep(r: np.ndarray, w: np.ndarray):
 
 # The coordinate sweeps ``FitConfig.algorithm`` can name: (r, w) -> (iterates,
 # state, sweep(iterates, r, state), support(iterates, state)), each with
-# whether its iterate is K (else Sigma).
+# whether its iterate is K (else Sigma), which only ``_descend`` reads.
 _SWEEPS = {"sigma": (_sigma_sweep, False), "k": (_k_sweep, True)}
 ALGORITHMS = tuple(_SWEEPS)
 
 
-def _descend(r: np.ndarray, w: np.ndarray, cfg: FitConfig) -> tuple[np.ndarray, bool, np.ndarray, np.ndarray]:
+def _descend(r: np.ndarray, w: np.ndarray, cfg: FitConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Run the configured sweep on a stack (m, p, p) of correlation matrices
-    with their closures W; returns (iterates, iterates are K, sweeps,
-    converged), one entry per member.  A member leaves the stack when its
-    sweep meets the stopping rule or its Newton finish is accepted, which is
-    tried member by member; those left when the budget runs out keep their
-    last iterate.  Each member's results are, bit for bit, those it gets in
-    a stack of one, which the sign search relies on."""
+    with their closures W; returns (Sigma, K, sweeps, converged), one entry
+    per member; a member's pair is its accepted Newton finish's own, else
+    its last iterate and that iterate's inverse.  A member leaves the stack
+    when its sweep meets the stopping rule or its finish, tried member by
+    member, is accepted; those left when the budget runs out keep their last
+    iterate.  Each member's results are, bit for bit, those it gets in a
+    stack of one, which the sign search relies on."""
     start, iterate_is_k = _SWEEPS[cfg.algorithm]
     out, state, sweep, support = start(r, w)
     sweeps = np.full(len(out), cfg.max_sweeps)
@@ -537,6 +522,7 @@ def _descend(r: np.ndarray, w: np.ndarray, cfg: FitConfig) -> tuple[np.ndarray, 
     # a member tries the finish after a sweep that leaves its support as the
     # sweep before did, unless that support was tried already
     last, tried = [None] * len(out), [set() for _ in out]
+    pairs = [None] * len(out)  # (K, Sigma) of each accepted finish
     for n in range(1, cfg.max_sweeps + 1):
         change = sweep(cur, s, state)
         # scaled by the largest diagonal entry: a no-op for covariance
@@ -548,9 +534,13 @@ def _descend(r: np.ndarray, w: np.ndarray, cfg: FitConfig) -> tuple[np.ndarray, 
             key, j = np.packbits(masks[i]).tobytes(), members[i]
             if key == last[j] and key not in tried[j]:
                 tried[j].add(key)
-                finished = _finish(s[i], cur[i], iterate_is_k, masks[i], cfg.tolerance)
-                if finished is not None:
-                    cur[i], done[i] = finished, True
+                try:  # the finish starts from K
+                    k = cur[i] if iterate_is_k else inverse(cur[i])
+                except NotPositiveDefinite:
+                    pass
+                else:
+                    pairs[j] = _newton(s[i], k, masks[i], cfg.tolerance)
+                done[i] = pairs[j] is not None
             last[j] = key
         if done.any():
             out[members[done]] = cur[done]
@@ -560,7 +550,11 @@ def _descend(r: np.ndarray, w: np.ndarray, cfg: FitConfig) -> tuple[np.ndarray, 
             if not len(members):
                 break
     out[members] = cur
-    return out, iterate_is_k, sweeps, converged
+    for j, x in enumerate(out):
+        if pairs[j] is None:
+            pairs[j] = (x, inverse(x)) if iterate_is_k else (inverse(x), x)
+    k, sig = map(np.array, zip(*pairs))
+    return sig, k, sweeps, converged
 
 
 def fit(s: SymMatrix, cfg: FitConfig | None = None) -> FitResult:
@@ -578,14 +572,14 @@ def fit(s: SymMatrix, cfg: FitConfig | None = None) -> FitResult:
             the best iterate with its certificate as ``result``.
     """
     cfg = cfg or FitConfig()
-    if not exists_mle(s):
+    r, scale = to_correlation(s)
+    if not _exists(r):
         raise MleDoesNotExist(
             "no maximum likelihood estimate: some normalized entry reaches one"
         )
-    r, scale = to_correlation(s)
     w = w_matrix(r)
-    iterates, iterate_is_k, sweeps, converged = _descend(r.values[None], w.values[None], cfg)
-    result = _build_result(s, scale, iterates[0], iterate_is_k, int(sweeps[0]), w, cfg)
+    sig, k, sweeps, converged = _descend(r.values[None], w.values[None], cfg)
+    result = _build_result(s, scale, sig[0], k[0], int(sweeps[0]), w, cfg)
     if not converged[0]:
         raise MaxSweepsExceeded(result)
     return result
@@ -599,22 +593,21 @@ def _fit_best(s: SymMatrix, cfg: FitConfig) -> tuple[FitResult, bool]:
         return exc.result, False
 
 
-def _precision(it: np.ndarray, iterate_is_k: bool, s: np.ndarray,
-               scale: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """K on correlation scale from a descent's iterate (K, else Sigma), K_hat
-    on the scale of ``s``, and log det K_hat - tr(S K_hat).  Raises
-    NotPositiveDefinite when the iterate or K_hat fails ``cholesky``."""
-    k_r = it if iterate_is_k else inverse(it)
+def _precision(k_r: np.ndarray, s: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, float]:
+    """K_hat on the scale of ``s`` from K on correlation scale, and
+    log det K_hat - tr(S K_hat).  Raises NotPositiveDefinite when K_hat
+    fails ``cholesky``."""
     k = k_r / np.outer(scale, scale)
-    return k_r, k, 2.0 * float(np.log(cholesky(k).diagonal()).sum()) - float((s * k).sum())
+    return k, 2.0 * float(np.log(cholesky(k).diagonal()).sum()) - float((s * k).sum())
 
 
-def _build_result(s: SymMatrix, scale: np.ndarray, it: np.ndarray, iterate_is_k: bool,
+def _build_result(s: SymMatrix, scale: np.ndarray, sig_r: np.ndarray, k_r: np.ndarray,
                   sweeps: int, w: SymMatrix, cfg: FitConfig) -> FitResult:
-    """The ``FitResult`` of a descent's iterate on correlation scale (K, else
-    Sigma) for the input ``s``; its likelihood is ``_precision``'s."""
-    sigma = (inverse(it) if iterate_is_k else it) * np.outer(scale, scale)
-    k_r, k, ll = _precision(it, iterate_is_k, s.values, scale)
+    """The ``FitResult`` of a ``_descend`` pair on correlation scale for the
+    input ``s``: the pair rescaled, nothing inverted; its likelihood is
+    ``_precision``'s."""
+    sigma = sig_r * np.outer(scale, scale)
+    k, ll = _precision(k_r, s.values, scale)
     # the variances are equality constraints; pin them exactly
     np.fill_diagonal(sigma, s.values.diagonal())
     sigma_hat = SymMatrix(sigma, labels=s.labels)

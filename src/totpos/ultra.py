@@ -9,10 +9,10 @@ spanning-forest edge, where no longer path can win.  The
 single-linkage matrix is ultrametric, dominates the input, and when all
 off-diagonal entries are below one it is invertible with an M-matrix
 inverse, which makes it a ready-made dual-feasible point for the solver.
-One rule, ``grw_graph``, reads off the pairs that attain their max-product
-entry.  At GRW_TOL it gives the equality graph of the block closed form; at
-EC_SLACK it gives the upper bound G+ on the graph of the MLE, and the
-solver's precision sweep visits only those pairs.  The excess-correlation
+One rule, ``grw_mask`` (``grw_graph`` as a graph), reads off the pairs that
+attain their max-product entry.  At GRW_TOL it gives the equality graph of
+the block closed form; at EC_SLACK it gives the upper bound G+ on the graph
+of the MLE, and the solver's precision sweep visits only those pairs.  The excess-correlation
 graph is the same kind of mask against the forest path products.
 """
 
@@ -159,6 +159,12 @@ def w_matrix(r: SymMatrix) -> SymMatrix:
     return SymMatrix(max_product_closure(vals), labels=r.labels)
 
 
+def grw_mask(r: np.ndarray, w: np.ndarray, tol: float) -> np.ndarray:
+    """``grw_graph`` of every member of a stack (..., p, p) of correlations
+    with their closures W, as a mask with the diagonal."""
+    return (w > 0.0) & (np.abs(r - w) <= tol)
+
+
 def grw_graph(r: SymMatrix, w: SymMatrix, tol: float = GRW_TOL) -> WeightedGraph:
     """Pairs whose correlation equals its best path product, within tol.
 
@@ -169,8 +175,7 @@ def grw_graph(r: SymMatrix, w: SymMatrix, tol: float = GRW_TOL) -> WeightedGraph
     """
     if r.dim != w.dim:
         raise ValueError("dimension mismatch")
-    vals, wv = r.values, w.values
-    return WeightedGraph.from_mask((wv > 0.0) & (np.abs(vals - wv) <= tol), vals)
+    return WeightedGraph.from_mask(grw_mask(r.values, w.values, tol), r.values)
 
 
 def ml_graph_upper_bound(r: SymMatrix) -> WeightedGraph:

@@ -93,7 +93,8 @@ def test_kept_documents_and_their_diff(tmp_path, capsys):
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
     assert tool.diff_documents(str(first), str(second)) == {}
     assert tool.main(["--diff", str(first), str(second)]) == 0
-    assert capsys.readouterr().out == "4 identical, 0 differ\n0 with a different verdict\n"
+    assert capsys.readouterr().out == ("4 identical, 0 differ\n0 with a different verdict\n"
+                                       "differing runs per key: none\n")
     # move the largest entry of one matrix by a relative 1e-9 and one entry
     # of another by 1e-12 of its largest, drop one key and flip one flag
     path = second / "p04_n02_s0/fit-k.json"
@@ -126,12 +127,15 @@ def test_kept_documents_and_their_diff(tmp_path, capsys):
                                            ["certificate.passed", "signs", "method"])
     assert tool.main(["--diff", str(first), str(second)]) == 1
     out = capsys.readouterr().out.splitlines()
-    assert out[-2] == "1 identical, 3 differ"
+    assert out[-3] == "1 identical, 3 differ"
     assert out[1] == ("p04_n02_s0/fit-k: converged, k_hat, sigma_hat, sweeps; "
                       "largest relative difference 1e-09 (sigma_hat)")
-    # the last line names the runs whose verdict differs, and where
-    assert out[-1] == ("2 with a different verdict: p04_n02_s0/fit-k (converged, sweeps); "
+    # the second-to-last line names the runs whose verdict differs, and where
+    assert out[-2] == ("2 with a different verdict: p04_n02_s0/fit-k (converged, sweeps); "
                        "p04_n02_s0/signed (certificate.passed, signs, method)")
+    # the last counts the differing runs per top-level key, most first
+    assert out[-1] == ("differing runs per key: <missing> 1, certificate 1, converged 1, k_hat 1, "
+                       "method 1, sigma_hat 1, signs 1, sweeps 1")
 
 
 def test_blas_threads_pinned_before_numpy_is_imported():

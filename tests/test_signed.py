@@ -278,10 +278,10 @@ class TestStackedSearch:
                 d = signed._anchored_signs(p)
                 stack = r.values * d[:, :, None] * d[:, None, :]
                 w = max_product_closure(stack)
-                it, _, sweeps, converged = _descend(stack, w, cfg)
+                sig, k, sweeps, converged = _descend(stack, w, cfg)
                 for i in range(len(d)):
-                    alone, _, n_alone, c_alone = _descend(stack[i : i + 1], w[i : i + 1], cfg)
-                    assert np.array_equal(alone[0], it[i])
+                    sig_alone, k_alone, n_alone, c_alone = _descend(stack[i : i + 1], w[i : i + 1], cfg)
+                    assert np.array_equal(sig_alone[0], sig[i]) and np.array_equal(k_alone[0], k[i])
                     assert (n_alone[0], c_alone[0]) == (sweeps[i], converged[i])
                 _assert_matches_serial(r, cfg)
 

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -33,7 +34,7 @@ from totpos import (
     tree_mle,
     w_matrix,
 )
-from totpos import solver
+from totpos import matcore, solver
 from totpos.cli import main
 from totpos.ultra import max_product_closure
 from totpos.solver import (
@@ -55,10 +56,10 @@ from conftest import (
 
 
 def _descend_alone(r: SymMatrix, cfg: FitConfig):
-    """``_descend`` on a stack of one, as ``fit`` runs it: (iterate, sweeps,
+    """``_descend`` on a stack of one, as ``fit`` runs it: (Sigma, K, sweeps,
     converged)."""
-    it, _, sweeps, converged = _descend(r.values[None], w_matrix(r).values[None], cfg)
-    return it[0], sweeps[0], converged[0]
+    sig, k, sweeps, converged = _descend(r.values[None], w_matrix(r).values[None], cfg)
+    return sig[0], k[0], sweeps[0], converged[0]
 
 
 class TestExistsMle:
@@ -293,7 +294,7 @@ class TestSharedState:
     def test_matches_direct_solve_sweep(self):
         cfg = FitConfig(algorithm="sigma", max_sweeps=1000)
         for r in self._inputs():
-            sig, sweeps, converged = _descend_alone(r, cfg)
+            sig, _, sweeps, converged = _descend_alone(r, cfg)
             ref, ref_sweeps, ref_converged = _reference_sigma_descend(r, cfg)
             assert converged and ref_converged
             assert sweeps <= ref_sweeps
@@ -615,11 +616,10 @@ class TestStackedDescent:
 
     def _assert_members_alone(self, stack, cfg, out):
         """The stacked ``_descend`` output equals each member's own run."""
-        it, _, sweeps, converged = out
-        for member, x, n, ok in zip(stack, it, sweeps, converged):
-            ref, ref_n, ref_ok = _descend_alone(SymMatrix(member), cfg)
+        for member, sig, k, n, ok in zip(stack, *out):
+            ref_sig, ref_k, ref_n, ref_ok = _descend_alone(SymMatrix(member), cfg)
             assert (n, ok) == (ref_n, ref_ok)
-            assert np.array_equal(x, ref)
+            assert np.array_equal(sig, ref_sig) and np.array_equal(k, ref_k)
 
     def test_stack_equals_members_alone(self, algorithm):
         stack = self._stack(7, (2, 3, 8, 14, 14, 40), 45)
@@ -697,7 +697,7 @@ class TestScreenedPrecisionSweep:
     def test_matches_full_sweep(self):
         cfg = FitConfig(algorithm="k")
         for r in self._inputs():
-            k, _, converged = _descend_alone(r, cfg)
+            _, k, _, converged = _descend_alone(r, cfg)
             ref, _, ref_converged = _reference_k_descend(r, cfg)
             assert converged and ref_converged
             assert np.abs(k - ref).max() <= 1e-10 * np.abs(ref).max()
@@ -776,15 +776,15 @@ class TestScreenedPrecisionSweep:
         bound = ml_graph_upper_bound(carcass)
         dropped = min(CARCASS_ML_EDGES)
         assert dropped in bound.edge_pairs()
-        real = solver._g_plus
+        real = solver.grw_mask
 
-        def narrowed(r, w):
-            gplus = real(r, w)
+        def narrowed(r, w, tol):
+            gplus = real(r, w, tol)
             gplus[:, dropped[0], dropped[1]] = gplus[:, dropped[1], dropped[0]] = False
             return gplus
 
         # the precision sweep reads G+ as the mask of W's equalities at EC_SLACK
-        monkeypatch.setattr(solver, "_g_plus", narrowed)
+        monkeypatch.setattr(solver, "grw_mask", narrowed)
         res = fit(carcass, FitConfig(algorithm="k"))
         assert not res.certificate.passed
         path = tmp_path / "carcass.csv"
@@ -839,6 +839,41 @@ class TestNewtonFinish:
             assert (k[~on] == 0.0).all()
             assert res.certificate.passed and kkt_certificate(r, res.sigma_hat).passed
             assert res.ml_graph.edge_pairs() <= {(i, j) for i, j in zip(*np.nonzero(np.triu(support)))}
+
+    def test_k_hat_is_the_finish_own(self, monkeypatch):
+        # the covariance sweep's fit hands on the finish's K, not Sigma's
+        # inverse: on correlation scale K_hat is that K, exactly zero off
+        # the accepted support
+        calls = self._spy(monkeypatch)
+        for r in self._inputs():
+            calls.clear()
+            res = fit(r, FitConfig(algorithm="sigma"))
+            _, support, _, (k, _) = calls[-1]
+            assert np.array_equal(res.k_hat.values, k)
+            on = support | np.eye(r.dim, dtype=bool)
+            assert (res.k_hat.values[~on] == 0.0).all() and (~on).any()
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_four_factorizations_after_an_accepted_finish(self, monkeypatch, algorithm):
+        # the likelihood's, the certificate's inverse and the gap's two
+        factored, marks = [], []
+        real = matcore.cholesky
+        for module in [m for n, m in sys.modules.items() if n.partition(".")[0] == "totpos"]:
+            for name, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, name, lambda a: factored.append(1) or real(a))
+        newton = solver._newton
+
+        def marking(*args):
+            out = newton(*args)
+            marks.append(len(factored))
+            return out
+
+        monkeypatch.setattr(solver, "_newton", marking)
+        for r in self._inputs():
+            factored.clear()
+            fit(r, FitConfig(algorithm=algorithm))
+            assert len(factored) - marks[-1] == 4
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("wrong", ["extra", "missing"])

@@ -33,14 +33,16 @@ document, without its ``generated_at`` line, as DIR/<run>.json; ``--diff``
 reads two such directories and reports, for each run whose document
 differs, the top-level keys that differ and the largest difference between
 numbers at the same place, relative to the largest magnitude under the same
-key, and exits 1 when any do.  Its last line names the runs whose verdict
-differs: ``certificate.passed``, ``converged``, ``sweeps``, or the chosen
-``signs`` or ``method`` of a signed fit.
+key, and exits 1 when any do.  Its second-to-last line names the runs
+whose verdict differs: ``certificate.passed``, ``converged``, ``sweeps``, or
+the chosen ``signs`` or ``method`` of a signed fit.  Its last line counts
+the differing runs per top-level key, most first.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import io
@@ -306,6 +308,9 @@ def main(argv=None) -> int:
         print(f"{total - len(differ)} identical, {len(differ)} differ")
         flipped = [f"{run} ({', '.join(flips)})" for run, (*_, flips) in differ.items() if flips]
         print(f"{len(flipped)} with a different verdict" + (": " if flipped else "") + "; ".join(flipped))
+        counts = collections.Counter(key for keys, *_ in differ.values() for key in keys)
+        ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+        print("differing runs per key: " + (", ".join(f"{k} {n}" for k, n in ranked) or "none"))
         return 1 if differ else 0
     if args.compare:
         with open(args.compare[0]) as fa, open(args.compare[1]) as fb:
