@@ -45,8 +45,8 @@ from .solver import (
     FitResult,
     MaxSweepsExceeded,
     MleDoesNotExist,
+    _exists,
     _fit_best,
-    exists_mle,
     fit,
 )
 from .signed import EXHAUSTIVE_LIMIT, apply_signs, fit_signed
@@ -297,13 +297,13 @@ def cmd_fit(path: str, cfg: FitConfig, grw_tol: float = GRW_TOL):
 def cmd_analyze(path: str, grw_tol: float = GRW_TOL):
     """Graph and closed-form analysis of the input, no solver run."""
     s = read_matrix_csv(path)
-    if not exists_mle(s):
+    r, scale = to_correlation(s)
+    if not _exists(r):
         # the closures characterize the estimate; without existence (some
         # normalized entry at one) the path products are ill-defined too
         raise MleDoesNotExist(
             "no maximum likelihood estimate: some normalized entry reaches one"
         )
-    r, scale = to_correlation(s)
     closures = _closures(r, w_matrix(r), grw_tol)
     z = fold_paths(r, closures.forest, np.minimum)  # single_linkage on the shared forest
     report = is_ultrametric(z, closures.forest)

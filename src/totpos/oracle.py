@@ -23,13 +23,15 @@ A candidate's restricted problem is solved in one of three ways:
   (822 of 1024 at p = 5) take one matrix product per call.
 * **Newton on the rest.** The non-chordal candidates go to a dense damped
   Newton iteration, run batched, once per subset size, on the stack of
-  every such candidate of that size: stacked inversions, Cholesky
-  factorizations and solves.  When one member makes a stacked call fail,
-  the call is redone member by member, so that only that candidate fails.
+  every such candidate of that size: stacked inversions and solves, and
+  the step 1 / (1 + lam) of a self-concordant function in place of a line
+  search.  When one member makes a stacked call fail, the call is redone
+  member by member, so that only that candidate fails.
 
 On a 2-vCPU machine with one BLAS thread, a p = 5 call took a median of
-18 ms on n = 10 inputs, against 63-66 ms when every candidate ran Newton;
-at n = 2 it took 0.5-0.7 s, against 9-12 s.
+17 ms of CPU time on n = 10 inputs and 36 ms at n = 2 (against 20 ms and
+0.49 s with a step-halving line search, and 63-66 ms and 9-12 s when every
+candidate ran Newton).
 """
 
 from __future__ import annotations
@@ -49,10 +51,6 @@ logger = logging.getLogger(__name__)
 MAX_ORACLE_DIM = 5
 SIGN_TOL = 1e-9
 NEWTON_TOL = 1e-12
-# The 60 step lengths 1, 1/2, ..., 2^-59 of the line search, in blocks of
-# doubling width that one stacked Cholesky tries together: a member that
-# needs h halvings takes about log2(h) rounds and at most 2h + 1 trial steps.
-_HALVING_BLOCKS = np.split(0.5 ** np.arange(60), [1, 3, 7, 15, 31])
 
 
 class NoKktPoint(RuntimeError):
@@ -73,7 +71,7 @@ def _stacked(fn, *stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     A LinAlgError from the stacked call is redone member by member, so that
     only the offending members fail; their results are NaN.  The result has
-    the shape of the last stack (true of inv, cholesky and solve).
+    the shape of the last stack (true of inv and solve).
     """
     try:
         return fn(*stacks), np.ones(len(stacks[0]), dtype=bool)
@@ -94,11 +92,15 @@ def _restricted_mles(r: np.ndarray, supports) -> list[np.ndarray | None]:
     """Newton iterations maximizing the likelihood over K supported on each
     of the given pair sets, which all have the same size.
 
-    One damped Newton iteration runs on the stack of every support: each
-    member leaves it once its gradient residual is below NEWTON_TOL, and
-    yields None when a step fails (singular K or Hessian, or no increase in
-    60 step halvings) or after 200 steps.  Cholesky is the positive
-    definiteness test of the line search.
+    One damped Newton iteration runs on the stack of every support, from the
+    identity: each member leaves it once its gradient residual is below
+    NEWTON_TOL, and yields None when ``inv`` or ``solve`` fails (singular K
+    or Hessian), when its squared Newton decrement is not positive, or after
+    200 steps.  The step is the damped Newton step of a self-concordant
+    function (Nesterov and Nemirovski 1994; Boyd and Vandenberghe 2004,
+    sec. 9.6): 1 / (1 + lam) of the Newton step, a full step once
+    lam <= 1/4.  It keeps K positive definite and raises the likelihood, so
+    no line search is needed.
     """
     p = r.shape[0]
     pairs = np.array(supports, dtype=int).reshape(len(supports), -1, 2)
@@ -115,16 +117,9 @@ def _restricted_mles(r: np.ndarray, supports) -> list[np.ndarray | None]:
         k[rows, jj, ii] = theta
         return k
 
-    def log_likelihoods(k):
-        # NaN where Cholesky rejects the member
-        low, _ = _stacked(np.linalg.cholesky, k)
-        logdet = 2.0 * np.log(low.diagonal(axis1=1, axis2=2)).sum(axis=1)
-        return logdet - (r * k).sum(axis=(1, 2))
-
     theta = np.zeros(idx_i.shape)
     theta[:, :p] = 1.0  # identity start on correlation scale
     k = assemble(theta, idx_i, idx_j)
-    ll = log_likelihoods(k)
     live = np.arange(len(pairs))  # members still iterating
     for _ in range(200):
         sigma, ok = _stacked(np.linalg.inv, k)
@@ -134,7 +129,7 @@ def _restricted_mles(r: np.ndarray, supports) -> list[np.ndarray | None]:
         for b in np.flatnonzero(done):
             out[live[b]] = k[b]
         keep = ok & ~done
-        live, theta, k, ll = live[keep], theta[keep], k[keep], ll[keep]
+        live, theta = live[keep], theta[keep]
         idx_i, idx_j, sigma, grad = idx_i[keep], idx_j[keep], sigma[keep], grad[keep]
         if not len(live):
             break
@@ -145,36 +140,15 @@ def _restricted_mles(r: np.ndarray, supports) -> list[np.ndarray | None]:
             sigma[rows, ii, ti] * sigma[rows, jj, tj] + sigma[rows, ii, tj] * sigma[rows, jj, ti]
         )
         step, ok = _stacked(np.linalg.solve, hess, -grad[:, :, None])
-        step = step[:, :, 0]
-        # step-halving line search, a block of step lengths per round; each
-        # member takes the largest that passes, and one without a step fails
-        pending = ok.copy()
-        for block in _HALVING_BLOCKS:
-            at = np.flatnonzero(pending)
-            if not len(at):
-                break
-            width = len(block)
-            cand_theta = theta[at, None] + block[:, None] * step[at, None]
-            cand_theta = cand_theta.reshape(-1, theta.shape[1])
-            rep = np.repeat(at, width)
-            cand = assemble(cand_theta, idx_i[rep], idx_j[rep])
-            cand_ll = log_likelihoods(cand)
-            passed = cand_ll.reshape(-1, width) >= ll[at, None] - 1e-12
-            hit = passed.any(axis=1)
-            pick = width * np.flatnonzero(hit) + passed.argmax(axis=1)[hit]
-            won = at[hit]
-            theta[won], k[won], ll[won] = cand_theta[pick], cand[pick], cand_ll[pick]
-            pending[won] = False
-        keep = ok & ~pending
-        live, theta, k, ll = live[keep], theta[keep], k[keep], ll[keep]
-        idx_i, idx_j = idx_i[keep], idx_j[keep]
+        # the squared Newton decrement; it is not positive once a diverging K
+        # leaves the Hessian indefinite in floating point
+        lam2 = (grad * step[:, :, 0]).sum(axis=1)
+        ok &= lam2 > 0.0
+        live, theta, idx_i, idx_j = live[ok], theta[ok], idx_i[ok], idx_j[ok]
+        lam = np.sqrt(lam2[ok])
+        theta = theta + np.where(lam > 0.25, 1.0 / (1.0 + lam), 1.0)[:, None] * step[ok, :, 0]
+        k = assemble(theta, idx_i, idx_j)
     return out
-
-
-def _restricted_mle(r: np.ndarray, support_pairs) -> np.ndarray | None:
-    """``_restricted_mles`` for one support: the precision matrix with
-    gradient residual below NEWTON_TOL, or None when the iteration fails."""
-    return _restricted_mles(r, [support_pairs])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,7 +264,7 @@ def active_set_oracle(s: SymMatrix) -> ActiveSetSolution:
     have no maximum; chordal candidates are solved in closed form from the
     inverses of the principal blocks, and only the remaining ones run the
     Newton iteration of ``_restricted_mles``.  At p = 5 (2 vCPUs, one BLAS
-    thread) a call took a median of 18 ms at n = 10 and 0.5-0.7 s at n = 2,
+    thread) a call took a median of 17 ms at n = 10 and 36 ms at n = 2,
     against 63-66 ms and 9-12 s with Newton on every candidate.  One log line
     per call counts the candidates without a maximum, by reason.
     """

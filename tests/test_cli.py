@@ -18,6 +18,7 @@ from totpos import (
     graphs,
     grw_graph,
     jsonout,
+    matcore,
     mwsf,
     solver,
     structure,
@@ -844,6 +845,25 @@ class TestClosureOnce:
         if argv[0] == "signed":
             assert json.loads((tmp_path / "o.json").read_text())["method"] == "balanced_exact"
         assert counts == {"max_product_closure": 1, "mwsf": forests}
+
+    def test_one_normalization_per_analyze(self, tmp_path, monkeypatch):
+        """``analyze`` tests existence on the R it keeps: one
+        ``to_correlation`` per command."""
+        calls = []
+        real = matcore.to_correlation
+
+        def counting(s):
+            calls.append(s)
+            return real(s)
+
+        for module in [m for n, m in sys.modules.items() if n.partition(".")[0] == "totpos"]:
+            if vars(module).get("to_correlation") is real:
+                monkeypatch.setattr(module, "to_correlation", counting)
+        path = str(tmp_path / "r.csv")
+        write_matrix_csv(random_pd(np.random.default_rng(41), 6), path)
+        outputs = ["--output", str(tmp_path / "o.json"), "--dot", str(tmp_path / "g.dot")]
+        assert main(["analyze", path, *outputs]) == 0
+        assert len(calls) == 1
 
     def test_fit_carries_its_closure(self):
         r = random_correlation(np.random.default_rng(40), 6)

@@ -10,13 +10,13 @@ from totpos import (
     fit,
     FitConfig,
 )
-from totpos.oracle import NEWTON_TOL, _candidate_mles, _plan, _restricted_mle, _restricted_mles
+from totpos.oracle import NEWTON_TOL, _candidate_mles, _plan, _restricted_mles
 from conftest import CARCASS_LABELS, CARCASS_R, random_correlation
 
 # The tenth p = 4, n = 2 draw of random_correlation(default_rng(5), ., n=2),
 # after ten p = 3 draws.  On the support {01, 03, 13, 23} the restricted
-# problem has no maximum: the Newton iterate grows to entries near 1e16 until
-# inverting it raises, which once escaped the oracle.
+# problem has no maximum: the Newton iterate grows without bound, and the
+# error raised by inverting it once escaped the oracle.
 DIVERGENT_SUPPORT_R = np.array([
     [1.0, 0.9398083503150123, 0.940639495049888, 0.4638264142934825],
     [0.9398083503150123, 1.0, 0.7680446823345223, 0.7386306682083987],
@@ -27,32 +27,19 @@ DIVERGENT_SUPPORT_R = np.array([
 
 def _reference_restricted_mle(r: np.ndarray, support_pairs) -> np.ndarray | None:
     """The restricted Newton iteration for one support, one candidate at a
-    time: identity start, at most 200 steps, 60 step halvings accepting at
-    ll - 1e-12, Cholesky as the positive definiteness test; None when a step
-    fails."""
+    time: identity start, at most 200 steps, the damped step 1 / (1 + lam)
+    with lam^2 = grad . step, a full step once lam <= 1/4; None when ``inv``
+    or ``solve`` fails or lam^2 is not positive."""
     p = r.shape[0]
     idx_i = np.array([i for i in range(p)] + [i for i, _ in support_pairs], dtype=int)
     idx_j = np.array([i for i in range(p)] + [j for _, j in support_pairs], dtype=int)
     mult = np.where(idx_i == idx_j, 1.0, 2.0)
-
-    def assemble(theta):
+    theta = np.zeros(len(idx_i))
+    theta[:p] = 1.0
+    for _ in range(200):
         k = np.zeros((p, p))
         k[idx_i, idx_j] = theta
         k[idx_j, idx_i] = theta
-        return k
-
-    def chol_logdet(k):
-        try:
-            low = np.linalg.cholesky(k)
-        except np.linalg.LinAlgError:
-            return None
-        return 2.0 * float(np.log(low.diagonal()).sum())
-
-    theta = np.zeros(len(idx_i))
-    theta[:p] = 1.0
-    k = assemble(theta)
-    ll = chol_logdet(k) - float((r * k).sum())
-    for _ in range(200):
         try:
             sigma = np.linalg.inv(k)
         except np.linalg.LinAlgError:
@@ -68,20 +55,11 @@ def _reference_restricted_mle(r: np.ndarray, support_pairs) -> np.ndarray | None
             step = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError:
             return None
-        t = 1.0
-        for _ in range(60):
-            cand = assemble(theta + t * step)
-            logdet = chol_logdet(cand)
-            if logdet is not None:
-                cand_ll = logdet - float((r * cand).sum())
-                if cand_ll >= ll - 1e-12:
-                    theta = theta + t * step
-                    k = cand
-                    ll = cand_ll
-                    break
-            t /= 2.0
-        else:
+        lam2 = float(grad @ step)
+        if not lam2 > 0.0:
             return None
+        lam = np.sqrt(lam2)
+        theta = theta + (1.0 / (1.0 + lam) if lam > 0.25 else 1.0) * step
     return None
 
 
@@ -120,14 +98,14 @@ class TestRestrictedSolve:
     def test_diagonal_support(self):
         rng = np.random.default_rng(70)
         r = random_correlation(rng, 4)
-        k = _restricted_mle(r.values, ())
+        k = _restricted_mles(r.values, [()])[0]
         assert np.allclose(k, np.eye(4), atol=1e-10)
 
     def test_full_support_recovers_inverse(self):
         rng = np.random.default_rng(71)
         r = random_correlation(rng, 4)
         pairs = tuple((i, j) for i in range(4) for j in range(i + 1, 4))
-        k = _restricted_mle(r.values, pairs)
+        k = _restricted_mles(r.values, [pairs])[0]
         assert np.abs(k - np.linalg.inv(r.values)).max() <= 1e-8
 
     def test_graphical_stationarity(self):
@@ -136,7 +114,7 @@ class TestRestrictedSolve:
         rng = np.random.default_rng(72)
         r = random_correlation(rng, 5)
         pairs = ((0, 1), (1, 2), (2, 3), (3, 4))
-        k = _restricted_mle(r.values, pairs)
+        k = _restricted_mles(r.values, [pairs])[0]
         sigma = np.linalg.inv(k)
         for i, j in pairs:
             assert sigma[i, j] == pytest.approx(r.values[i, j], abs=1e-10)
@@ -145,7 +123,8 @@ class TestRestrictedSolve:
     @pytest.mark.parametrize("n", [7, 2])
     def test_batch_matches_one_at_a_time(self, n):
         # n = 7 is p + 3; at n = 2 the reproducer has 24 supports without a
-        # maximum, one of them ending in a singular K
+        # maximum, each ending at a singular Hessian or a Newton decrement
+        # that is no longer positive
         if n == 2:
             r = DIVERGENT_SUPPORT_R
         else:
@@ -186,6 +165,24 @@ class TestChordalClosedForm:
             for c, k in zip(at, _restricted_mles(r, [plan.supports[c] for c in at])):
                 assert k is not None, plan.supports[c]
                 assert np.abs(ks[c] - k).max() <= 1e-10, plan.supports[c]
+
+    def test_ill_conditioned_maxima_are_found(self):
+        # the second p = 5, n = 2 draw of seed 51 has r01 = -0.999998; its
+        # restricted maxima that contain (0, 1) have K entries near 2.4e5
+        rng = np.random.default_rng(51)
+        random_correlation(rng, 5, n=2)
+        r = random_correlation(rng, 5, n=2)
+        ks, _ = _candidate_mles(r.values)
+        solved = np.flatnonzero(~np.isnan(ks[:, 0, 0]))
+        assert len(solved) >= 350
+        sigma = np.linalg.inv(ks[solved])
+        iu, ju = np.triu_indices(5, 1)
+        off = np.where(_plan(5).on_set[solved], sigma[:, iu, ju] - r.values[iu, ju], 0.0)
+        diag = sigma.diagonal(axis1=1, axis2=2) - 1.0
+        assert max(np.abs(off).max(), np.abs(diag).max()) <= 1e-9
+        sol = active_set_oracle(r)
+        res = fit(r, FitConfig(algorithm="k"))
+        assert np.abs(sol.sigma.values - res.sigma_hat.values).max() <= 1e-10
 
     def test_no_maximum_pattern_at_two_observations(self):
         # every support: a failed clique block, the closed form or Newton
