@@ -46,7 +46,6 @@ from .solver import (
     MaxSweepsExceeded,
     MleDoesNotExist,
     _exists,
-    _fit_best,
     fit,
 )
 from .signed import EXHAUSTIVE_LIMIT, apply_signs, fit_signed
@@ -280,7 +279,10 @@ def cmd_fit(path: str, cfg: FitConfig, grw_tol: float = GRW_TOL):
     drawn between the DOT tiers, the fitted covariance or None).
     """
     s = read_matrix_csv(path)
-    result, converged = _fit_best(s, cfg)
+    try:
+        result, converged = fit(s, cfg), True
+    except MaxSweepsExceeded as exc:
+        result, converged = exc.result, False
     r, _ = to_correlation(s)
     closures = _closures(r, result.w, grw_tol)
     doc = _fit_doc(path, s, closures, result, cfg, "mtp2", converged)

@@ -44,7 +44,7 @@ from itertools import combinations
 import numpy as np
 
 from .matcore import SymMatrix, pd_mask, rescale_solution, to_correlation
-from .solver import KktCertificate, MleDoesNotExist, exists_mle, kkt_certificate
+from .solver import KktCertificate, MleDoesNotExist, _exists, kkt_certificate
 
 logger = logging.getLogger(__name__)
 
@@ -270,9 +270,9 @@ def active_set_oracle(s: SymMatrix) -> ActiveSetSolution:
     """
     if s.dim > MAX_ORACLE_DIM:
         raise ValueError(f"oracle supports p <= {MAX_ORACLE_DIM}")
-    if not exists_mle(s):
-        raise MleDoesNotExist("oracle requires an input with an attained optimum")
     r, scale = to_correlation(s)
+    if not _exists(r):
+        raise MleDoesNotExist("oracle requires an input with an attained optimum")
     rv = r.values
     p = r.dim
     plan = _plan(p)

@@ -8,14 +8,15 @@ desk dimensions an exhaustive sweep over all anchored sign vectors is exact,
 beyond that the spanning-forest assignment is used as a heuristic and
 flagged as such.
 
-The exhaustive search fits the 2^(p-1) switched matrices as stacks: one
-max-product closure and one descent of the configured sweep through the
-loop that ``fit`` runs on a stack of one (``solver._descend``), in which
-each member takes the steps it would take alone, bit for bit.  The
-covariance sweep's column steps each make one solve for the members that
-have not yet met the stopping rule; the precision sweep runs its pair
-steps member by member.  Each member's likelihood, and the winner's
-certificate, gap and graph, are then built from its (Sigma, K) pair as
+Every method fits its sign vectors one way: the forest assignment alone
+(balanced or heuristic) or all 2^(p-1) anchored vectors (exhaustive), as
+stacks with one max-product closure each, through the loop that ``fit``
+runs on a stack of one (``solver._descend``), in which each member takes
+the steps it would take alone, bit for bit.  The covariance sweep's column
+steps each make one solve for the members that have not yet met the
+stopping rule; the precision sweep runs its pair steps member by member.
+Each member's likelihood, and the winner's certificate, gap and graph, are
+then built from its (Sigma, K) pair and its slice of the closure as
 ``fit`` builds them, so no sign vector is fitted twice.  With the
 covariance sweep, unbalanced inputs at n = 2p (2-vCPU Xeon, one BLAS
 thread) took 0.08-0.19 s at p = 10 and 0.9-1.4 s at p = 12, against
@@ -33,17 +34,8 @@ import numpy as np
 
 from .graphs import WeightedForest, mwsf
 from .matcore import SymMatrix, require_unit_diagonal, to_correlation
-from .solver import (
-    FitConfig,
-    FitResult,
-    MleDoesNotExist,
-    _build_result,
-    _descend,
-    _fit_best,
-    _precision,
-    exists_mle,
-)
-from .ultra import max_product_closure, w_matrix
+from .solver import FitConfig, FitResult, MleDoesNotExist, _build_result, _descend, _exists, _precision
+from .ultra import max_product_closure
 
 # Largest dimension at which an unbalanced input gets the exhaustive search.
 EXHAUSTIVE_LIMIT = 12
@@ -157,52 +149,64 @@ def _anchored_signs(p: int) -> np.ndarray:
     return np.hstack([np.ones((len(rest), 1)), rest])
 
 
+def _search(r: SymMatrix, rc: SymMatrix, scale: np.ndarray, cfg: FitConfig, signs: np.ndarray,
+            method: str, prefer: SignVector | None = None) -> SignedFitResult:
+    """Fit the switch of ``r`` by each row of ``signs``, (rc, scale) being
+    ``to_correlation(r)``, and keep the likelihood maximizer.
+
+    The rows' switched correlation matrices, exactly rc switched since the
+    signs are +-1, run the configured descent together, SEARCH_CHUNK at a
+    time.  The table and the result are those of a plain ``fit`` of each
+    switched matrix; a lone row is not ranked, and the table is kept for
+    "exhaustive_exact".  Exact ties resolve toward ``prefer``, then toward
+    the first row.  A fit that runs out of sweeps competes with its best
+    iterate and marks the result unconverged.  Existence is tested on |R|:
+    no switch lifts an entry above max |r_ij|, and the forest assignment,
+    in every row set, makes the heaviest forest edge of |R| positive.
+    """
+    if not _exists(SymMatrix(np.abs(rc.values))):
+        raise MleDoesNotExist("no maximum likelihood estimate: some normalized entry reaches one")
+    m, p = signs.shape
+    sigs, ks, ws = np.empty((3, m, p, p))
+    sweeps, ll, converged = np.empty(m, int), np.zeros(m), True
+    for at in range(0, m, SEARCH_CHUNK):
+        d = signs[at : at + SEARCH_CHUNK]
+        part = slice(at, at + len(d))
+        flips = d[:, :, None] * d[:, None, :]
+        stack = rc.values * flips
+        ws[part] = max_product_closure(stack)
+        sigs[part], ks[part], sweeps[part], done = _descend(stack, ws[part], cfg)
+        converged = converged and bool(done.all())
+        if m > 1:  # each entry as ``fit`` computes it, on the switched input
+            ll[part] = [_precision(x, s, scale)[1] for x, s in zip(ks[part], r.values * flips)]
+    keys = [tuple(map(int, d)) for d in signs]
+    table = dict(zip(keys, ll.tolist()))
+    best = int(np.argmax(ll))  # the first maximum
+    if prefer is not None and table.get(prefer.signs) == ll[best]:
+        best = keys.index(prefer.signs)
+    winner = SignVector(keys[best])
+    w = SymMatrix(ws[best], labels=r.labels)
+    s = apply_signs(r, winner)
+    result = _build_result(s, scale, sigs[best], ks[best], int(sweeps[best]), w, cfg)
+    table[winner.signs] = result.log_likelihood  # the ranked entry, bit for bit
+    kept = table if method == "exhaustive_exact" else None
+    return SignedFitResult(winner, result, method, converged, kept)
+
+
 def exhaustive_sign_search(
     r: SymMatrix, cfg: FitConfig | None = None, prefer: SignVector | None = None
 ) -> SignedFitResult:
     """Fit every anchored sign vector and keep the likelihood maximizer.
 
-    The switched correlation matrices run the configured descent together,
-    SEARCH_CHUNK at a time.  Each member's likelihood and the winner's fit
-    are built from its pair as ``fit`` builds them, so the table and the
-    result are those of a plain ``fit`` of each switched matrix.  Exact ties
-    (identical switched matrices occur across disconnected components)
-    resolve toward ``prefer`` when given, then toward the vector with the
-    fewest leading flips.  A fit that runs out of sweeps competes with its
-    best iterate and marks the result unconverged.
-
-    Raises MleDoesNotExist when some switched matrix fails ``exists_mle``,
-    and whatever ``fit`` of a switched matrix raises.
+    The rows run in ``itertools.product`` order, so exact ties (identical
+    switched matrices occur across disconnected components) resolve toward
+    ``prefer`` when given, then toward the fewest leading flips.  Raises
+    MleDoesNotExist when some switched matrix fails ``exists_mle``, and
+    whatever ``fit`` of a switched matrix raises.
     """
     cfg = cfg or FitConfig()
     rc, scale = to_correlation(r)  # names a non-finite entry as given
-    # switching moves the largest normalized entry of no sign vector above
-    # the largest |R_ij|, and some vector attains it
-    if not exists_mle(SymMatrix(np.abs(r.values))):
-        raise MleDoesNotExist("no maximum likelihood estimate: some normalized entry reaches one")
-    signs = _anchored_signs(r.dim)
-    m = len(signs)
-    sigs, ks, sweeps, ll, converged = *np.empty((2, m, r.dim, r.dim)), np.empty(m, int), np.empty(m), True
-    for at in range(0, m, SEARCH_CHUNK):
-        d = signs[at : at + SEARCH_CHUNK]
-        flips = d[:, :, None] * d[:, None, :]
-        stack = rc.values * flips
-        sig, k, n, done = _descend(stack, max_product_closure(stack), cfg)
-        sigs[at : at + len(d)], ks[at : at + len(d)], sweeps[at : at + len(d)] = sig, k, n
-        converged = converged and bool(done.all())
-        # each entry as ``fit`` computes it, on the switched input
-        ll[at : at + len(d)] = [_precision(x, s, scale)[1] for x, s in zip(k, r.values * flips)]
-    keys = [tuple(map(int, d)) for d in signs]
-    table = dict(zip(keys, ll.tolist()))
-    # the signs run by leading flips, and argmax takes the first maximum
-    best = int(np.argmax(ll))
-    if prefer is not None and table.get(prefer.signs) == ll[best]:
-        best = keys.index(prefer.signs)
-    winner = SignVector(keys[best])
-    s = apply_signs(r, winner)
-    w = w_matrix(to_correlation(s)[0])
-    result = _build_result(s, scale, sigs[best], ks[best], int(sweeps[best]), w, cfg)
-    return SignedFitResult(winner, result, "exhaustive_exact", converged, table)
+    return _search(r, rc, scale, cfg, _anchored_signs(r.dim), "exhaustive_exact", prefer)
 
 
 def fit_signed(
@@ -210,21 +214,21 @@ def fit_signed(
 ) -> SignedFitResult:
     """Maximize the likelihood over sign switches of the variables.
 
-    Balanced inputs use the forest assignment, which is exact.  Otherwise an
-    exhaustive search over the 2^(p-1) anchored sign vectors runs when the
-    dimension allows it; beyond ``exhaustive_limit`` the forest assignment
-    is used as a heuristic and a warning is emitted.  A spent sweep budget
-    is reported through ``converged`` instead of raising.
+    Every method runs one search: on the forest assignment alone for a
+    balanced input, where it is exact, and beyond ``exhaustive_limit``,
+    where it is a heuristic and a warning is emitted; otherwise on the
+    2^(p-1) anchored sign vectors, ties going to the forest assignment.  A
+    spent sweep budget is reported through ``converged`` instead of raising.
     """
     cfg = cfg or FitConfig()
     require_unit_diagonal(r)
-    to_correlation(r)  # names a non-finite entry as given, before any switch
+    rc, scale = to_correlation(r)  # names a non-finite entry as given, before any switch
     forest = _abs_forest(r)
     star = _propagate_signs(r, forest)
     if _witness_cycle(r, forest, star) is None:
         method = "balanced_exact"
     elif r.dim <= exhaustive_limit:
-        return exhaustive_sign_search(r, cfg, prefer=star)
+        return _search(r, rc, scale, cfg, _anchored_signs(r.dim), "exhaustive_exact", prefer=star)
     else:
         warnings.warn(
             "unbalanced input beyond the exhaustive search limit; "
@@ -233,5 +237,4 @@ def fit_signed(
             stacklevel=2,
         )
         method = "heuristic"
-    result, converged = _fit_best(apply_signs(r, star), cfg)
-    return SignedFitResult(star, result, method, converged)
+    return _search(r, rc, scale, cfg, np.array([star.signs], dtype=float), method)

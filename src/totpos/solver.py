@@ -135,9 +135,8 @@ CERT_TOL = 1e-6
 # without lowering its failing count before it moves one entry at a time.
 FULL_EXCHANGES = 3
 
-# Caps of one Newton finish: its steps, and the halvings of one step.
+# Cap on the steps of one Newton finish.
 NEWTON_STEPS = 12
-HALVINGS = 8
 
 class MleDoesNotExist(ValueError):
     """The existence pre-check failed for the given sample covariance."""
@@ -420,10 +419,11 @@ def _newton(r: np.ndarray, k: np.ndarray, support: np.ndarray, tol: float) -> tu
     by Cholesky.  A step of 1 / (1 + lambda), lambda the Newton decrement,
     keeps K positive definite (log det is self-concordant), and a full step
     is taken once lambda <= 1/4; a step whose K fails the pivot test of
-    ``matcore.cholesky`` is halved.  Steps stop when the gradient is below
-    tol / 1000 or a full step no longer halves it (rounding).  The KKT
-    system: Sigma = R on the diagonal and the support, K_ij <= 0 there
-    (partial-correlation scale), and Sigma_ij >= r_ij off it.
+    ``matcore.cholesky`` rejects the finish, and the sweeps go on.  Steps
+    stop when the gradient is below tol / 1000 or a full step no longer
+    halves it (rounding).  The KKT system: Sigma = R on the diagonal and
+    the support, K_ij <= 0 there (partial-correlation scale), and
+    Sigma_ij >= r_ij off it.
     """
     p = len(r)
     on = support | np.eye(p, dtype=bool)
@@ -461,16 +461,11 @@ def _newton(r: np.ndarray, k: np.ndarray, support: np.ndarray, tol: float) -> tu
         step[at] = step[back] = d
         step = step.reshape(p, p)
         t = 1.0 if lam <= 0.25 else 1.0 / (1.0 + lam)
-        for _ in range(HALVINGS):
-            new = k + t * step
-            try:
-                sig = inverse(new)
-                break
-            except NotPositiveDefinite:
-                t /= 2.0
-        else:
+        k = k + t * step
+        try:
+            sig = inverse(k)
+        except NotPositiveDefinite:
             return None
-        k = new
         last = top if t == 1.0 else np.inf
     kd = k.diagonal()
     ok = (np.abs(sig.ravel().take(at) - r_at).max() <= tol
@@ -583,14 +578,6 @@ def fit(s: SymMatrix, cfg: FitConfig | None = None) -> FitResult:
     if not converged[0]:
         raise MaxSweepsExceeded(result)
     return result
-
-
-def _fit_best(s: SymMatrix, cfg: FitConfig) -> tuple[FitResult, bool]:
-    """The fit and whether it converged; on a spent budget, the best iterate."""
-    try:
-        return fit(s, cfg), True
-    except MaxSweepsExceeded as exc:
-        return exc.result, False
 
 
 def _precision(k_r: np.ndarray, s: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, float]:

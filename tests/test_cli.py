@@ -801,18 +801,14 @@ class TestClosureOnce:
             monkeypatch.setattr(module, "w_matrix", counting)
         return calls
 
-    @pytest.mark.parametrize("argv", [
-        *(["fit", "--algorithm", a] for a in ALGORITHMS), ["signed"],
-    ], ids=[*(f"fit-{a}" for a in ALGORITHMS), "signed"])
-    def test_one_closure_per_command(self, tmp_path, capsys, calls, argv):
-        # a tridiagonal M-matrix precision: every covariance is positive,
-        # so the signed input is balanced and takes one fit
+    @pytest.mark.parametrize("argv", [["fit", "--algorithm", a] for a in ALGORITHMS],
+                             ids=[f"fit-{a}" for a in ALGORITHMS])
+    def test_one_closure_per_command(self, tmp_path, calls, argv):
+        # a tridiagonal M-matrix precision: every covariance is positive
         k = 2.0 * np.eye(5) - 0.8 * (np.eye(5, k=1) + np.eye(5, k=-1))
         path = str(tmp_path / "r.csv")
         write_matrix_csv(SymMatrix(np.linalg.inv(k)), path)
         assert main([argv[0], path, *argv[1:]]) == 0
-        if argv[0] == "signed":
-            assert json.loads(capsys.readouterr().out)["method"] == "balanced_exact"
         assert len(calls) == 1
 
     @pytest.mark.parametrize("argv, forests", [
@@ -845,6 +841,69 @@ class TestClosureOnce:
         if argv[0] == "signed":
             assert json.loads((tmp_path / "o.json").read_text())["method"] == "balanced_exact"
         assert counts == {"max_product_closure": 1, "mwsf": forests}
+
+    @staticmethod
+    def _counting(monkeypatch, real):
+        """The calls of ``real`` through every module of the package."""
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        for module in [m for n, m in sys.modules.items() if n.partition(".")[0] == "totpos"]:
+            for name, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, name, counting)
+        return calls
+
+    @staticmethod
+    def _signed(tmp_path, matrix, *argv):
+        """Run ``signed`` with every output on ``matrix``; returns its method."""
+        path = str(tmp_path / "r.csv")
+        write_matrix_csv(SymMatrix(matrix), path)
+        outputs = ["--output", str(tmp_path / "o.json"), "--dot", str(tmp_path / "g.dot"),
+                   "--sigma-csv", str(tmp_path / "s.csv")]
+        assert main(["signed", path, *argv, *outputs]) == 0
+        return json.loads((tmp_path / "o.json").read_text())["method"]
+
+    def test_one_closure_per_unbalanced_signed(self, tmp_path, monkeypatch):
+        """The exhaustive search's winner keeps its slice of the stack's
+        closure; ``mwsf`` runs on |R| and on the switched matrix."""
+        closures = self._counting(monkeypatch, ultra.max_product_closure)
+        forests = self._counting(monkeypatch, graphs.mwsf)
+        assert self._signed(tmp_path, UNBALANCED_R) == "exhaustive_exact"
+        assert (len(closures), len(forests)) == (1, 2)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_balanced_signed_factors_as_fit(self, tmp_path, monkeypatch, algorithm):
+        """A balanced input's one-row search factors no more matrices than
+        ``fit`` of the same input: its lone likelihood is the result's."""
+        factored = self._counting(monkeypatch, matcore.cholesky)
+        k = 2.0 * np.eye(5) - 0.8 * (np.eye(5, k=1) + np.eye(5, k=-1))
+        cov = np.linalg.inv(k)  # entrywise positive: no variable is switched
+        fit(SymMatrix(cov), FitConfig(algorithm=algorithm))
+        plain = len(factored)
+        factored.clear()
+        assert self._signed(tmp_path, cov, "--algorithm", algorithm) == "balanced_exact"
+        assert len(factored) == plain
+
+    @pytest.mark.parametrize("unbalanced", [False, True], ids=["balanced", "unbalanced"])
+    def test_three_normalizations_per_signed(self, tmp_path, monkeypatch, unbalanced):
+        """``signed`` normalizes its input, ``fit_signed`` its argument and
+        the certificate its own, whatever the method."""
+        calls = self._counting(monkeypatch, matcore.to_correlation)
+        k = 2.0 * np.eye(5) - 0.8 * (np.eye(5, k=1) + np.eye(5, k=-1))
+        method = self._signed(tmp_path, UNBALANCED_R if unbalanced else np.linalg.inv(k))
+        assert method == ("exhaustive_exact" if unbalanced else "balanced_exact")
+        assert len(calls) == 3
+
+    def test_two_normalizations_per_oracle_call(self, monkeypatch):
+        """The oracle tests existence on the R it keeps; the certificate
+        normalizes its own input."""
+        calls = self._counting(monkeypatch, matcore.to_correlation)
+        active_set_oracle(random_pd(np.random.default_rng(42), 4))
+        assert len(calls) == 2
 
     def test_one_normalization_per_analyze(self, tmp_path, monkeypatch):
         """``analyze`` tests existence on the R it keeps: one

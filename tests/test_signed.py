@@ -1,3 +1,4 @@
+import sys
 from itertools import product
 
 import numpy as np
@@ -6,6 +7,7 @@ from scipy.linalg import block_diag
 
 from totpos import (
     FitConfig,
+    MaxSweepsExceeded,
     MleDoesNotExist,
     SignVector,
     SymMatrix,
@@ -18,17 +20,26 @@ from totpos import (
     is_balanced,
     log_likelihood,
     mwsf,
+    to_correlation,
     tree_mle,
 )
 from totpos import signed, solver
 from totpos.cli import main, write_matrix_csv
-from totpos.solver import ALGORITHMS, _descend, _fit_best
+from totpos.solver import ALGORITHMS, _descend
 from totpos.ultra import max_product_closure
 from conftest import UNBALANCED_R, random_correlation, random_m_matrix
 
 
 def _random_sign_vector(rng, p):
     return SignVector((1, *(int(s) for s in rng.choice([-1, 1], size=p - 1))))
+
+
+def _fit_or_best(s, cfg):
+    """``fit`` and whether it converged; on a spent budget, the best iterate."""
+    try:
+        return fit(s, cfg), True
+    except MaxSweepsExceeded as exc:
+        return exc.result, False
 
 
 def _serial_sign_search(r, cfg=None, prefer=None):
@@ -39,7 +50,7 @@ def _serial_sign_search(r, cfg=None, prefer=None):
     fits, converged = {}, True
     for rest in product((1, -1), repeat=r.dim - 1):
         signs = (1, *rest)
-        fits[signs], done = _fit_best(apply_signs(r, SignVector(signs)), cfg)
+        fits[signs], done = _fit_or_best(apply_signs(r, SignVector(signs)), cfg)
         converged = converged and done
     best_ll = max(f.log_likelihood for f in fits.values())
     candidates = sorted(
@@ -317,7 +328,7 @@ class TestStackedSearch:
             assert not result.converged
             # the covariance winner itself converged from W, so a losing sign
             # vector spent its budget; a precision fit needs two sweeps
-            assert _fit_best(apply_signs(r, result.signs), cfg)[1] == (algorithm == "sigma")
+            assert _fit_or_best(apply_signs(r, result.signs), cfg)[1] == (algorithm == "sigma")
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_single_variable(self, algorithm):
@@ -354,18 +365,29 @@ class TestStackedSearch:
         def refuse(*args):
             raise AssertionError("the sign search ran a fit")
 
-        for module, name in ((solver, "fit"), (solver, "_fit_best"), (signed, "_fit_best")):
-            monkeypatch.setattr(module, name, refuse)
+        for module in [m for n, m in sys.modules.items() if n.partition(".")[0] == "totpos"]:
+            for name, value in list(vars(module).items()):
+                if value is solver.fit:
+                    monkeypatch.setattr(module, name, refuse)
 
     def test_search_runs_no_fit(self, monkeypatch):
         r = random_correlation(np.random.default_rng(313), 7, n=14)
         expected = exhaustive_sign_search(r)
+        # a balanced input: the correlation of an M-matrix inverse, which is
+        # entrywise positive, with some variables flipped
+        rng = np.random.default_rng(314)
+        cov = SymMatrix(np.linalg.inv(random_m_matrix(rng, 6).values))
+        balanced = apply_signs(to_correlation(cov)[0], _random_sign_vector(rng, 6))
+        plain = fit(apply_signs(balanced, d_star(balanced)))
         self._forbid_fits(monkeypatch)
         result = exhaustive_sign_search(r)
         assert result.signs == expected.signs
         assert np.array_equal(result.fit.sigma_hat.values, expected.fit.sigma_hat.values)
-        with pytest.raises(AssertionError, match="ran a fit"):
-            fit_signed(SymMatrix(np.eye(3)))  # the balanced path still fits
+        # the balanced path runs the same search, on one row
+        result = fit_signed(balanced)
+        assert (result.method, result.signs) == ("balanced_exact", d_star(balanced))
+        assert np.array_equal(result.fit.sigma_hat.values, plain.sigma_hat.values)
+        assert np.array_equal(result.fit.k_hat.values, plain.k_hat.values)
 
     def test_tied_twins_resolve_without_fit(self, monkeypatch):
         r = _two_twin_components()

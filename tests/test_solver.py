@@ -969,6 +969,24 @@ class TestNewtonFinish:
         # edge 13 missing: Sigma_13 = 0 < r_13, no edge has the wrong sign
         assert solver._newton(r, np.eye(3), self._support((0, 1)), 1e-10) is None
 
+    def test_refused_step_rejects_the_finish(self, monkeypatch):
+        # a stepped K that fails the pivot test rejects the finish; no
+        # shorter step is tried
+        support = self._support((0, 1), (0, 2))
+        assert solver._newton(self.THREE, np.eye(3), support, 1e-10) is not None
+        factored = []
+        real = solver.inverse
+
+        def refuse_first_step(k):
+            factored.append(k)
+            if len(factored) == 2:
+                raise NotPositiveDefinite(0)
+            return real(k)
+
+        monkeypatch.setattr(solver, "inverse", refuse_first_step)
+        assert solver._newton(self.THREE, np.eye(3), support, 1e-10) is None
+        assert len(factored) == 2
+
     def test_unconverged_gradient_rejects(self, monkeypatch):
         r = SymMatrix(np.linalg.inv(np.array([[2.0, -0.5, -0.5], [-0.5, 2.0, -0.5], [-0.5, -0.5, 2.0]])))
         r = to_correlation(r)[0].values
