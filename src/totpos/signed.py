@@ -186,8 +186,8 @@ def _search(r: SymMatrix, rc: SymMatrix, scale: np.ndarray, cfg: FitConfig, sign
         best = keys.index(prefer.signs)
     winner = SignVector(keys[best])
     w = SymMatrix(ws[best], labels=r.labels)
-    s = apply_signs(r, winner)
-    result = _build_result(s, scale, sigs[best], ks[best], int(sweeps[best]), w, cfg)
+    result = _build_result(apply_signs(r, winner), apply_signs(rc, winner), scale, sigs[best], ks[best],
+                           int(sweeps[best]), w, cfg)
     table[winner.signs] = result.log_likelihood  # the ranked entry, bit for bit
     kept = table if method == "exhaustive_exact" else None
     return SignedFitResult(winner, result, method, converged, kept)

@@ -19,7 +19,8 @@ its change falls below tolerance * max(1, largest diagonal entry of its
 iterate), or when the Newton finish below is accepted.  It hands on its
 pair (Sigma, K): the accepted finish's own, else its last iterate and that
 iterate's one inverse.  ``_build_result`` only rescales the pair, so K_hat
-is the solver's own, exactly zero off an accepted finish's support.  Both
+is the solver's own, exactly zero off an accepted finish's support, and the
+certificate and the gap read the pair on the correlation scale.  Both
 sweeps increase the likelihood at every step and converge to the unique
 optimum, but only at a linear rate:
 
@@ -192,8 +193,8 @@ class KktCertificate:
     slack_max: largest complementary-slackness product
         |(Sigma_ij - S_ij) K_ij|.
 
-    A fit whose Sigma_hat is not positive definite gets infinite residuals
-    and passed=False.
+    A fit whose Sigma fails the pivot test of ``matcore.cholesky`` gets
+    infinite residuals and passed=False.
     """
 
     primal_max: float
@@ -559,7 +560,7 @@ def fit(s: SymMatrix, cfg: FitConfig | None = None) -> FitResult:
     (``_descend`` on a stack of one) until its L1 change (both triangles)
     falls below tolerance * max(1, largest diagonal entry of the iterate) or
     the Newton finish on the support it identified is accepted, rescales
-    back, and attaches a certificate evaluated at CERT_TOL.
+    back, and certifies Sigma on correlation scale at CERT_TOL.
 
     Raises:
         MleDoesNotExist: the existence pre-check failed.
@@ -574,7 +575,7 @@ def fit(s: SymMatrix, cfg: FitConfig | None = None) -> FitResult:
         )
     w = w_matrix(r)
     sig, k, sweeps, converged = _descend(r.values[None], w.values[None], cfg)
-    result = _build_result(s, scale, sig[0], k[0], int(sweeps[0]), w, cfg)
+    result = _build_result(s, r, scale, sig[0], k[0], int(sweeps[0]), w, cfg)
     if not converged[0]:
         raise MaxSweepsExceeded(result)
     return result
@@ -588,39 +589,37 @@ def _precision(k_r: np.ndarray, s: np.ndarray, scale: np.ndarray) -> tuple[np.nd
     return k, 2.0 * float(np.log(cholesky(k).diagonal()).sum()) - float((s * k).sum())
 
 
-def _build_result(s: SymMatrix, scale: np.ndarray, sig_r: np.ndarray, k_r: np.ndarray,
+def _build_result(s: SymMatrix, r: SymMatrix, scale: np.ndarray, sig_r: np.ndarray, k_r: np.ndarray,
                   sweeps: int, w: SymMatrix, cfg: FitConfig) -> FitResult:
-    """The ``FitResult`` of a ``_descend`` pair on correlation scale for the
-    input ``s``: the pair rescaled, nothing inverted; its likelihood is
-    ``_precision``'s."""
+    """The ``FitResult`` of a ``_descend`` pair (Sigma, K) on the scale of
+    ``r``, the correlation matrix of ``s``: the pair rescaled, not edited
+    (Sigma_hat has the variances s_ii Sigma_ii), ``_precision``'s likelihood,
+    the certificate of Sigma against ``r``, and the gap of the pair itself,
+    sum_ij (r_ij - Sigma_ij) K_ij, ``duality_gap`` for K = Sigma^{-1}."""
     sigma = sig_r * np.outer(scale, scale)
+    np.fill_diagonal(sigma, s.values.diagonal() * sig_r.diagonal())
     k, ll = _precision(k_r, s.values, scale)
-    # the variances are equality constraints; pin them exactly
-    np.fill_diagonal(sigma, s.values.diagonal())
-    sigma_hat = SymMatrix(sigma, labels=s.labels)
-    k_hat = SymMatrix(k, labels=s.labels)
     try:
-        cert = kkt_certificate(s, sigma_hat)
-        gap = duality_gap(s, k_hat, sigma_hat)
+        cert = kkt_certificate(r, SymMatrix(sig_r))
     except NotPositiveDefinite:
-        # Pinning the variances of an ill-conditioned fit can leave sigma_hat
-        # indefinite (seen with the precision sweep at n = 2); such a pair
-        # cannot be certified, so it is reported as failing, not raised.
+        # a Sigma that fails the pivot test of ``cholesky`` cannot be certified
         cert = KktCertificate(math.inf, math.inf, -math.inf, math.inf, False)
-        gap = math.inf
+    gap = float(((r.values - sig_r) * k_r).sum())
     magnitude = np.abs(k_r)
     # partial-correlation scale: a cutoff scaled by the largest K_ii alone
     # drops real edges between vertices of small K_ii on ill-conditioned fits
     d = np.sqrt(k_r.diagonal())
     graph = WeightedGraph.from_mask(magnitude > cfg.edge_threshold * np.outer(d, d), magnitude)
-    return FitResult(sigma_hat, k_hat, cert, sweeps, ll, gap, graph, w)
+    return FitResult(SymMatrix(sigma, labels=s.labels), SymMatrix(k, labels=s.labels),
+                     cert, sweeps, ll, gap, graph, w)
 
 
 def duality_gap(s: SymMatrix, k: SymMatrix, sigma: SymMatrix) -> float:
     """Gap between the dual and primal objectives for a feasible pair.
 
     Nonnegative for a primal-feasible K and dual-feasible Sigma, zero
-    exactly at the optimum.
+    exactly at the optimum.  For K = Sigma^{-1} it is sum_ij (s_ij -
+    Sigma_ij) K_ij, the form in which ``FitResult`` reads its own pair.
     """
     if not (s.dim == k.dim == sigma.dim):
         raise ValueError("dimension mismatch")

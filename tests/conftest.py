@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -138,6 +139,69 @@ def random_m_matrix(rng, p: int) -> SymMatrix:
     top = float(np.linalg.eigvalsh(b).max())
     c = top * (1.0 + rng.uniform(0.05, 0.6)) + 0.1
     return SymMatrix(c * np.eye(p) - b)
+
+
+def sparse_m_covariance(rng, p: int, n: int) -> np.ndarray:
+    """Sample covariance (known zero mean) of n draws from a Gaussian whose
+    precision is a random sparse M-matrix: about three neighbours per vertex,
+    edge weights in [0.2, 1), diagonal dominance margin in [1, 2).  This is
+    ``perfbench.workloads.sample_covariance`` without sign flips, and
+    ``tools/cli_parity.py``'s ``sample_covariance`` for even seeds."""
+    mask = np.triu(rng.random((p, p)) < 3.0 / p, 1)
+    a = np.where(mask, rng.uniform(0.2, 1.0, (p, p)), 0.0)
+    a = a + a.T
+    k = -a
+    np.fill_diagonal(k, a.sum(axis=1) + rng.uniform(1.0, 2.0, p))
+    x = rng.standard_normal((n, p)) @ np.linalg.cholesky(np.linalg.inv(k)).T
+    return x.T @ x / n
+
+
+def exact_inverse(k: np.ndarray) -> list[list[Fraction]]:
+    """The exact inverse of a positive definite float matrix.
+
+    A float is a dyadic rational, so K = M / d with M an integer matrix and
+    d the largest denominator (a power of two).  Fraction-free Gauss-Jordan
+    elimination (Bareiss) on [M | I] divides exactly at every step and ends
+    at [det M I | adj M]; its pivots are the leading principal minors of M,
+    positive for a positive definite K, so no row is exchanged.  Then
+    K^{-1} = d adj M / det M.
+    """
+    p = len(k)
+    entries = [Fraction(x) for x in k.ravel().tolist()]
+    d = max(q.denominator for q in entries)
+    rows = [[int(q * d) for q in entries[i * p:(i + 1) * p]] + [int(i == j) for j in range(p)]
+            for i in range(p)]
+    prev = 1
+    for c in range(p):
+        pivot, row = rows[c][c], rows[c]
+        if pivot <= 0:
+            raise ValueError(f"leading minor {c + 1} is not positive")
+        for i in range(p):
+            if i != c:
+                f = rows[i][c]
+                rows[i] = [(pivot * x - f * y) // prev for x, y in zip(rows[i], row)]
+        prev = pivot
+    return [[Fraction(x * d, prev) for x in row[p:]] for row in rows]
+
+
+def exact_kkt_residuals(r: np.ndarray, k: np.ndarray) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """The residuals of ``kkt_certificate`` (primal, diagonal, dual, slack)
+    of the pair (K^{-1}, K) against the correlation matrix R, exactly: K is
+    inverted by ``exact_inverse``, and every residual is a rational number
+    computed from the floats of R and K without rounding.  primal is the
+    largest K_ij off the diagonal, diagonal the largest |Sigma_ii - 1|, dual
+    the smallest Sigma_ij - r_ij off the diagonal and slack the largest
+    |(Sigma_ij - r_ij) K_ij| there."""
+    sig = exact_inverse(k)
+    p = len(k)
+    off = [(i, j) for i in range(p) for j in range(p) if i != j]
+    margin = {(i, j): sig[i][j] - Fraction(r[i, j]) for i, j in off}
+    return (
+        max((Fraction(k[i, j]) for i, j in off), default=Fraction(0)),
+        max(abs(sig[i][i] - 1) for i in range(p)),
+        min(margin.values(), default=Fraction(0)),
+        max((abs(m * Fraction(k[i, j])) for (i, j), m in margin.items()), default=Fraction(0)),
+    )
 
 
 def iter_simple_paths(mask: np.ndarray, i: int, j: int):

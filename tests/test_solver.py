@@ -39,6 +39,8 @@ from totpos.cli import main
 from totpos.ultra import max_product_closure
 from totpos.solver import (
     ALGORITHMS,
+    CERT_TOL,
+    KktCertificate,
     _column_step,
     _column_sweep,
     _descend,
@@ -51,7 +53,9 @@ from conftest import (
     CARCASS_CHAIN_EDGES,
     CARCASS_ML_EDGES,
     CARCASS_MLE_2DP,
+    exact_kkt_residuals,
     random_correlation,
+    sparse_m_covariance,
 )
 
 
@@ -854,8 +858,8 @@ class TestNewtonFinish:
             assert (res.k_hat.values[~on] == 0.0).all() and (~on).any()
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_four_factorizations_after_an_accepted_finish(self, monkeypatch, algorithm):
-        # the likelihood's, the certificate's inverse and the gap's two
+    def test_two_factorizations_after_an_accepted_finish(self, monkeypatch, algorithm):
+        # K_hat for the likelihood and Sigma for the certificate
         factored, marks = [], []
         real = matcore.cholesky
         for module in [m for n, m in sys.modules.items() if n.partition(".")[0] == "totpos"]:
@@ -873,7 +877,7 @@ class TestNewtonFinish:
         for r in self._inputs():
             factored.clear()
             fit(r, FitConfig(algorithm=algorithm))
-            assert len(factored) - marks[-1] == 4
+            assert len(factored) - marks[-1] == 2
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("wrong", ["extra", "missing"])
@@ -1126,6 +1130,95 @@ class TestDualityGap:
     def test_small_after_convergence(self, carcass):
         res = fit(carcass)
         assert -1e-8 <= duality_gap(carcass, res.k_hat, res.sigma_hat) <= 1e-8
+
+
+# n = 2 draws with ill-conditioned fits (max K_ii 4e4 to 1.4e5) that are
+# right: the p = 40 draw of the ROADMAP review (seed 1) and the command-line
+# parity inputs at p = 20 (seeds 4 and 0)
+_N2_DRAWS = [((40, 2, 1, 91), "sigma"), ((40, 2, 1, 91), "k"),
+             ((20, 2, 4), "sigma"), ((20, 2, 4), "k"), ((20, 2, 0), "sigma")]
+_N2_IDS = [f"p{key[0]}-seed{key[2]}-{algorithm}" for key, algorithm in _N2_DRAWS]
+
+
+def _n2_draw(key) -> SymMatrix:
+    return SymMatrix(sparse_m_covariance(np.random.default_rng(list(key)), key[0], key[1]))
+
+
+def _exactly_certified(r: SymMatrix, k: np.ndarray) -> bool:
+    primal, diag, dual, slack = exact_kkt_residuals(r.values, k)
+    return max(primal, diag, slack) <= CERT_TOL and dual >= -CERT_TOL
+
+
+class TestOwnPairResult:
+    """The result reads the solver's own pair (Sigma, K): the certificate
+    checks Sigma on the correlation scale, the gap is
+    sum_ij (r_ij - Sigma_ij) K_ij, and Sigma_hat is Sigma rescaled."""
+
+    @pytest.mark.parametrize("key, algorithm", _N2_DRAWS, ids=_N2_IDS)
+    def test_n2_draw_certifies_exactly(self, key, algorithm):
+        s = _n2_draw(key)
+        cert = fit(s, FitConfig(algorithm=algorithm)).certificate
+        assert cert.passed
+        # to_correlation(R) is R, so the fit of R runs the fit of S bit for
+        # bit, and its K_hat is the solver's own K
+        r = to_correlation(s)[0]
+        res = fit(r, FitConfig(algorithm=algorithm))
+        assert res.certificate == cert and _exactly_certified(r, res.k_hat.values)
+
+    def test_exact_check_sees_a_moved_edge(self, carcass):
+        k = fit(carcass).k_hat.values.copy()
+        assert _exactly_certified(carcass, k)
+        k[0, 2] = k[2, 0] = k[0, 2] + 1e-5 * math.sqrt(k[0, 0] * k[2, 2])
+        assert k[0, 2] < 0.0 and not _exactly_certified(carcass, k)
+
+    @staticmethod
+    def _criterion_6_fits(algorithm):
+        """The inputs of acceptance criterion 6 with their fits."""
+        rng = np.random.default_rng(2024_08_10)
+        for p in [2] * 67 + [3] * 67 + [4] * 66 + [5] * 50:
+            r = random_correlation(rng, p)
+            yield r, fit(r, FitConfig(algorithm=algorithm))
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_gap_is_the_pair_gap(self, algorithm):
+        for r, res in self._criterion_6_fits(algorithm):
+            assert abs(res.duality_gap - duality_gap(r, res.k_hat, res.sigma_hat)) <= 1e-10
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_criterion_6_fits_are_exact(self, algorithm):
+        for r, res in self._criterion_6_fits(algorithm):
+            assert res.certificate.passed and _exactly_certified(r, res.k_hat.values)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_diagonal_input_returned_exactly(self, algorithm):
+        s = SymMatrix(np.diag([2.0, 0.3, 5.0, 1.7]))
+        res = fit(s, FitConfig(algorithm=algorithm))
+        assert np.array_equal(res.sigma_hat.values, s.values)
+        assert res.certificate.passed and res.duality_gap == 0.0
+
+    def test_refused_certificate_inverse_reports_inf(self, carcass, tmp_path, monkeypatch):
+        # no known input reaches the fallback: make the certificate's
+        # inverse refuse Sigma once
+        real, refused = solver.inverse_pd, []
+
+        def refuse_once(m):
+            if not refused:
+                refused.append(m)
+                raise NotPositiveDefinite(0)
+            return real(m)
+
+        monkeypatch.setattr(solver, "inverse_pd", refuse_once)
+        res = fit(carcass)
+        assert refused
+        assert res.certificate == KktCertificate(math.inf, math.inf, -math.inf, math.inf, False)
+        assert math.isfinite(res.duality_gap)
+        refused.clear()
+        path, out = tmp_path / "carcass.csv", tmp_path / "o.json"
+        np.savetxt(path, carcass.values, fmt="%.17g", delimiter=",")
+        assert main(["fit", str(path), "--output", str(out)]) == 3
+        doc = json.loads(out.read_text())
+        assert refused and doc["converged"] is True
+        assert doc["certificate"]["passed"] is False and doc["certificate"]["primal_max"] == math.inf
 
 
 class TestCertificate:
